@@ -92,11 +92,11 @@ func TestWarmDynSelectCostAllocFree(t *testing.T) {
 	assertZeroAllocs(t, "warm SelectCost (dynamic x86, whole corpus)", allocs)
 }
 
-// TestWarmOfflineSelectCostAllocFree: the ahead-of-time engine makes the
-// same warm-path promise as the on-demand one — and for it "warm" is the
-// only state there is: tables are complete before the first request, so
-// label + reduce must allocate nothing from call one (after one pass to
-// fill the labeling/reducer pools).
+// TestWarmOfflineSelectCostAllocFree: the static engine, serving
+// ahead-of-time tables, makes the same warm-path promise as the on-demand
+// one — and for it "warm" is the only state there is: tables are complete
+// before the first request, so label + reduce must allocate nothing from
+// call one (after one pass to fill the labeling/reducer pools).
 func TestWarmOfflineSelectCostAllocFree(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {
@@ -106,7 +106,7 @@ func TestWarmOfflineSelectCostAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := fixed.NewSelector(repro.KindOffline, repro.Options{})
+	sel, err := fixed.NewSelector(repro.KindStatic, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWarmOfflineSelectCostAllocFree(t *testing.T) {
 			sel.SelectCost(f)
 		}
 	})
-	assertZeroAllocs(t, "warm SelectCost (offline x86.fixed, whole corpus)", allocs)
+	assertZeroAllocs(t, "warm SelectCost (static x86.fixed, whole corpus)", allocs)
 }
 
 // TestWarmCostOnlyCompileAllocs: the v2 spelling of the same path —

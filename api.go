@@ -1,20 +1,19 @@
 // Package repro is the public face of the reproduction of "Fast and
 // Flexible Instruction Selection with On-Demand Tree-Parsing Automata"
-// (Ertl, Casey, Gregg; PLDI 2006): BURS instruction selection with three
+// (Ertl, Casey, Gregg; PLDI 2006): BURS instruction selection with four
 // interchangeable labeling engines —
 //
 //   - KindDP: iburg/lburg-style dynamic programming at selection time
 //     (flexible, supports dynamic costs, slow per node);
 //   - KindStatic: a burg-style offline automaton (fast per node, no
-//     dynamic costs, tables built ahead of time);
+//     dynamic costs, tables built ahead of time — in-process, or by
+//     cmd/iselgen and loaded from a blob or compiled-in Go source, with
+//     zero construction cost under traffic);
 //   - KindOnDemand: the paper's contribution — the automaton is built
 //     lazily at selection time, giving (warm) static-automaton speed
 //     *and* dynamic costs;
-//   - KindOffline: tables compiled ahead of time by the offline generator
-//     (internal/gen, fronted by cmd/iselgen) and loaded at construction —
-//     zero construction cost under traffic, no dynamic costs. The fourth
-//     engine, registered exactly the way downstream experiments are told
-//     to plug variants in.
+//   - KindHybrid: the static automaton's tables for the fixed operators,
+//     on-demand construction for the dynamic ones (hybrid.go).
 //
 // Typical use (the v2 context-first surface):
 //
@@ -44,9 +43,9 @@
 // Every engine implements reduce.Labeler — Label plus the
 // NumStates/NumTransitions/MemoryBytes table stats — and Selector
 // dispatches exclusively through that interface. Engine kinds are bound
-// by a constructor registry: RegisterEngine adds a fourth kind without
-// touching any Selector code, which is how downstream experiments plug in
-// engine variants.
+// by a constructor registry: RegisterEngine adds a kind without touching
+// any Selector code, which is how downstream experiments plug in engine
+// variants.
 //
 // # Concurrency
 //
@@ -74,7 +73,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/automaton"
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/emit"
@@ -124,9 +122,8 @@ const Inf = grammar.Inf
 // Kind selects a labeling engine.
 type Kind string
 
-// The three engines of the paper's comparison. KindOffline (offline.go)
-// is the fourth registered kind: ahead-of-time tables loaded from
-// iselgen output.
+// The three engines of the paper's comparison. KindHybrid (hybrid.go) is
+// the fourth registered kind.
 const (
 	KindDP       Kind = "dp"
 	KindStatic   Kind = "static"
@@ -163,15 +160,7 @@ func init() {
 		}
 		return l, nil
 	})
-	RegisterEngine(KindStatic, func(m *Machine, opt Options) (Labeler, error) {
-		a, err := automaton.Generate(m.Grammar, automaton.StaticConfig{
-			DeltaCap: opt.DeltaCap, Metrics: opt.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return a, nil
-	})
+	RegisterEngine(KindStatic, newStaticEngine)
 	RegisterEngine(KindOnDemand, func(m *Machine, opt Options) (Labeler, error) {
 		e, err := core.New(m.Grammar, m.Env, core.Config{
 			DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
@@ -184,8 +173,8 @@ func init() {
 	})
 }
 
-// Kinds lists the registered engine kinds in registration order (the
-// three built-ins first).
+// Kinds lists the registered engine kinds in registration order: dp,
+// static, ondemand, hybrid, then any kind registered downstream.
 func Kinds() []Kind { return append([]Kind(nil), engineKinds...) }
 
 // Machine is a loaded machine description: grammar plus dynamic-cost
@@ -277,14 +266,16 @@ type Options struct {
 	// grammars in long-lived servers. A compile whose labeling would grow
 	// the state table past the budget fails with an error matching
 	// ErrStateBudget (errors.Is); warm traffic over already-materialized
-	// states keeps compiling at the cap. Only meaningful for KindOnDemand.
-	// For KindOffline it bounds ahead-of-time closure computation instead:
-	// a pruned closure fails construction with truncation diagnostics.
+	// states keeps compiling at the cap (KindOnDemand, and KindHybrid's
+	// on-demand half). For the table-backed kinds (KindStatic, KindHybrid)
+	// it also bounds a closure computed at construction: a pruned closure
+	// fails construction with truncation diagnostics.
 	MaxStates int
-	// PreloadPath, for KindOffline, loads the precompiled automaton from
-	// this `.isel` blob (written by cmd/iselgen) instead of computing the
-	// closure at construction — the instant-warm serving path. The blob
-	// must match the machine's grammar fingerprint.
+	// PreloadPath, for the table-backed kinds (KindStatic, KindHybrid),
+	// loads the ahead-of-time tables from this `.isel` blob (written by
+	// cmd/iselgen) instead of computing the closure at construction — the
+	// instant-warm serving path. The blob must match the machine's grammar
+	// fingerprint.
 	PreloadPath string
 }
 
@@ -321,7 +312,7 @@ type Selector struct {
 // see RegisterEngine).
 //
 // KindStatic fails for grammars with dynamic-cost rules — that is the
-// limitation the paper lifts; use StripDynamic (via NewSelectorFixed) or
+// limitation the paper lifts; use FixedMachine, KindHybrid or
 // KindOnDemand.
 func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 	ctor, ok := engineCtors[kind]

@@ -210,10 +210,10 @@ func TestCompileMinCErrors(t *testing.T) {
 
 func TestKinds(t *testing.T) {
 	kinds := repro.Kinds()
-	if len(kinds) != 5 {
-		t.Errorf("kinds = %v, want the three paper engines plus hybrid and offline", kinds)
+	if len(kinds) != 4 {
+		t.Errorf("kinds = %v, want the three paper engines plus hybrid", kinds)
 	}
-	want := []repro.Kind{repro.KindDP, repro.KindStatic, repro.KindOnDemand, repro.KindHybrid, repro.KindOffline}
+	want := []repro.Kind{repro.KindDP, repro.KindStatic, repro.KindOnDemand, repro.KindHybrid}
 	for i, k := range want {
 		if i >= len(kinds) || kinds[i] != k {
 			t.Fatalf("kinds = %v, want %v (registration order)", kinds, want)

@@ -1,27 +1,28 @@
 // Command iselgen is the ahead-of-time table compiler: it computes the
-// full tree-parsing automaton of a grammar offline (internal/gen) and
-// writes it as a versioned `.isel` blob — loadable by the `offline`
-// engine kind and by `iselserver -preload` for machines that are fully
-// warm before their first request — or as generated Go source that embeds
-// the blob and registers it at init time.
+// tree-parsing automaton of a grammar offline (internal/gen) and writes
+// it as an `.isel` blob — loadable through Options.PreloadPath and by
+// `iselserver -preload` for machines that are fully warm before their
+// first request — or as generated Go source that embeds the blob and
+// registers it at init time.
 //
 // Usage:
 //
+//	iselgen -machine x86 -out x86.isel
 //	iselgen -machine x86 -fixed -out x86.isel
-//	iselgen -machine x86 -hybrid -out x86.hybrid.isel
 //	iselgen -machine demo -fixed -go -pkg precompiled -out demo_fixed_gen.go
 //	iselgen -grammar mydesc.gr -out mydesc.isel
 //	iselgen -machine jit64 -fixed -stats
 //	iselgen -machine demo -fixed -go -pkg precompiled -out demo_fixed_gen.go -check
 //
-// Grammars with dynamic-cost rules cannot be tabulated offline (the
-// limitation the paper's on-demand engine lifts): pass -fixed to strip
-// them and compile the fixed-cost subset, exactly what a burg user would
-// feed the offline generator. Or pass -hybrid to compile the
-// fixed-operator-subset closure of the FULL grammar (rule numbering and
-// fingerprint preserved) for the `hybrid` engine kind, which serves the
-// fixed operators from those tables and falls through to the on-demand
-// path for the dynamic ones.
+// Dynamic-cost rules cannot be tabulated offline (the limitation the
+// paper's on-demand engine lifts), so the closure covers the grammar's
+// fixed operators. For a fixed-cost grammar that is the whole automaton,
+// served by the `static` engine kind. For a grammar with dynamic rules
+// the blob keeps the FULL grammar (rule numbering and fingerprint) and is
+// served by the `hybrid` kind, which answers the fixed operators from the
+// tables and builds the dynamic ones on demand. Pass -fixed to strip the
+// dynamic rules first and compile the fixed-cost subset instead, exactly
+// what a burg user would feed the offline generator.
 //
 // -stats prints the closure report: states, representer classes,
 // transition entries, table and blob bytes, and generation time. When the
@@ -52,8 +53,7 @@ import (
 func main() {
 	machine := flag.String("machine", "", "built-in machine description to compile (x86, mips, sparc, alpha, jit64, demo)")
 	grammarFile := flag.String("grammar", "", "burg-style grammar source file to compile (alternative to -machine)")
-	fixed := flag.Bool("fixed", false, "strip dynamic-cost rules first (required for grammars that have any)")
-	hybrid := flag.Bool("hybrid", false, "compile the fixed-operator subset of the full grammar for the hybrid engine (mutually exclusive with -fixed)")
+	fixed := flag.Bool("fixed", false, "strip dynamic-cost rules first and compile the fixed-cost subset (static engine) instead of the full grammar's fixed operators (hybrid engine)")
 	out := flag.String("out", "", "output path (.isel blob, or Go source with -go)")
 	goSrc := flag.Bool("go", false, "emit generated Go source embedding the blob instead of the raw blob")
 	pkg := flag.String("pkg", "precompiled", "package name for -go output")
@@ -61,10 +61,9 @@ func main() {
 	stats := flag.Bool("stats", false, "print the closure report (states, transitions, table bytes, generation time)")
 	check := flag.Bool("check", false, "verify -out is up to date instead of writing it (exit 2 when stale)")
 	maxStates := flag.Int("max-states", 0, "closure state bound (0 = generator default); a pruned closure fails with diagnostics")
-	deltaCap := flag.Int("delta-cap", 0, "relative-cost cap in states (0 = default)")
 	flag.Parse()
 
-	if err := run(*machine, *grammarFile, *out, *pkg, *varName, *fixed, *hybrid, *goSrc, *stats, *check, *maxStates, *deltaCap); err != nil {
+	if err := run(*machine, *grammarFile, *out, *pkg, *varName, *fixed, *goSrc, *stats, *check, *maxStates); err != nil {
 		fmt.Fprintln(os.Stderr, "iselgen:", err)
 		var trunc *automaton.TruncatedError
 		if errors.As(err, &trunc) {
@@ -84,25 +83,13 @@ func main() {
 
 var errStale = errors.New("stale")
 
-func run(machine, grammarFile, out, pkg, varName string, fixed, hybrid, goSrc, stats, check bool, maxStates, deltaCap int) error {
-	if fixed && hybrid {
-		return fmt.Errorf("set at most one of -fixed/-hybrid: -fixed strips dynamic rules (new grammar), -hybrid keeps the full grammar and tabulates its fixed-operator subset")
-	}
+func run(machine, grammarFile, out, pkg, varName string, fixed, goSrc, stats, check bool, maxStates int) error {
 	g, err := loadGrammar(machine, grammarFile, fixed)
 	if err != nil {
 		return err
 	}
-	cfg := gen.Config{MaxStates: maxStates, DeltaCap: grammar.Cost(deltaCap)}
-	var res *gen.Result
-	if hybrid {
-		res, err = gen.CompileHybrid(g, cfg)
-	} else {
-		res, err = gen.Compile(g, cfg)
-	}
+	res, err := gen.Compile(g, gen.Config{MaxStates: maxStates})
 	if err != nil {
-		if !hybrid && g.HasAnyDynRules() {
-			return fmt.Errorf("%w (hint: pass -fixed to compile the fixed-cost subset, or -hybrid to tabulate the fixed operators of the full grammar)", err)
-		}
 		return err
 	}
 	if stats {
@@ -177,12 +164,7 @@ func printStats(s gen.Stats) {
 	fmt.Printf("  states %d, representer classes %d, transition entries %d\n", s.States, s.Representers, s.TransitionEntries)
 	fmt.Printf("  table bytes %d (compact), %d expanded at serve time\n",
 		s.TableBytes, s.ExpandedTableBytes)
-	ratio := 0.0
-	if s.BlobBytes > 0 {
-		ratio = float64(s.BlobBytesFixed) / float64(s.BlobBytes)
-	}
-	fmt.Printf("  blob bytes %d varint/delta-encoded vs %d fixed-width (%.2fx smaller on the wire)\n",
-		s.BlobBytes, s.BlobBytesFixed, ratio)
+	fmt.Printf("  blob bytes %d\n", s.BlobBytes)
 	fmt.Printf("  generation time %s\n", s.GenTime)
 }
 

@@ -52,11 +52,12 @@
 // given directory (written by cmd/iselgen) is served from those
 // ahead-of-time tables. The blob's grammar fingerprint decides the
 // engine: a full-grammar blob for a grammar with dynamic-cost rules
-// (written by `iselgen -hybrid`) is served by the `hybrid` engine — fixed
+// (written by `iselgen`) is served by the `hybrid` engine — fixed
 // operators warm before the first request, dynamic operators on-demand; a
-// full-grammar blob for a fixed-only grammar is served fully `offline`;
-// and a blob matching only the machine's fixed-cost subset (written by
-// `iselgen -fixed`) serves that stripped subset offline, as before.
+// full-grammar blob for a fixed-only grammar is served fully warm by the
+// `static` engine; and a blob matching only the machine's fixed-cost
+// subset (written by `iselgen -fixed`) serves that stripped subset
+// `static`.
 // Machines without a blob fall back to -kind; mismatched tables are
 // rejected at boot, corrupt blobs are quarantined to <machine>.isel.bad
 // and the machine falls back to in-process tables.
@@ -94,14 +95,14 @@ import (
 
 func main() {
 	machines := flag.String("machines", "x86", "comma-separated machine descriptions to serve (first is the default)")
-	kind := flag.String("kind", string(repro.KindOnDemand), "labeling engine kind (dp, static, ondemand)")
+	kind := flag.String("kind", string(repro.KindOnDemand), "labeling engine kind for machines without a -preload blob (dp, static, ondemand, hybrid)")
 	addr := flag.String("addr", ":8931", "listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "work-queue depth (0 = 4*workers)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline for each compile job (0 = none)")
 	maxStates := flag.Int("max-states", 0, "state budget per on-demand automaton (0 = unlimited; exhausted budgets answer 503)")
 	autoDir := flag.String("automaton-dir", "", "directory of persisted automata: loaded per machine at boot, saved on graceful drain")
-	preload := flag.String("preload", "", "directory of iselgen .isel blobs: machines with a <machine>.isel file are served offline from those tables")
+	preload := flag.String("preload", "", "directory of iselgen .isel blobs: machines with a <machine>.isel file are served from those tables (static, or hybrid for a grammar with dynamic-cost rules)")
 	maxMachines := flag.Int("max-machines", 0, "keep at most N engines constructed, evicting the least recently used (0 = unlimited)")
 	maxTableBytes := flag.Int("max-table-bytes", 0, "byte budget for summed resident table bytes, evicting the least recently used machine when exceeded (0 = unlimited)")
 	shed := flag.Bool("shed", false, "shed load when the work queue is full (429 + Retry-After) instead of blocking the submitter")
@@ -338,7 +339,7 @@ func run(cfg serveConfig) error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	// Engines may differ per machine (preloaded ones serve offline), so
+	// Engines may differ per machine (preloaded ones serve static or hybrid), so
 	// the banner reports each machine's actual kind.
 	var served []string
 	for _, st := range reg.Status() {

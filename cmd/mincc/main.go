@@ -23,7 +23,7 @@ import (
 
 func main() {
 	machine := flag.String("machine", "x86", "machine description: "+strings.Join(repro.Machines(), ", "))
-	engine := flag.String("engine", "ondemand", "engine: dp, static, ondemand")
+	engine := flag.String("engine", "ondemand", "engine: dp, static (fixed-cost grammars only), ondemand, hybrid")
 	wl := flag.String("workload", "", "compile a built-in corpus program instead of a file")
 	list := flag.Bool("list", false, "list built-in corpus programs")
 	stats := flag.Bool("stats", false, "print selector statistics after compiling")

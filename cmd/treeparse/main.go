@@ -1,5 +1,5 @@
 // Command treeparse selects instructions for textual IR trees: the
-// smallest way to watch the three engines work.
+// smallest way to watch the engines work.
 //
 // Usage:
 //
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	machine := flag.String("machine", "x86", "machine description: "+strings.Join(repro.Machines(), ", "))
-	engine := flag.String("engine", "ondemand", "engine: dp, static, ondemand")
+	engine := flag.String("engine", "ondemand", "engine: dp, static (fixed-cost grammars only), ondemand, hybrid")
 	stats := flag.Bool("stats", false, "print engine counters and automaton size")
 	flag.Parse()
 

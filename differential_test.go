@@ -19,8 +19,7 @@ import (
 //
 // Two arenas per machine: the full grammar (dynamic costs active; every
 // kind that can host them) and the stripped fixed-cost grammar (every
-// registered kind — including the static automaton and the
-// ahead-of-time-compiled offline engine, neither of which can host
+// registered kind — including the static automaton, which cannot host
 // dynamic rules at all).
 
 // diffSeeds is the number of seeded forests per machine description per
@@ -170,7 +169,7 @@ func TestDifferentialEngines(t *testing.T) {
 			}
 
 			// Full-grammar arena: every kind that can host the dynamic
-			// rules (the offline automaton by design cannot).
+			// rules (the static automaton by design cannot).
 			full := &arena{name: name, g: m.Grammar, sels: map[repro.Kind]*repro.Selector{}}
 			for _, kind := range kinds {
 				sel, err := m.NewSelector(kind, repro.Options{})
@@ -190,15 +189,15 @@ func TestDifferentialEngines(t *testing.T) {
 			// every built-in machine, including every dynamic-rule grammar.
 			// Without this assertion a constructor regression would silently
 			// drop it from the comparison (the loop tolerates ctor errors
-			// because offline legitimately rejects dynamic grammars).
+			// because static legitimately rejects dynamic grammars).
 			if _, ok := full.sels[repro.KindHybrid]; !ok {
 				t.Fatalf("hybrid kind missing from the full arena (dynamic rules: %v): %v",
 					m.Grammar.HasAnyDynRules(), full.kinds)
 			}
 
 			// Fixed-grammar arena: every registered kind, no exceptions —
-			// in particular the offline engine's ahead-of-time tables must
-			// agree with every other kind here.
+			// in particular the static engine's expanded ahead-of-time
+			// tables must agree with every other kind here.
 			fx := &arena{name: name + ".fixed", g: fixed.Grammar, sels: map[repro.Kind]*repro.Selector{}}
 			for _, kind := range kinds {
 				sel, err := fixed.NewSelector(kind, repro.Options{})
@@ -208,8 +207,8 @@ func TestDifferentialEngines(t *testing.T) {
 				fx.kinds = append(fx.kinds, kind)
 				fx.sels[kind] = sel
 			}
-			if _, ok := fx.sels[repro.KindOffline]; !ok {
-				t.Fatalf("offline kind missing from the fixed arena: %v", fx.kinds)
+			if _, ok := fx.sels[repro.KindStatic]; !ok {
+				t.Fatalf("static kind missing from the fixed arena: %v", fx.kinds)
 			}
 
 			fullRoots, fullInner, fullLeaf := opSplit(m.Grammar)

@@ -34,8 +34,8 @@ func main() {
 	for _, kind := range repro.Kinds() {
 		sel, err := m.NewSelector(kind, repro.Options{})
 		if err != nil {
-			// The offline kinds (static, offline) must fail: the grammar
-			// has a dynamic-cost rule.
+			// The static kind must fail: the grammar has a dynamic-cost
+			// rule.
 			fmt.Printf("  %-9s %v\n", kind, err)
 			continue
 		}

@@ -1,0 +1,134 @@
+package repro_test
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro"
+	"repro/internal/gen"
+	"repro/internal/ir"
+	"repro/internal/workload"
+)
+
+// iselTarget is one machine whose table-backed engine FuzzISELDecode
+// feeds blobs to, with the corpus it must then label and reduce.
+type iselTarget struct {
+	m       *repro.Machine
+	kind    repro.Kind
+	forests []*ir.Forest
+}
+
+// iselTargets returns the fuzz targets: x86 through the hybrid seed, and
+// x86.fixed, demo.fixed and jit64.fixed through the static engine.
+// demo has no MinC corpus (its four operators cannot lower MinC), so its
+// corpus is seeded random forests.
+func iselTargets(tb testing.TB) []iselTarget {
+	x86, err := repro.LoadMachine("x86")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []iselTarget
+	for _, tg := range []iselTarget{
+		{m: x86, kind: repro.KindHybrid},
+		{m: mustFixed(tb, "x86"), kind: repro.KindStatic},
+		{m: mustFixed(tb, "demo"), kind: repro.KindStatic},
+		{m: mustFixed(tb, "jit64"), kind: repro.KindStatic},
+	} {
+		g := tg.m.Grammar
+		if tg.m.Name == "demo.fixed" {
+			roots, inner, leaf := opSplit(g)
+			for seed := 0; seed < 20; seed++ {
+				tg.forests = append(tg.forests, ir.RandomForest(g, diffConfig(seed, roots, inner, leaf)))
+			}
+		} else {
+			for _, u := range workload.MustCompileAll(g) {
+				tg.forests = append(tg.forests, u.Forests()...)
+			}
+		}
+		out = append(out, tg)
+	}
+	return out
+}
+
+// reseal replaces a blob's trailing checksum with the right one, so a
+// mutated input reaches the parser and the table validator instead of
+// stopping at the checksum.
+func reseal(blob []byte) []byte {
+	if len(blob) < 8 {
+		return blob
+	}
+	out := append([]byte(nil), blob[:len(blob)-8]...)
+	h := fnv.New64a()
+	h.Write(out)
+	return binary.LittleEndian.AppendUint64(out, h.Sum64())
+}
+
+// FuzzISELDecode: arbitrary bytes, as given and resealed, go through the
+// one blob path — Options.PreloadPath, gen.Decode, the table validator —
+// for every target. Each must yield an error or an engine that labels and
+// reduces the target's whole corpus without panicking. A well-formed blob
+// can carry wrong transitions, so accepted inputs are not held to DP; the
+// seeds are: the two committed precompiled blobs and freshly compiled x86
+// and x86.fixed blobs must load and match the dp oracle's cost on every
+// corpus forest.
+func FuzzISELDecode(f *testing.F) {
+	targets := iselTargets(f)
+	var seeds [][]byte
+	for _, tg := range targets {
+		if blob, ok := gen.Lookup(gen.Fingerprint(tg.m.Grammar)); ok {
+			seeds = append(seeds, blob) // committed: demo.fixed, jit64.fixed
+		} else {
+			res, err := gen.Compile(tg.m.Grammar, gen.Config{})
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, res.Blob)
+		}
+	}
+	dir := f.TempDir()
+	ctx := context.Background()
+	for i, tg := range targets {
+		path := filepath.Join(dir, "seed.isel")
+		if err := os.WriteFile(path, seeds[i], 0o644); err != nil {
+			f.Fatal(err)
+		}
+		sel, err := tg.m.NewSelector(tg.kind, repro.Options{PreloadPath: path})
+		if err != nil {
+			f.Fatalf("%s seed: %v", tg.m.Name, err)
+		}
+		oracle, err := tg.m.NewSelector(repro.KindDP, repro.Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for j, forest := range tg.forests {
+			want, wantErr := oracle.Compile(ctx, forest, repro.CostOnly())
+			got, err := sel.Compile(ctx, forest, repro.CostOnly())
+			if (err == nil) != (wantErr == nil) || err == nil && got.Cost != want.Cost {
+				f.Fatalf("%s seed, forest %d: %s (%v) disagrees with dp (%v)", tg.m.Name, j, tg.kind, err, wantErr)
+			}
+		}
+		f.Add(seeds[i])
+	}
+
+	path := filepath.Join(dir, "input.isel")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, blob := range [][]byte{data, reseal(data)} {
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, tg := range targets {
+				sel, err := tg.m.NewSelector(tg.kind, repro.Options{PreloadPath: path})
+				if err != nil {
+					continue // rejected with an error: the other allowed outcome
+				}
+				for _, forest := range tg.forests {
+					sel.Compile(ctx, forest, repro.CostOnly())
+				}
+			}
+		}
+	})
+}

@@ -1,52 +1,52 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 
 	"repro/internal/automaton"
 	"repro/internal/core"
-	"repro/internal/gen"
 )
 
-// KindHybrid is the fifth engine kind, closing the last cell in the
-// paper's tradeoff matrix: fixed-operator transitions are answered from
-// ahead-of-time tables expanded into direct state-id-indexed arrays
-// (offline speed, warm before the first request) while dynamic-cost
-// operators fall through to the on-demand engine's hash path — so
-// grammars with dynamic rules, which KindOffline must reject outright, no
-// longer pay full on-demand cost for their fixed majority. Both halves
-// share one hash-consed state table, so a labeling that crosses the
-// boundary is a single consistent automaton.Labeling.
+// KindHybrid closes the last cell in the paper's tradeoff matrix:
+// fixed-operator transitions are answered from ahead-of-time tables
+// expanded into direct state-id-indexed arrays (static-automaton speed,
+// warm before the first request) while dynamic-cost operators fall
+// through to the on-demand engine's hash path — so grammars with dynamic
+// rules, which KindStatic must reject outright, no longer pay full
+// on-demand cost for their fixed majority. Both halves share one
+// hash-consed state table, so a labeling that crosses the boundary is a
+// single consistent automaton.Labeling.
 //
-// Tables resolve exactly like KindOffline's: Options.PreloadPath (a
-// `.isel` blob written by `iselgen -hybrid` — or by plain iselgen for a
-// fixed-only grammar, the two closures coincide there), then the
-// process-global preload store, and finally an in-process fixed-subset
-// compilation round-tripped through the wire format. The blob must carry
-// the FULL grammar's fingerprint: stripped-grammar blobs are a different
-// grammar (rules renumbered) and are rejected by the fingerprint check.
+// Tables resolve exactly like KindStatic's: Options.PreloadPath (a
+// `.isel` blob written by iselgen for the full grammar), then the
+// process-global preload store, and finally the fixed-operator closure
+// computed in-process. The blob must carry the FULL grammar's
+// fingerprint: stripped-grammar blobs are a different grammar (rules
+// renumbered) and are rejected by the fingerprint check.
 //
-// Construction fails with an error matching gen.ErrNoFixedClosure when
-// every leaf operator carries dynamic rules — such a grammar has no
-// offline half, and KindOnDemand is the right engine.
+// Construction fails with an error matching ErrNoFixedClosure when every
+// leaf operator carries dynamic rules — such a grammar has no offline
+// half, and KindOnDemand is the right engine.
 const KindHybrid Kind = "hybrid"
 
 // ErrNoFixedClosure is the typed error hybrid construction fails with for
 // a grammar whose every leaf operator carries dynamic-cost rules (whether
 // compiling in-process or preloading a blob): such a grammar has no
 // offline half. Match with errors.Is and fall back to KindOnDemand.
-var ErrNoFixedClosure = gen.ErrNoFixedClosure
+var ErrNoFixedClosure = automaton.ErrNoFixedClosure
 
 func init() {
 	RegisterEngine(KindHybrid, newHybridEngine)
 }
 
 func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
-	ov, err := hybridOverlay(m, opt)
+	ts, err := tableSet(m, opt)
 	if err != nil {
 		return nil, err
+	}
+	ov, err := automaton.NewHybridOverlay(m.Grammar, ts)
+	if err != nil {
+		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
 	}
 	h, err := core.NewHybrid(m.Grammar, m.Env, core.Config{
 		DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
@@ -56,37 +56,4 @@ func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
 		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
 	}
 	return h, nil
-}
-
-// hybridOverlay resolves the fixed-subset tables the same way
-// offlineAutomaton resolves full tables: explicit blob path, then the
-// preload store, then an in-process compile taken through the
-// encode/decode round trip so every hybrid engine runs tables that took
-// the deserialization path.
-func hybridOverlay(m *Machine, opt Options) (*automaton.HybridOverlay, error) {
-	g := m.Grammar
-	if opt.PreloadPath != "" {
-		f, err := os.Open(opt.PreloadPath)
-		if err != nil {
-			return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
-		}
-		defer f.Close()
-		ov, err := gen.LoadHybrid(g, f)
-		if err != nil {
-			return nil, fmt.Errorf("repro: machine %s: loading %s: %w", m.Name, opt.PreloadPath, err)
-		}
-		return ov, nil
-	}
-	if blob, ok := gen.Lookup(gen.Fingerprint(g)); ok {
-		ov, err := gen.LoadHybrid(g, bytes.NewReader(blob))
-		if err != nil {
-			return nil, fmt.Errorf("repro: machine %s: preloaded tables: %w", m.Name, err)
-		}
-		return ov, nil
-	}
-	res, err := gen.CompileHybrid(g, gen.Config{DeltaCap: opt.DeltaCap, MaxStates: opt.MaxStates})
-	if err != nil {
-		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
-	}
-	return gen.LoadHybrid(g, bytes.NewReader(res.Blob))
 }

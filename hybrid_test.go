@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -17,12 +16,12 @@ import (
 	"repro/internal/ir"
 )
 
-// writeHybridBlob compiles the fixed-operator-subset closure of m's FULL
-// grammar and writes the `.isel` blob — what `iselgen -machine <m>
-// -hybrid -out <path>` produces.
+// writeHybridBlob compiles the fixed-operator closure of m's FULL
+// grammar and writes the `.isel` blob — what `iselgen -machine <m> -out
+// <path>` produces.
 func writeHybridBlob(t *testing.T, m *repro.Machine, path string) {
 	t.Helper()
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestHybridBlobCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.Grammar
-	res, err := gen.CompileHybrid(g, gen.Config{})
+	res, err := gen.Compile(g, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +206,14 @@ func TestHybridBlobCoverage(t *testing.T) {
 		t.Fatal("dynamic-operator traffic memoized nothing: the fallthrough path did not run")
 	}
 
-	// And the hybrid blob is NOT loadable as a full offline table set: the
-	// static loader must reject the dynamic operators' placeholder rows.
-	if _, err := gen.Load(g, bytes.NewReader(res.Blob)); err == nil {
-		t.Fatal("static loader accepted a fixed-subset (hybrid) blob")
+	// And the hybrid blob is NOT loadable by the static automaton, which
+	// cannot host the dynamic operators.
+	ts, err := gen.Decode(g, res.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := automaton.NewStaticFromTables(g, ts); err == nil {
+		t.Fatal("static automaton accepted a fixed-operator (hybrid) blob")
 	}
 }
 

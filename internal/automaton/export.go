@@ -6,17 +6,16 @@ import (
 	"repro/internal/grammar"
 )
 
-// TableSet is the flat, exported form of a fully generated (offline)
-// automaton: every state's cost-normalized vectors plus the complete
-// leaf/unary/binary transition tables in Chase-compressed representer
-// form. It is the unit of exchange between the generator (internal/gen
-// compiles a grammar's closure into a TableSet and serializes it) and the
-// serving side (NewStaticFromTables turns a decoded TableSet back into a
-// labeling automaton without re-running any closure work).
+// TableSet is the flat form of a generated (offline) automaton: every
+// state's cost-normalized vectors plus the leaf/unary/binary transition
+// tables in Chase-compressed representer form. It is the unit of
+// exchange between the closure (GenerateTables; internal/gen serializes
+// it as an `.isel` blob) and the serving side (NewStaticFromTables and
+// NewHybridOverlay turn it into a labeling engine without re-running any
+// closure work).
 //
-// All slices are laid out exactly as Static stores them; a TableSet handed
-// to NewStaticFromTables is owned by the automaton afterwards and must not
-// be mutated.
+// A TableSet handed to either constructor is owned by the engine
+// afterwards and must not be mutated.
 type TableSet struct {
 	// NumNT is the grammar's nonterminal count; state vectors are rows of
 	// this width.
@@ -56,36 +55,25 @@ func (ts *TableSet) TransitionEntries() int {
 	return n
 }
 
-// Export flattens the automaton into a TableSet. The returned set aliases
-// the automaton's internal tables and must be treated as read-only.
-func (a *Static) Export() *TableSet {
-	numNT := a.g.NumNonterms()
-	ts := &TableSet{
-		NumNT:  numNT,
-		Deltas: make([]grammar.Cost, 0, len(a.states)*numNT),
-		Rules:  make([]int32, 0, len(a.states)*numNT),
-		Leaf:   a.leaf,
-		NReps:  a.nreps,
-		Mu:     a.mu,
-		T1:     a.t1,
-		T2:     a.t2,
-	}
-	for _, s := range a.states {
-		ts.Deltas = append(ts.Deltas, s.Delta...)
-		ts.Rules = append(ts.Rules, s.Rule...)
-	}
-	return ts
-}
-
-// NewStaticFromTables reconstitutes a labeling automaton from a TableSet
-// generated for exactly g (callers check the grammar fingerprint first;
-// this function validates structure, not provenance). No closure work
-// runs: states are re-interned for canonical identity and the transition
-// tables are adopted as-is, so construction cost is linear in table size —
-// the instant-warm start the offline generator exists for.
+// ValidateTables checks that ts is a well-formed table set for g and
+// returns its states interned into a fresh table, ids preserved. It is
+// the one validator every table set crosses before an engine serves it —
+// NewStaticFromTables, NewHybridOverlay, and the cluster's blob check all
+// call it — so a blob the framing checks accept (checksum, fingerprint,
+// shape) but whose body is wrong fails here rather than panicking or
+// mislabeling at serve time. It checks provenance-free structure only;
+// callers match the grammar fingerprint first.
 //
-// The automaton takes ownership of ts.
-func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
+// The rules: every state vector is cost-normalized and unique; every
+// operator of arity k carries k projection rows of one entry per state;
+// a fixed operator's representer ids, transition cells and leaf state are
+// in range; and a dynamic operator (one with dynamic-cost rules) carries
+// no leaf state, no classes and no transitions — its states are built on
+// demand. A set with no states fails with ErrNoFixedClosure.
+//
+// The state vectors are adopted, not copied: the returned table's states
+// alias ts.Deltas and ts.Rules, which must not be mutated afterwards.
+func ValidateTables(g *grammar.Grammar, ts *TableSet) (*Table, error) {
 	numNT := g.NumNonterms()
 	numOps := g.NumOps()
 	if ts.NumNT != numNT {
@@ -101,21 +89,19 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 	}
 	numStates := len(ts.Deltas) / numNT
 	if numStates == 0 {
-		return nil, fmt.Errorf("automaton: empty table set")
+		return nil, fmt.Errorf("automaton: empty table set for grammar %s: %w", g.Name, ErrNoFixedClosure)
 	}
 
 	table := NewTable(g)
 	for s := 0; s < numStates; s++ {
-		delta := make([]grammar.Cost, numNT)
-		rule := make([]int32, numNT)
-		copy(delta, ts.Deltas[s*numNT:(s+1)*numNT])
-		copy(rule, ts.Rules[s*numNT:(s+1)*numNT])
+		// Full slice expressions: interning retains the vectors, and a
+		// later append to one must never spill into its neighbor.
+		delta := ts.Deltas[s*numNT : (s+1)*numNT : (s+1)*numNT]
+		rule := ts.Rules[s*numNT : (s+1)*numNT : (s+1)*numNT]
 		for nt := 0; nt < numNT; nt++ {
 			// Every legitimate state is cost-normalized: a finite,
 			// non-negative delta pairs with a valid rule id, an infinite
-			// delta with exactly -1. A vector violating that is body
-			// corruption the framing checks cannot see; reject it here
-			// rather than panic (or silently mislabel) at serve time.
+			// delta with exactly -1.
 			if rule[nt] < -1 || rule[nt] >= int32(g.NumRules()) {
 				return nil, fmt.Errorf("automaton: state %d references rule %d outside grammar %s", s, rule[nt], g.Name)
 			}
@@ -127,36 +113,44 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 					s, nt, delta[nt], rule[nt])
 			}
 		}
-		st, created := table.Intern(delta, rule, nil)
-		if !created || st.ID != int32(s) {
+		// Duplicate vectors would intern to one id and shift every later
+		// state off its table id — transition cells would then point at
+		// the wrong states.
+		if st, created := table.Intern(delta, rule, nil); !created || st.ID != int32(s) {
 			return nil, fmt.Errorf("automaton: duplicate state %d in table set", s)
 		}
 	}
 
-	checkState := func(what string, id int32) error {
-		if id < 0 || int(id) >= numStates {
-			return fmt.Errorf("automaton: %s references state %d of %d", what, id, numStates)
-		}
-		return nil
-	}
 	for op := 0; op < numOps; op++ {
+		opName := g.OpName(grammar.OpID(op))
 		arity := g.Ops[op].Arity
+		for p := 0; p < arity; p++ {
+			if len(ts.Mu[op][p]) != numStates {
+				return nil, fmt.Errorf("automaton: operator %s position %d: projection row has %d entries, want %d states",
+					opName, p, len(ts.Mu[op][p]), numStates)
+			}
+		}
+		if g.HasDynRules(grammar.OpID(op)) {
+			// Beyond the wire format's placeholder projection rows, a
+			// dynamic operator must carry nothing.
+			if ts.Leaf[op] != -1 || ts.NReps[op][0] != 0 || ts.NReps[op][1] != 0 ||
+				len(ts.T1[op]) != 0 || len(ts.T2[op]) != 0 {
+				return nil, fmt.Errorf("automaton: dynamic operator %s carries offline tables", opName)
+			}
+			continue
+		}
 		if arity == 0 {
-			if err := checkState(fmt.Sprintf("leaf operator %s", g.OpName(grammar.OpID(op))), ts.Leaf[op]); err != nil {
-				return nil, err
+			if id := ts.Leaf[op]; id < 0 || int(id) >= numStates {
+				return nil, fmt.Errorf("automaton: leaf operator %s references state %d of %d", opName, id, numStates)
 			}
 			continue
 		}
 		for p := 0; p < arity; p++ {
 			nreps := ts.NReps[op][p]
-			if len(ts.Mu[op][p]) != numStates {
-				return nil, fmt.Errorf("automaton: operator %s position %d: projection row has %d entries, want %d states",
-					g.OpName(grammar.OpID(op)), p, len(ts.Mu[op][p]), numStates)
-			}
 			for _, rep := range ts.Mu[op][p] {
 				if rep < 0 || rep >= nreps {
 					return nil, fmt.Errorf("automaton: operator %s position %d: representer %d of %d",
-						g.OpName(grammar.OpID(op)), p, rep, nreps)
+						opName, p, rep, nreps)
 				}
 			}
 		}
@@ -165,7 +159,7 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 			cells = ts.T1[op]
 			if len(cells) != int(ts.NReps[op][0]) {
 				return nil, fmt.Errorf("automaton: operator %s: %d unary transitions, want %d",
-					g.OpName(grammar.OpID(op)), len(cells), ts.NReps[op][0])
+					opName, len(cells), ts.NReps[op][0])
 			}
 		} else {
 			cells = ts.T2[op]
@@ -174,41 +168,108 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 			want := int(ts.NReps[op][0]) * int(ts.NReps[op][1])
 			if len(cells) != want {
 				return nil, fmt.Errorf("automaton: operator %s: %d binary transitions, want %d",
-					g.OpName(grammar.OpID(op)), len(cells), want)
+					opName, len(cells), want)
 			}
 		}
 		for _, id := range cells {
-			if err := checkState(fmt.Sprintf("operator %s transition", g.OpName(grammar.OpID(op))), id); err != nil {
-				return nil, err
+			if id < 0 || int(id) >= numStates {
+				return nil, fmt.Errorf("automaton: operator %s transition references state %d of %d", opName, id, numStates)
 			}
 		}
 	}
+	return table, nil
+}
 
+// NewStaticFromTables reconstitutes a labeling automaton from a TableSet
+// generated for exactly g, a grammar without dynamic-cost rules. No
+// closure work runs: ValidateTables re-interns the states and the
+// transition tables are adopted as-is, so construction cost is linear in
+// table size. The automaton labels through the compressed tables until
+// Expand.
+//
+// The automaton takes ownership of ts.
+func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
+	if err := errDynamic(g); err != nil {
+		return nil, err
+	}
+	table, err := ValidateTables(g, ts)
+	if err != nil {
+		return nil, err
+	}
 	a := &Static{
-		g:        g,
-		table:    table,
-		states:   table.States(),
-		deltaCap: DefaultDeltaCap,
-		leaf:     ts.Leaf,
-		mu:       ts.Mu,
-		nreps:    ts.NReps,
-		t1:       ts.T1,
-		t2:       ts.T2,
+		g:      g,
+		table:  table,
+		states: table.States(),
+		leaf:   ts.Leaf,
+		mu:     ts.Mu,
+		nreps:  ts.NReps,
+		t1:     ts.T1,
+		t2:     ts.T2,
 	}
 	a.labels.New = func() any { return &Labeling{} }
-	totalReps := 0
-	for op := 0; op < numOps; op++ {
-		totalReps += int(ts.NReps[op][0] + ts.NReps[op][1])
-	}
-	a.Gen = GenStats{
-		States:              numStates,
-		Representers:        totalReps,
-		TransitionsComputed: ts.TransitionEntries(),
-		TableBytes:          a.MemoryBytes(),
-	}
-	// Serving automata trade memory for the fastest per-node lookup: the
-	// blob ships compressed, the loaded tables label through direct
-	// state-id-indexed arrays.
-	a.Expand()
 	return a, nil
+}
+
+// ExpandBytes reports what expanding a table set of the given state count
+// for g adds to its footprint: 4·states per fixed unary operator and
+// 4·states² per fixed binary one. It returns 0 past ExpandMaxBytes, where
+// expansion is refused, so compact-plus-ExpandBytes is always the true
+// serving footprint.
+func ExpandBytes(g *grammar.Grammar, states int) int {
+	b := 0
+	for op := range g.Ops {
+		if g.HasDynRules(grammar.OpID(op)) {
+			continue
+		}
+		switch g.Ops[op].Arity {
+		case 1:
+			b += 4 * states
+		case 2:
+			b += 4 * states * states
+		}
+	}
+	if b > ExpandMaxBytes {
+		return 0
+	}
+	return b
+}
+
+// expand decompresses the fixed operators' transition tables of a
+// validated table set with n states into direct state-id-indexed arrays:
+// dir1[op][kid] and dir2[op][l*n+r]. Dynamic operators get nil rows. It
+// returns nil arrays when the grids would exceed ExpandMaxBytes; callers
+// then keep labeling through the compressed tables (static) or serve the
+// seeded states only (hybrid).
+func expand(g *grammar.Grammar, n int, ts *TableSet) (dir1, dir2 [][]int32) {
+	if ExpandBytes(g, n) == 0 {
+		return nil, nil
+	}
+	dir1 = make([][]int32, g.NumOps())
+	dir2 = make([][]int32, g.NumOps())
+	for op := range g.Ops {
+		if g.HasDynRules(grammar.OpID(op)) {
+			continue
+		}
+		switch g.Ops[op].Arity {
+		case 1:
+			row := make([]int32, n)
+			mu0 := ts.Mu[op][0]
+			for kid := 0; kid < n; kid++ {
+				row[kid] = ts.T1[op][mu0[kid]]
+			}
+			dir1[op] = row
+		case 2:
+			grid := make([]int32, n*n)
+			mu0, mu1 := ts.Mu[op][0], ts.Mu[op][1]
+			n1 := ts.NReps[op][1]
+			for l := 0; l < n; l++ {
+				r0 := mu0[l] * n1
+				for r := 0; r < n; r++ {
+					grid[l*n+r] = ts.T2[op][r0+mu1[r]]
+				}
+			}
+			dir2[op] = grid
+		}
+	}
+	return dir1, dir2
 }

@@ -2,28 +2,13 @@ package automaton
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/grammar"
 )
 
-// The hybrid engine's offline half: the fixed-operator-subset closure of a
-// full grammar. Where the plain offline generator refuses grammars with
-// dynamic-cost rules outright (and StripDynamic changes the grammar — rule
-// ids are renumbered and orphaned helpers dropped, so stripped-grammar
-// states are NOT states of the full grammar), the fixed-subset closure
-// keeps the full grammar and simply excludes the dynamic operators from
-// seeding and transition tabulation. Every state it interns is therefore a
-// genuine full-grammar state: seeding those states into an on-demand
-// engine's table (which hash-conses by content) gives both halves of the
-// hybrid one id space, and labelings that mix offline and on-demand
-// answers compose into a single consistent Labeling.
-//
-// Soundness of the per-position representer projection is unchanged:
-// chain rules can never carry dynamic costs (the grammar normalizer
-// rejects them), so Compute for a fixed operator over the full grammar
-// reads exactly the kid deltas its base rules name — the same relevant
-// sets the projection is keyed on.
+// The hybrid engine's offline half: the fixed-operator closure of a full
+// grammar (GenerateTables), validated and expanded for serving. Dynamic
+// operators carry no tables; they fall through to the on-demand path.
 
 // ErrNoFixedClosure is the typed failure of hybrid table generation and
 // loading for a grammar whose every leaf operator carries dynamic rules:
@@ -33,134 +18,31 @@ import (
 // KindOnDemand.
 var ErrNoFixedClosure = errors.New("automaton: no fixed-operator closure (every leaf operator has dynamic-cost rules); use the on-demand engine")
 
-// GenerateHybridTables computes the fixed-operator-subset closure of g —
-// a grammar that MAY have dynamic-cost rules — and returns it as a
-// TableSet in the same wire shape full offline tables use: dynamic
-// operators carry zero representer classes, all-zero projection rows (the
-// encoder emits one row per child position unconditionally) and empty
-// transition tables. Loading such a set through NewStaticFromTables fails
-// (a projection onto zero classes is invalid there), which is exactly
-// right: only NewHybridOverlay, which knows dynamic operators fall
-// through, accepts it.
-//
-// For a grammar without dynamic rules the fixed subset is the whole
-// grammar and the result is identical to Export of a full generation.
-func GenerateHybridTables(g *grammar.Grammar, cfg StaticConfig) (*TableSet, GenStats, error) {
-	seedable := false
-	for op := 0; op < g.NumOps(); op++ {
-		if g.Ops[op].Arity == 0 && !g.HasDynRules(grammar.OpID(op)) {
-			seedable = true
-			break
-		}
-	}
-	if !seedable {
-		return nil, GenStats{}, fmt.Errorf("grammar %s: %w", g.Name, ErrNoFixedClosure)
-	}
-	if cfg.DeltaCap == 0 {
-		cfg.DeltaCap = DefaultDeltaCap
-	}
-	if cfg.MaxStates == 0 {
-		cfg.MaxStates = 1 << 20
-	}
-	gen := newGenerator(g, cfg, true)
-	if err := gen.run(); err != nil {
-		return nil, GenStats{}, err
-	}
-	return gen.finishHybrid()
-}
-
-// finishHybrid flattens a fixed-subset generation into a TableSet (see
-// GenerateHybridTables for the dynamic-operator placeholder convention).
-func (gen *generator) finishHybrid() (*TableSet, GenStats, error) {
-	g := gen.g
-	states := gen.table.States()
-	numNT := g.NumNonterms()
-	ts := &TableSet{
-		NumNT:  numNT,
-		Deltas: make([]grammar.Cost, 0, len(states)*numNT),
-		Rules:  make([]int32, 0, len(states)*numNT),
-		Leaf:   gen.leaf,
-		NReps:  make([][2]int32, g.NumOps()),
-		Mu:     make([][2][]int32, g.NumOps()),
-		T1:     make([][]int32, g.NumOps()),
-		T2:     make([][]int32, g.NumOps()),
-	}
-	for _, s := range states {
-		ts.Deltas = append(ts.Deltas, s.Delta...)
-		ts.Rules = append(ts.Rules, s.Rule...)
-	}
-	totalReps := 0
-	tableBytes := gen.table.MemoryBytes()
-	for op := 0; op < g.NumOps(); op++ {
-		arity := g.Ops[op].Arity
-		if arity == 0 {
-			continue
-		}
-		if gen.reps[op][0] == nil {
-			// Dynamic operator: zero classes, placeholder projection rows
-			// sized for the wire format's unconditional per-position row.
-			for p := 0; p < arity; p++ {
-				ts.Mu[op][p] = make([]int32, len(states))
-			}
-			continue
-		}
-		for p := 0; p < arity; p++ {
-			rs := gen.reps[op][p]
-			ts.Mu[op][p] = rs.repOf
-			ts.NReps[op][p] = int32(len(rs.sample))
-			totalReps += len(rs.sample)
-			tableBytes += 4 * len(rs.repOf)
-		}
-		if arity == 1 {
-			t := make([]int32, ts.NReps[op][0])
-			for key, sid := range gen.trans[op] {
-				t[int32(key>>32)] = sid
-			}
-			ts.T1[op] = t
-			tableBytes += 4 * len(t)
-		} else {
-			n1 := ts.NReps[op][1]
-			t := make([]int32, ts.NReps[op][0]*n1)
-			for key, sid := range gen.trans[op] {
-				t[int32(key>>32)*n1+int32(uint32(key))] = sid
-			}
-			ts.T2[op] = t
-			tableBytes += 4 * len(t)
-		}
-	}
-	st := GenStats{
-		States:              len(states),
-		Representers:        totalReps,
-		TransitionsComputed: gen.nTr,
-		TableBytes:          tableBytes,
-	}
-	return ts, st, nil
-}
-
-// HybridOverlay is the validated, expanded serving form of a hybrid table
-// set: everything the hybrid engine needs to answer fixed-operator
-// transitions by direct state-id-indexed loads and to seed its on-demand
-// table with the offline states. Immutable after construction except for
-// the seed vectors, whose ownership passes to the engine's state table.
+// HybridOverlay is the validated, expanded serving form of a table set
+// for the hybrid engine: everything it needs to answer fixed-operator
+// transitions by direct state-id-indexed loads, plus the state table it
+// starts from. The arrays are immutable after construction.
 type HybridOverlay struct {
 	g *grammar.Grammar
-	// Deltas/Rules are the blob's state vectors in id order. The hybrid
-	// engine interns them into its (empty) on-demand table at
-	// construction — ids are preserved because interning into an empty
-	// table assigns ids in call order — after which the slices belong to
-	// the table.
-	Deltas [][]grammar.Cost
-	Rules  [][]int32
+	n int
+	// Table holds the table set's states with their blob ids, as
+	// ValidateTables interned them. The one hybrid engine built from the
+	// overlay takes it over (leaving nil) as its on-demand table, so the
+	// offline states are its first states. Their vectors sit in the table set's contiguous
+	// backing arrays, so the reducer's per-node Delta/Rule reads over the
+	// offline states walk packed cache lines — a locality the on-demand
+	// engine, whose states are allocated one miss at a time all over the
+	// heap, never gets.
+	Table *Table
 	// Leaf[op] is the offline state id of fixed arity-0 operators; -1 for
 	// dynamic (and non-leaf) operators.
 	Leaf []int32
 	// Dir1[op][kid] and Dir2[op][l*NumStates()+r] are the expanded direct
 	// transition arrays of the fixed operators — plain non-atomic loads,
-	// the offline engine's serving layout. nil per operator for dynamic
-	// operators; nil for every operator when the closure exceeds
-	// ExpandMaxStates (the quadratic grids stop being a kilobyte trade
-	// there — the engine then seeds states only and lets its own dense
-	// tables warm under traffic).
+	// the static engine's serving layout. nil per operator for dynamic
+	// operators; nil for every operator when expansion would exceed
+	// ExpandMaxBytes (the engine then seeds states only and lets its own
+	// dense tables warm under traffic).
 	Dir1 [][]int32
 	Dir2 [][]int32
 	// Entries counts the compressed transition cells the table set
@@ -169,15 +51,14 @@ type HybridOverlay struct {
 }
 
 // NumStates returns the number of offline states the overlay seeds.
-func (ov *HybridOverlay) NumStates() int { return len(ov.Deltas) }
+func (ov *HybridOverlay) NumStates() int { return ov.n }
 
 // Grammar returns the full grammar the overlay serves.
 func (ov *HybridOverlay) Grammar() *grammar.Grammar { return ov.g }
 
 // MemoryBytes estimates the overlay's own footprint: the expanded direct
-// arrays plus the leaf row. The seeded state vectors are not counted here —
-// after construction they live in (and are accounted by) the engine's
-// state table.
+// arrays plus the leaf row. The offline states are not counted here — they
+// live in (and are accounted by) the engine's state table.
 func (ov *HybridOverlay) MemoryBytes() int {
 	b := 4 * len(ov.Leaf)
 	for op := range ov.Dir1 {
@@ -189,179 +70,28 @@ func (ov *HybridOverlay) MemoryBytes() int {
 	return b
 }
 
-// NewHybridOverlay validates a fixed-subset table set against the full
-// grammar g and expands its fixed-operator tables into direct
-// state-id-indexed arrays (bounded by ExpandMaxStates, like the offline
-// serving path). Validation mirrors NewStaticFromTables — cost-normalized
-// state vectors, complete projection rows, in-range ids — with the hybrid
-// conventions enforced on top: dynamic operators must carry no classes, no
-// transitions and no leaf state, so a full-table blob cannot be confused
-// for a hybrid one or vice versa. A set with no states at all (a blob
-// somehow produced for a grammar with no fixed leaf operators) fails with
-// ErrNoFixedClosure.
+// NewHybridOverlay validates a table set against the full grammar g
+// (ValidateTables: dynamic operators must carry no tables) and expands
+// its fixed-operator tables into direct state-id-indexed arrays, bounded
+// by ExpandMaxBytes like the static engine's. A set with no states at all
+// fails with ErrNoFixedClosure.
 //
 // The overlay takes ownership of ts.
 func NewHybridOverlay(g *grammar.Grammar, ts *TableSet) (*HybridOverlay, error) {
-	numNT := g.NumNonterms()
-	numOps := g.NumOps()
-	if ts.NumNT != numNT {
-		return nil, fmt.Errorf("automaton: hybrid table set has %d nonterminals, grammar %s has %d", ts.NumNT, g.Name, numNT)
+	table, err := ValidateTables(g, ts)
+	if err != nil {
+		return nil, err
 	}
-	if numNT == 0 || len(ts.Deltas)%numNT != 0 || len(ts.Rules) != len(ts.Deltas) {
-		return nil, fmt.Errorf("automaton: malformed hybrid state vectors (%d deltas, %d rules, %d nonterminals)",
-			len(ts.Deltas), len(ts.Rules), numNT)
-	}
-	if len(ts.Leaf) != numOps || len(ts.NReps) != numOps || len(ts.Mu) != numOps ||
-		len(ts.T1) != numOps || len(ts.T2) != numOps {
-		return nil, fmt.Errorf("automaton: hybrid table set sized for %d operators, grammar %s has %d", len(ts.Leaf), g.Name, numOps)
-	}
-	numStates := len(ts.Deltas) / numNT
-	if numStates == 0 {
-		return nil, fmt.Errorf("automaton: empty hybrid table set for grammar %s: %w", g.Name, ErrNoFixedClosure)
-	}
-
 	ov := &HybridOverlay{
 		g:       g,
-		Deltas:  make([][]grammar.Cost, numStates),
-		Rules:   make([][]int32, numStates),
+		n:       table.Len(),
+		Table:   table,
 		Leaf:    ts.Leaf,
 		Entries: ts.TransitionEntries(),
 	}
-	seen := map[string]bool{}
-	// One contiguous backing block for all state vectors: the seeds are
-	// interned into the engine's table as-is (Intern retains slices), so
-	// laying them out densely means the reducer's per-node Delta/Rule reads
-	// over the offline states walk packed cache lines — a locality the
-	// on-demand engine, whose states are allocated one miss at a time all
-	// over the heap, never gets.
-	deltaBack := make([]grammar.Cost, numStates*numNT)
-	ruleBack := make([]int32, numStates*numNT)
-	for s := 0; s < numStates; s++ {
-		delta := deltaBack[s*numNT : (s+1)*numNT : (s+1)*numNT]
-		rule := ruleBack[s*numNT : (s+1)*numNT : (s+1)*numNT]
-		copy(delta, ts.Deltas[s*numNT:(s+1)*numNT])
-		copy(rule, ts.Rules[s*numNT:(s+1)*numNT])
-		for nt := 0; nt < numNT; nt++ {
-			if rule[nt] < -1 || rule[nt] >= int32(g.NumRules()) {
-				return nil, fmt.Errorf("automaton: hybrid state %d references rule %d outside grammar %s", s, rule[nt], g.Name)
-			}
-			if delta[nt] < 0 {
-				return nil, fmt.Errorf("automaton: hybrid state %d has negative cost %d for nonterminal %d", s, delta[nt], nt)
-			}
-			if delta[nt].IsInf() != (rule[nt] == -1) {
-				return nil, fmt.Errorf("automaton: hybrid state %d is not cost-normalized at nonterminal %d (delta %d, rule %d)",
-					s, nt, delta[nt], rule[nt])
-			}
-		}
-		key := stateKey(delta, rule)
-		if seen[key] {
-			// Duplicate vectors would intern to one id and shift every later
-			// seed off its blob id — the overlay's transition cells would
-			// then point at the wrong states.
-			return nil, fmt.Errorf("automaton: duplicate state %d in hybrid table set", s)
-		}
-		seen[key] = true
-		ov.Deltas[s] = delta
-		ov.Rules[s] = rule
-	}
-
-	checkState := func(what string, id int32) error {
-		if id < 0 || int(id) >= numStates {
-			return fmt.Errorf("automaton: hybrid %s references state %d of %d", what, id, numStates)
-		}
-		return nil
-	}
-	for op := 0; op < numOps; op++ {
-		opName := g.OpName(grammar.OpID(op))
-		arity := g.Ops[op].Arity
-		if g.HasDynRules(grammar.OpID(op)) {
-			// Dynamic operator: the blob must carry nothing for it beyond
-			// the wire format's placeholder projection rows.
-			if ts.Leaf[op] != -1 || ts.NReps[op][0] != 0 || ts.NReps[op][1] != 0 ||
-				len(ts.T1[op]) != 0 || len(ts.T2[op]) != 0 {
-				return nil, fmt.Errorf("automaton: dynamic operator %s carries offline tables in a hybrid set (not a fixed-subset blob?)", opName)
-			}
-			for p := 0; p < arity; p++ {
-				if len(ts.Mu[op][p]) != numStates {
-					return nil, fmt.Errorf("automaton: dynamic operator %s position %d: placeholder row has %d entries, want %d",
-						opName, p, len(ts.Mu[op][p]), numStates)
-				}
-			}
-			continue
-		}
-		if arity == 0 {
-			if err := checkState(fmt.Sprintf("leaf operator %s", opName), ts.Leaf[op]); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for p := 0; p < arity; p++ {
-			nreps := ts.NReps[op][p]
-			if len(ts.Mu[op][p]) != numStates {
-				return nil, fmt.Errorf("automaton: operator %s position %d: projection row has %d entries, want %d states",
-					opName, p, len(ts.Mu[op][p]), numStates)
-			}
-			for _, rep := range ts.Mu[op][p] {
-				if rep < 0 || rep >= nreps {
-					return nil, fmt.Errorf("automaton: operator %s position %d: representer %d of %d",
-						opName, p, rep, nreps)
-				}
-			}
-		}
-		var cells []int32
-		if arity == 1 {
-			cells = ts.T1[op]
-			if len(cells) != int(ts.NReps[op][0]) {
-				return nil, fmt.Errorf("automaton: operator %s: %d unary transitions, want %d",
-					opName, len(cells), ts.NReps[op][0])
-			}
-		} else {
-			cells = ts.T2[op]
-			want := int(ts.NReps[op][0]) * int(ts.NReps[op][1])
-			if len(cells) != want {
-				return nil, fmt.Errorf("automaton: operator %s: %d binary transitions, want %d",
-					opName, len(cells), want)
-			}
-		}
-		for _, id := range cells {
-			if err := checkState(fmt.Sprintf("operator %s transition", opName), id); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Expand the fixed operators into direct arrays — the overlay's whole
-	// point is answering in plain loads. Past ExpandMaxStates the engine
-	// serves seed-states-only (still correct: every fixed transition just
-	// reconstructs on demand, landing on the same content-addressed ids).
-	if numStates <= ExpandMaxStates {
-		ov.Dir1 = make([][]int32, numOps)
-		ov.Dir2 = make([][]int32, numOps)
-		for op := 0; op < numOps; op++ {
-			if g.HasDynRules(grammar.OpID(op)) {
-				continue
-			}
-			switch g.Ops[op].Arity {
-			case 1:
-				row := make([]int32, numStates)
-				mu0 := ts.Mu[op][0]
-				for kid := 0; kid < numStates; kid++ {
-					row[kid] = ts.T1[op][mu0[kid]]
-				}
-				ov.Dir1[op] = row
-			case 2:
-				grid := make([]int32, numStates*numStates)
-				mu0, mu1 := ts.Mu[op][0], ts.Mu[op][1]
-				n1 := ts.NReps[op][1]
-				for l := 0; l < numStates; l++ {
-					r0 := mu0[l] * n1
-					for r := 0; r < numStates; r++ {
-						grid[l*numStates+r] = ts.T2[op][r0+mu1[r]]
-					}
-				}
-				ov.Dir2[op] = grid
-			}
-		}
-	}
+	// Past the bound the engine serves seed-states-only (still correct:
+	// every fixed transition just reconstructs on demand, landing on the
+	// same content-addressed ids).
+	ov.Dir1, ov.Dir2 = expand(g, ov.NumStates(), ts)
 	return ov, nil
 }

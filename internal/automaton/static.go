@@ -25,12 +25,11 @@ import (
 // Generate, so one automaton may label from any number of goroutines
 // concurrently; only SetMetrics must not race with labeling.
 type Static struct {
-	g        *grammar.Grammar
-	table    *Table
-	states   []*State // table snapshot, frozen at generation time
-	m        *metrics.Counters
-	deltaCap grammar.Cost
-	labels   sync.Pool // *Labeling, recycled across LabelStates calls
+	g      *grammar.Grammar
+	table  *Table
+	states []*State // table snapshot, frozen at generation time
+	m      *metrics.Counters
+	labels sync.Pool // *Labeling, recycled across LabelStates calls
 
 	leaf []int32 // [op] -> state id for arity-0 ops; -1 otherwise
 
@@ -51,7 +50,8 @@ type Static struct {
 	dir1 [][]int32
 	dir2 [][]int32
 
-	// Gen holds generation statistics.
+	// Gen holds the statistics of the closure Generate computed (zero
+	// for an automaton built from loaded tables).
 	Gen GenStats
 }
 
@@ -62,72 +62,20 @@ type Static struct {
 // lookup. Memory grows from O(reps²) to O(states²) per binary operator,
 // which MemoryBytes reports honestly.
 //
-// The offline serving path (tables loaded from an iselgen blob) expands
-// at load time: a long-lived server trades kilobytes for the fastest
-// possible per-node lookup. The generate-time static engine keeps the
-// compressed form — it is the burg-style baseline the experiments
-// describe. Call before the automaton is shared; not concurrency-safe.
+// The static engine kind expands at construction: a long-lived selector
+// trades kilobytes for the fastest possible per-node lookup. Generate
+// keeps the compressed form — its footprint is the paper's table-size
+// figure. Call before the automaton is shared; not concurrency-safe.
 //
-// Expansion is bounded: past ExpandMaxStates the quadratic grids stop
+// Expansion is bounded by ExpandMaxBytes: past it the quadratic grids stop
 // being a kilobyte trade (and an untrusted blob header must not be able
 // to demand them), so huge automata keep labeling through the compressed
 // tables.
 func (a *Static) Expand() {
-	if a.dir1 != nil || len(a.states) > ExpandMaxStates {
+	if a.dir1 != nil {
 		return
 	}
-	n := len(a.states)
-	a.dir1 = make([][]int32, len(a.t1))
-	a.dir2 = make([][]int32, len(a.t2))
-	for op := range a.mu {
-		switch a.g.Ops[op].Arity {
-		case 1:
-			row := make([]int32, n)
-			mu0 := a.mu[op][0]
-			for kid := 0; kid < n; kid++ {
-				row[kid] = a.t1[op][mu0[kid]]
-			}
-			a.dir1[op] = row
-		case 2:
-			grid := make([]int32, n*n)
-			mu0, mu1 := a.mu[op][0], a.mu[op][1]
-			n1 := a.nreps[op][1]
-			for l := 0; l < n; l++ {
-				r0 := mu0[l] * n1
-				for r := 0; r < n; r++ {
-					grid[l*n+r] = a.t2[op][r0+mu1[r]]
-				}
-			}
-			a.dir2[op] = grid
-		}
-	}
-	a.Gen.TableBytes = a.MemoryBytes()
-}
-
-// ExpandBytes reports the bytes the direct-lookup arrays of Expand cost
-// on top of the compressed tables: 4·states per unary operator and
-// 4·states² per binary one — exactly what MemoryBytes grows by after
-// expansion. It returns 0 when the automaton is past ExpandMaxStates
-// (Expand refuses the trade there), so compact-plus-ExpandBytes is
-// always the true serving footprint of the preloaded offline engine,
-// which expands at load time. Offline table accounting was previously
-// reported pre-expansion only, understating served memory by the
-// quadratic grids.
-func (a *Static) ExpandBytes() int {
-	if len(a.states) > ExpandMaxStates {
-		return 0
-	}
-	n := len(a.states)
-	b := 0
-	for op := range a.mu {
-		switch a.g.Ops[op].Arity {
-		case 1:
-			b += 4 * n
-		case 2:
-			b += 4 * n * n
-		}
-	}
-	return b
+	a.dir1, a.dir2 = expand(a.g, len(a.states), &TableSet{NReps: a.nreps, Mu: a.mu, T1: a.t1, T2: a.t2})
 }
 
 // GenStats summarizes offline generation.
@@ -150,12 +98,15 @@ type StaticConfig struct {
 	Metrics *metrics.Counters
 }
 
-// ExpandMaxStates bounds direct-table expansion: each binary operator's
-// expanded grid is states² × 4 bytes, so 4096 states cost 64 MB per
-// operator — the point past which the space-for-time trade stops paying
-// and a crafted blob could otherwise demand terabytes. Larger automata
+// ExpandMaxBytes bounds the direct arrays one table set may expand into,
+// summed over all operators: each binary operator's grid is states² × 4
+// bytes, so without a total bound a blob claiming a few thousand states
+// for a grammar with dozens of binary operators could demand gigabytes.
+// 16 MiB is over 30× the largest real set (x86.fixed expands to
+// 436,944 bytes) and keeps every single grid at most 2²² cells, so the
+// hybrid engine's int32 l*n+r index cannot overflow. Larger table sets
 // label through the compressed representer tables instead.
-const ExpandMaxStates = 4096
+const ExpandMaxBytes = 16 << 20
 
 // TruncatedError reports a closure that was pruned by StaticConfig
 // MaxStates before reaching its fixpoint: the grammar's state space (or
@@ -181,13 +132,71 @@ func (e *TruncatedError) Error() string {
 		e.Grammar, e.MaxStates, e.States, e.Transitions, e.PendingWork)
 }
 
-// Generate builds the full automaton for g. It fails for grammars with
-// dynamic-cost rules — precisely the limitation of offline tree-parsing
-// automata that motivates on-demand construction; strip the rules first
-// (grammar.StripDynamic) to tabulate the fixed-cost subset.
+// Generate builds the full automaton for g: the closure of
+// GenerateTables adopted by NewStaticFromTables, kept compressed. It fails
+// for grammars with dynamic-cost rules — precisely the limitation of
+// offline tree-parsing automata that motivates on-demand construction;
+// strip the rules first (grammar.StripDynamic) to tabulate the fixed-cost
+// subset.
 func Generate(g *grammar.Grammar, cfg StaticConfig) (*Static, error) {
-	if g.HasAnyDynRules() {
-		return nil, fmt.Errorf("automaton: grammar %s has dynamic-cost rules; offline generation is impossible (use the on-demand engine or StripDynamic)", g.Name)
+	if err := errDynamic(g); err != nil {
+		return nil, err
+	}
+	ts, st, err := GenerateTables(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	a, err := NewStaticFromTables(g, ts)
+	if err != nil {
+		return nil, err
+	}
+	a.m = cfg.Metrics
+	a.Gen = st
+	return a, nil
+}
+
+// errDynamic is the static automaton's refusal of grammars with
+// dynamic-cost rules (nil for a fixed-cost grammar).
+func errDynamic(g *grammar.Grammar) error {
+	if !g.HasAnyDynRules() {
+		return nil
+	}
+	return fmt.Errorf("automaton: grammar %s has dynamic-cost rules; offline generation is impossible (use the on-demand engine or StripDynamic)", g.Name)
+}
+
+// GenerateTables computes the closure of g's tree-parsing automaton over
+// its fixed operators — operators without dynamic-cost rules — and
+// returns it as a TableSet. For a fixed-cost grammar that is the whole
+// automaton. For a grammar with dynamic rules it is the hybrid engine's
+// offline half: dynamic operators are seeded, projected and transitioned
+// nowhere, and carry zero representer classes, all-zero projection rows
+// (the wire format writes one row per child position unconditionally)
+// and empty transition tables; their states are constructed on demand at
+// serve time.
+//
+// The closure keeps the full grammar (contrast StripDynamic, which
+// renumbers rules and drops orphaned helpers, so stripped-grammar states
+// are NOT states of the full grammar). Every state it interns is
+// therefore a genuine full-grammar state: seeding those states into an
+// on-demand engine's table (which hash-conses by content) gives both
+// halves of the hybrid one id space. The per-position representer
+// projection stays sound because chain rules can never carry dynamic
+// costs (the grammar normalizer rejects them), so Compute for a fixed
+// operator reads exactly the kid deltas its base rules name.
+//
+// Fails with ErrNoFixedClosure when every leaf operator carries dynamic
+// rules, and with a *TruncatedError when cfg.MaxStates prunes the
+// closure.
+func GenerateTables(g *grammar.Grammar, cfg StaticConfig) (*TableSet, GenStats, error) {
+	seedable := false
+	for op := 0; op < g.NumOps(); op++ {
+		if g.Ops[op].Arity == 0 && !g.HasDynRules(grammar.OpID(op)) {
+			seedable = true
+			break
+		}
+	}
+	if !seedable {
+		return nil, GenStats{}, fmt.Errorf("grammar %s: %w", g.Name, ErrNoFixedClosure)
 	}
 	if cfg.DeltaCap == 0 {
 		cfg.DeltaCap = DefaultDeltaCap
@@ -195,13 +204,12 @@ func Generate(g *grammar.Grammar, cfg StaticConfig) (*Static, error) {
 	if cfg.MaxStates == 0 {
 		cfg.MaxStates = 1 << 20
 	}
-	gen := newGenerator(g, cfg, false)
+	gen := newGenerator(g, cfg)
 	if err := gen.run(); err != nil {
-		return nil, err
+		return nil, GenStats{}, err
 	}
-	a := gen.finish()
-	a.m = cfg.Metrics
-	return a, nil
+	ts, st := gen.finish()
+	return ts, st, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -237,27 +245,21 @@ type generator struct {
 	trans []map[uint64]int32
 	queue []workItem
 	nTr   int
-	// fixedOnly restricts the closure to the fixed operators (operators
-	// without dynamic rules): the hybrid engine's offline half. Dynamic
-	// operators are seeded, projected and transitioned nowhere — their
-	// states are constructed on demand at serve time.
-	fixedOnly bool
 }
 
-func newGenerator(g *grammar.Grammar, cfg StaticConfig, fixedOnly bool) *generator {
+func newGenerator(g *grammar.Grammar, cfg StaticConfig) *generator {
 	gen := &generator{
-		g:         g,
-		cfg:       cfg,
-		table:     NewTable(g),
-		leaf:      make([]int32, g.NumOps()),
-		reps:      make([][2]*repSpace, g.NumOps()),
-		trans:     make([]map[uint64]int32, g.NumOps()),
-		fixedOnly: fixedOnly,
+		g:     g,
+		cfg:   cfg,
+		table: NewTable(g),
+		leaf:  make([]int32, g.NumOps()),
+		reps:  make([][2]*repSpace, g.NumOps()),
+		trans: make([]map[uint64]int32, g.NumOps()),
 	}
 	for op := 0; op < g.NumOps(); op++ {
 		gen.leaf[op] = -1
 		arity := g.Ops[op].Arity
-		if arity == 0 || gen.skip(grammar.OpID(op)) {
+		if arity == 0 || g.HasDynRules(grammar.OpID(op)) {
 			continue
 		}
 		gen.trans[op] = map[uint64]int32{}
@@ -266,14 +268,6 @@ func newGenerator(g *grammar.Grammar, cfg StaticConfig, fixedOnly bool) *generat
 		}
 	}
 	return gen
-}
-
-// skip reports whether the closure excludes op: in fixed-subset mode,
-// every operator with at least one dynamic-cost base rule goes entirely
-// through the serve-time on-demand path (a dynamic operator's state
-// depends on evaluated costs, so no single offline entry could be right).
-func (gen *generator) skip(op grammar.OpID) bool {
-	return gen.fixedOnly && gen.g.HasDynRules(op)
 }
 
 func newRepSpace(g *grammar.Grammar, op grammar.OpID, pos int) *repSpace {
@@ -336,7 +330,9 @@ func projKey(s *State, relevant []grammar.NT) string {
 func (gen *generator) run() error {
 	// Seed with the leaf-operator states.
 	for op := 0; op < gen.g.NumOps(); op++ {
-		if gen.g.Ops[op].Arity != 0 || gen.skip(grammar.OpID(op)) {
+		// A dynamic operator's state depends on evaluated costs, so no
+		// single offline entry could be right: it is left to serve time.
+		if gen.g.Ops[op].Arity != 0 || gen.g.HasDynRules(grammar.OpID(op)) {
 			continue
 		}
 		delta, rule := Compute(gen.g, grammar.OpID(op), nil, nil, gen.cfg.DeltaCap, gen.cfg.Metrics)
@@ -362,7 +358,7 @@ func (gen *generator) addState(s *State) {
 	for op := 0; op < gen.g.NumOps(); op++ {
 		arity := gen.g.Ops[op].Arity
 		if arity > 0 && gen.reps[op][0] == nil {
-			continue // excluded from the closure (fixed-subset mode)
+			continue // a dynamic operator: excluded from the closure
 		}
 		for p := 0; p < arity; p++ {
 			rs := gen.reps[op][p]
@@ -431,57 +427,71 @@ func (gen *generator) transition(op grammar.OpID, rep0, rep1 int32) error {
 	return nil
 }
 
-// finish flattens the generation structures into dense lookup tables.
-func (gen *generator) finish() *Static {
+// finish flattens the generation structures into a TableSet (see
+// GenerateTables for the dynamic-operator placeholder convention).
+func (gen *generator) finish() (*TableSet, GenStats) {
 	g := gen.g
-	a := &Static{
-		g:        g,
-		table:    gen.table,
-		states:   gen.table.States(),
-		deltaCap: gen.cfg.DeltaCap,
-		leaf:     gen.leaf,
-		mu:       make([][2][]int32, g.NumOps()),
-		nreps:    make([][2]int32, g.NumOps()),
-		t1:       make([][]int32, g.NumOps()),
-		t2:       make([][]int32, g.NumOps()),
+	states := gen.table.States()
+	numNT := g.NumNonterms()
+	ts := &TableSet{
+		NumNT:  numNT,
+		Deltas: make([]grammar.Cost, 0, len(states)*numNT),
+		Rules:  make([]int32, 0, len(states)*numNT),
+		Leaf:   gen.leaf,
+		NReps:  make([][2]int32, g.NumOps()),
+		Mu:     make([][2][]int32, g.NumOps()),
+		T1:     make([][]int32, g.NumOps()),
+		T2:     make([][]int32, g.NumOps()),
 	}
-	a.labels.New = func() any { return &Labeling{} }
+	for _, s := range states {
+		ts.Deltas = append(ts.Deltas, s.Delta...)
+		ts.Rules = append(ts.Rules, s.Rule...)
+	}
 	totalReps := 0
+	tableBytes := gen.table.MemoryBytes()
 	for op := 0; op < g.NumOps(); op++ {
 		arity := g.Ops[op].Arity
 		if arity == 0 {
 			continue
 		}
+		if gen.reps[op][0] == nil {
+			// Dynamic operator: zero classes, placeholder projection rows
+			// sized for the wire format's unconditional per-position row.
+			for p := 0; p < arity; p++ {
+				ts.Mu[op][p] = make([]int32, len(states))
+			}
+			continue
+		}
 		for p := 0; p < arity; p++ {
 			rs := gen.reps[op][p]
-			a.mu[op][p] = rs.repOf
-			a.nreps[op][p] = int32(len(rs.sample))
+			ts.Mu[op][p] = rs.repOf
+			ts.NReps[op][p] = int32(len(rs.sample))
 			totalReps += len(rs.sample)
+			tableBytes += 4 * len(rs.repOf)
 		}
 		if arity == 1 {
-			t := make([]int32, a.nreps[op][0])
+			t := make([]int32, ts.NReps[op][0])
 			for key, sid := range gen.trans[op] {
 				t[int32(key>>32)] = sid
 			}
-			a.t1[op] = t
+			ts.T1[op] = t
+			tableBytes += 4 * len(t)
 		} else {
-			n1 := a.nreps[op][1]
-			t := make([]int32, a.nreps[op][0]*n1)
+			n1 := ts.NReps[op][1]
+			t := make([]int32, ts.NReps[op][0]*n1)
 			for key, sid := range gen.trans[op] {
-				r0 := int32(key >> 32)
-				r1 := int32(uint32(key))
-				t[r0*n1+r1] = sid
+				t[int32(key>>32)*n1+int32(uint32(key))] = sid
 			}
-			a.t2[op] = t
+			ts.T2[op] = t
+			tableBytes += 4 * len(t)
 		}
 	}
-	a.Gen = GenStats{
-		States:              gen.table.Len(),
+	return ts, GenStats{
+		States:              len(states),
 		Representers:        totalReps,
 		TransitionsComputed: gen.nTr,
-		TableBytes:          a.MemoryBytes(),
+		TableBytes:          tableBytes,
 	}
-	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +557,7 @@ func (a *Static) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *Labeling
 	if a.dir1 != nil {
 		// Expanded direct tables: one flat load per node, no projections.
 		// Index arithmetic is int: an int32 product would wrap for state
-		// counts past √2³¹ (Expand's bound keeps us far below, but the
+		// counts past √2³¹ (ExpandMaxBytes keeps us far below, but the
 		// index math must not be what relies on that).
 		stride := len(a.states)
 		for i, n := range f.Nodes {

@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/automaton"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/grammar"
@@ -136,9 +136,9 @@ type PerfRow struct {
 	TableBytes              int     `json:"table_bytes"`
 
 	// The offline comparison point (the paper's other side of the
-	// tradeoff): the same corpus selected with tables compiled ahead of
-	// time by internal/gen on the stripped grammar, loaded through the
-	// `.isel` wire format. GenMs is the one-time closure+encode+decode
+	// tradeoff): the same corpus selected by the static engine with tables
+	// compiled ahead of time by internal/gen on the stripped grammar,
+	// loaded through the `.isel` wire format. GenMs is the one-time closure+encode+decode
 	// cost the on-demand engine never pays; OfflineWarmSelectNsPerNode
 	// must stay at or below the on-demand figure (pure lookup, no dynamic
 	// evaluation) and its allocs at zero.
@@ -194,7 +194,7 @@ type PerfRow struct {
 	// the stat.
 	OfflineCompactTableBytes int `json:"offline_compact_table_bytes,omitempty"`
 
-	// The hybrid engine (the fifth kind): fixed-subset offline tables
+	// The hybrid engine: fixed-operator offline tables
 	// seeding an on-demand engine, dynamic operators falling through to
 	// the hash path. HybridWarmSelect* run the FULL grammar (dynamic rules
 	// active) over the same corpus as the warm on-demand figures above —
@@ -367,7 +367,7 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 	)
 	t.Note("cold includes every state construction of the session; warm is the steady state a JIT/server reaches")
 	t.Note("allocs/pass counted over the whole corpus (runtime.MemStats.Mallocs delta); 0 is the contract for label and select — offline included")
-	t.Note("off-gen-ms is the ahead-of-time closure+encode+decode cost; the on-demand engine never pays it, the offline engine pays it exactly once")
+	t.Note("off-gen-ms is the ahead-of-time closure+encode+decode cost; the on-demand engine never pays it, the static engine on blob tables pays it exactly once")
 	return rep, t, nil
 }
 
@@ -437,8 +437,9 @@ func measureCompile(name string, fs []*ir.Forest, nodes, passes int, row *PerfRo
 }
 
 // measureOffline fills row's offline comparison columns: the same corpus
-// selected with ahead-of-time tables (internal/gen) on the stripped
-// grammar, loaded through the wire format just as a served blob would be.
+// selected by the static engine with ahead-of-time tables (internal/gen)
+// on the stripped grammar, loaded through the wire format and expanded
+// just as a served blob would be.
 // It returns its warm select pass so measureHybrid can re-time it in
 // windows interleaved with the hybrid fixed pass (the 1.2× gate compares
 // the two, so they must face the same noise epochs).
@@ -458,10 +459,15 @@ func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error
 	if err != nil {
 		return nil, err
 	}
-	a, err := gen.Load(fixed, bytes.NewReader(res.Blob))
+	ts, err := gen.Decode(fixed, res.Blob)
 	if err != nil {
 		return nil, err
 	}
+	a, err := automaton.NewStaticFromTables(fixed, ts)
+	if err != nil {
+		return nil, err
+	}
+	a.Expand()
 	row.OfflineGenMs = float64(time.Since(genStart).Nanoseconds()) / 1e6
 	rd, err := reduce.New(fixed, nil, nil)
 	if err != nil {
@@ -499,15 +505,7 @@ func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error
 // pairing makes the gated ratios robust to host-noise epochs.
 func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, nodes, passes int, odPass, offPass func(), row *PerfRow) error {
 	genStart := time.Now()
-	res, err := gen.CompileHybrid(g, gen.Config{})
-	if err != nil {
-		return err
-	}
-	ov, err := gen.LoadHybrid(g, bytes.NewReader(res.Blob))
-	if err != nil {
-		return err
-	}
-	h, err := core.NewHybrid(g, env, core.Config{}, ov)
+	h, res, err := hybridFromBlob(g, env)
 	if err != nil {
 		return err
 	}
@@ -549,15 +547,7 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 		ffs = append(ffs, u.forests...)
 		fnodes += u.nodes
 	}
-	resF, err := gen.CompileHybrid(fixed, gen.Config{})
-	if err != nil {
-		return err
-	}
-	ovF, err := gen.LoadHybrid(fixed, bytes.NewReader(resF.Blob))
-	if err != nil {
-		return err
-	}
-	hF, err := core.NewHybrid(fixed, nil, core.Config{}, ovF)
+	hF, _, err := hybridFromBlob(fixed, nil)
 	if err != nil {
 		return err
 	}
@@ -582,4 +572,24 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 	row.HybridFixedWarmSelectNsPerNode = hybFixedNs
 	row.HybridFixedWarmSelectAllocsPerPass = allocsPerRun(10, fixedPass)
 	return nil
+}
+
+// hybridFromBlob compiles g's ahead-of-time tables and builds a hybrid
+// engine from the blob through the decode-and-validate path a served blob
+// takes.
+func hybridFromBlob(g *grammar.Grammar, env grammar.DynEnv) (*core.Hybrid, *gen.Result, error) {
+	res, err := gen.Compile(g, gen.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	ts, err := gen.Decode(g, res.Blob)
+	if err != nil {
+		return nil, nil, err
+	}
+	ov, err := automaton.NewHybridOverlay(g, ts)
+	if err != nil {
+		return nil, nil, err
+	}
+	h, err := core.NewHybrid(g, env, core.Config{}, ov)
+	return h, res, err
 }

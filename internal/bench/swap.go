@@ -392,7 +392,7 @@ func swapCorruptBlobCase(gname string, clients, workers, passes, swapAt int) (sw
 	if err != nil {
 		return swapRow{}, err
 	}
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		return swapRow{}, err
 	}

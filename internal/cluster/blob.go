@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro"
+	"repro/internal/automaton"
 	"repro/internal/gen"
 )
 
@@ -107,29 +108,26 @@ func quarantine(path string, cause error) {
 
 // ValidateBlob checks a transferred blob end to end against machine m:
 // the header must parse, the fingerprint must match m's full grammar or
-// its fixed-cost subset, and the body must decode cleanly (checksum,
-// structure) against the matched grammar. It returns the header and the
-// grammar the blob is for. This runs on every wire transfer — a corrupt
-// or mismatched blob is rejected before it can reach a store or a
-// registry.
+// its fixed-cost subset, the body must decode cleanly (checksum,
+// structure), and the tables must pass automaton.ValidateTables — the
+// validator the engines run at construction — against the matched
+// grammar. It returns the header. This runs on every wire transfer and
+// preload, so a blob no engine would serve is rejected before it can
+// reach a store or a registry.
 func ValidateBlob(m *repro.Machine, blob []byte) (*gen.Header, error) {
 	hdr, err := gen.ReadHeader(bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
-	g := m.Grammar
-	if gen.Fingerprint(g) != hdr.Fingerprint {
-		fixed, err := m.FixedMachine()
-		if err != nil {
-			return nil, err
-		}
-		if gen.Fingerprint(fixed.Grammar) != hdr.Fingerprint {
-			return nil, fmt.Errorf("cluster: blob was generated for grammar %q, which matches neither machine %s nor its fixed subset",
-				hdr.Grammar, m.Name)
-		}
-		g = fixed.Grammar
+	served, err := electMachine(m, hdr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if _, err := gen.Decode(g, bytes.NewReader(blob)); err != nil {
+	ts, err := gen.Decode(served.Grammar, blob)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := automaton.ValidateTables(served.Grammar, ts); err != nil {
 		return nil, err
 	}
 	return hdr, nil

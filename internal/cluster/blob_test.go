@@ -22,7 +22,7 @@ func demoBlob(t *testing.T) (*repro.Machine, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +102,41 @@ func TestValidateBlob(t *testing.T) {
 	if _, err := ValidateBlob(other, blob); err == nil {
 		t.Fatal("blob for another machine accepted")
 	}
+	x86, good, bad := badTransitionBlob(t)
+	if _, err := ValidateBlob(x86, good); err != nil {
+		t.Fatalf("good x86 blob rejected: %v", err)
+	}
+	if _, err := ValidateBlob(x86, bad); err == nil || !strings.Contains(err.Error(), "transition references state") {
+		t.Fatalf("blob with an out-of-range transition: err = %v, want the table validator's rejection", err)
+	}
+}
+
+// badTransitionBlob compiles x86's tables and returns them twice: as
+// compiled, and re-encoded with one transition cell pointing past the
+// last state — framing, checksum and fingerprint all valid, so only table
+// validation can tell.
+func badTransitionBlob(t *testing.T) (m *repro.Machine, good, bad []byte) {
+	t.Helper()
+	m, err := repro.LoadMachine("x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Compile(m.Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := res.Tables
+	for op := range ts.T2 {
+		if len(ts.T2[op]) > 0 {
+			ts.T2[op][0] = int32(ts.NumStates() + 5)
+			break
+		}
+	}
+	bad, err = gen.EncodeBytes(m.Grammar, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, res.Blob, bad
 }
 
 // exchangeServer mounts an Exchange (store seeded with demo's blob) on a
@@ -254,5 +289,41 @@ func TestExchangePreloadQuarantinesCorrupt(t *testing.T) {
 	bads, _ := filepath.Glob(filepath.Join(store.Dir(), "*.bad"))
 	if len(bads) != 1 {
 		t.Fatalf("corrupt transfer not quarantined beside the store: %v", bads)
+	}
+}
+
+// TestExchangePreloadRejectsBadTables: a POSTed blob whose framing is
+// valid but whose tables no engine would serve (a transition past the
+// last state) is answered 422 before it reaches the store or Apply, and
+// the machine's earlier artifact keeps being served.
+func TestExchangePreloadRejectsBadTables(t *testing.T) {
+	ts, _, applied := exchangeServer(t)
+	_, good, bad := badTransitionBlob(t)
+	post := func(blob []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/preload?machine=x86", "application/octet-stream", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(good); code != http.StatusOK {
+		t.Fatalf("good preload = %d, want 200", code)
+	}
+	if code := post(bad); code != http.StatusUnprocessableEntity {
+		t.Fatalf("preload with an out-of-range transition = %d, want 422", code)
+	}
+	if len(*applied) != 1 {
+		t.Fatalf("Apply calls %v, want only the good preload's", *applied)
+	}
+	resp, err := http.Get(ts.URL + "/blobs/x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := readAllLimited(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, good) {
+		t.Fatalf("GET /blobs/x86 = %d with %d bytes, want the earlier %d-byte artifact", resp.StatusCode, len(body), len(good))
 	}
 }

@@ -224,7 +224,7 @@ func TestReplicaPreloadDirSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -179,16 +178,6 @@ func readAllLimited(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: transfer exceeds %d bytes", maxTransferBytes)
 	}
 	return data, nil
-}
-
-// readFileLimited is readAllLimited over a file.
-func readFileLimited(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readAllLimited(f)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

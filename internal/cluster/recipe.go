@@ -27,7 +27,7 @@ type Recipe struct {
 // <name>.isel blob in preloadDir, the blob's grammar fingerprint picks
 // the engine: full grammar + dynamic-cost rules → hybrid (fixed
 // operators from the blob, dynamic on-demand); full fixed-only grammar →
-// offline; fixed-subset fingerprint → the stripped machine offline under
+// static; fixed-subset fingerprint → the stripped machine static under
 // the requested name. Without a blob the machine serves with the
 // fallback kind.
 func ResolveRecipe(name, preloadDir, fallback string, maxStates int) (Recipe, error) {
@@ -47,9 +47,7 @@ func ResolveRecipe(name, preloadDir, fallback string, maxStates int) (Recipe, er
 }
 
 // ResolveBlobRecipe elects the engine for name from the `.isel` artifact
-// at path (which must exist): the blob's fingerprint is matched against
-// the machine's full grammar and its fixed-cost subset exactly as
-// ResolveRecipe describes.
+// at path (which must exist), as ResolveRecipe describes.
 func ResolveBlobRecipe(name, path string) (Recipe, error) {
 	m, err := repro.LoadMachine(name)
 	if err != nil {
@@ -64,23 +62,36 @@ func ResolveBlobRecipe(name, path string) (Recipe, error) {
 	if err != nil {
 		return Recipe{}, fmt.Errorf("%s: %w", path, err)
 	}
-	kind := repro.KindOffline
-	detail := "offline engine: full grammar, fully warm"
-	if gen.Fingerprint(m.Grammar) != hdr.Fingerprint {
-		fixed, err := m.FixedMachine()
-		if err != nil {
-			return Recipe{}, err
-		}
-		if gen.Fingerprint(fixed.Grammar) != hdr.Fingerprint {
-			return Recipe{}, fmt.Errorf("%s: tables were generated for grammar %q, which matches neither machine %s nor its fixed subset (regenerate with iselgen)",
-				path, hdr.Grammar, name)
-		}
-		m = fixed
-		detail = "offline engine: fixed-cost subset, fully warm"
-	} else if m.Grammar.HasAnyDynRules() {
-		kind = repro.KindHybrid
-		detail = "hybrid engine: fixed operators warm, dynamic on-demand"
+	served, err := electMachine(m, hdr)
+	if err != nil {
+		return Recipe{}, fmt.Errorf("%s: %w", path, err)
 	}
-	m.Name = name // serve under the requested name
-	return Recipe{M: m, Kind: kind, Opt: repro.Options{PreloadPath: path}, Detail: detail}, nil
+	kind, detail := repro.KindStatic, "static engine: full grammar, fully warm"
+	switch {
+	case served != m:
+		detail = "static engine: fixed-cost subset, fully warm"
+	case m.Grammar.HasAnyDynRules():
+		kind, detail = repro.KindHybrid, "hybrid engine: fixed operators warm, dynamic on-demand"
+	}
+	return Recipe{M: served, Kind: kind, Opt: repro.Options{PreloadPath: path}, Detail: detail}, nil
+}
+
+// electMachine matches a blob's fingerprint against machine m's full
+// grammar and its fixed-cost subset, and returns the machine the blob's
+// tables belong to, named like m — the one election behind both
+// ResolveBlobRecipe and ValidateBlob.
+func electMachine(m *repro.Machine, hdr *gen.Header) (*repro.Machine, error) {
+	if gen.Fingerprint(m.Grammar) == hdr.Fingerprint {
+		return m, nil
+	}
+	fixed, err := m.FixedMachine()
+	if err != nil {
+		return nil, err
+	}
+	if gen.Fingerprint(fixed.Grammar) != hdr.Fingerprint {
+		return nil, fmt.Errorf("tables were generated for grammar %q, which matches neither machine %s nor its fixed subset (regenerate with iselgen)",
+			hdr.Grammar, m.Name)
+	}
+	fixed.Name = m.Name // serve under the requested name
+	return fixed, nil
 }

@@ -165,7 +165,7 @@ func (r *Replica) resolveOwned(name string) (Recipe, error) {
 	}
 	path, err := r.ensureBlob(name)
 	if err != nil {
-		if errors.Is(err, gen.ErrNoFixedClosure) {
+		if errors.Is(err, repro.ErrNoFixedClosure) {
 			// No tabulable subset exists: there is nothing to exchange, the
 			// on-demand engine is the machine's only shape. Still warm-owned.
 			r.logf("cluster: %s has no fixed closure; owned but serving %s without a blob", name, r.cfg.FallbackKind)
@@ -199,7 +199,7 @@ func (r *Replica) ensureBlob(name string) (string, error) {
 		return "", err
 	}
 	if r.cfg.PreloadDir != "" {
-		if blob, err := readFileLimited(filepath.Join(r.cfg.PreloadDir, name+".isel")); err == nil {
+		if blob, err := gen.ReadFile(filepath.Join(r.cfg.PreloadDir, name+".isel")); err == nil {
 			if _, verr := ValidateBlob(m, blob); verr == nil {
 				return r.store.Put(name, blob)
 			} else {
@@ -224,10 +224,10 @@ func (r *Replica) ensureBlob(name string) (string, error) {
 		return r.store.Put(name, blob)
 	}
 	// Nobody has it: pay generation here, once, for the whole fleet.
-	// CompileHybrid tabulates the fixed closure whether or not the grammar
-	// has dynamic rules (fixed-only grammars yield the same blob Compile
-	// would), so one AOT path covers every machine shape.
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	// Compile tabulates the fixed-operator closure whether or not the
+	// grammar has dynamic rules, so one AOT path covers every machine
+	// shape.
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		return "", err
 	}
@@ -271,7 +271,7 @@ func (r *Replica) Publish(name string) {
 	if !ok {
 		return
 	}
-	blob, err := readFileLimited(path)
+	blob, err := gen.ReadFile(path)
 	if err != nil {
 		return
 	}

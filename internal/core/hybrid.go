@@ -63,8 +63,8 @@ type Hybrid struct {
 
 // NewHybrid builds a hybrid engine for g from a validated overlay (see
 // automaton.NewHybridOverlay). env binds the grammar's dynamic-cost
-// function names. The overlay's state vectors are interned into the fresh
-// engine's table and belong to it afterwards.
+// function names. The engine adopts the overlay's state table, so an
+// overlay builds exactly one engine.
 func NewHybrid(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ov *automaton.HybridOverlay) (*Hybrid, error) {
 	if ov.Grammar() != g {
 		return nil, fmt.Errorf("core: hybrid overlay built for grammar %s, engine for %s", ov.Grammar().Name, g.Name)
@@ -73,14 +73,14 @@ func NewHybrid(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ov *automaton
 	if err != nil {
 		return nil, err
 	}
-	// Seed the offline states, preserving blob ids. Plain Intern bypasses
-	// the state budget (see the type docs for the MaxStates caveat).
-	for i := range ov.Deltas {
-		s, created := eng.table.Intern(ov.Deltas[i], ov.Rules[i], nil)
-		if !created || s.ID != int32(i) {
-			return nil, fmt.Errorf("core: hybrid overlay state %d interned as id %d (created=%v); overlay does not match an empty table", i, s.ID, created)
-		}
+	// Adopt the offline states with their blob ids. They were interned
+	// past any budget (see the type docs for the MaxStates caveat); the
+	// budget bounds on-demand growth from here.
+	if ov.Table == nil {
+		return nil, fmt.Errorf("core: hybrid overlay already built an engine")
 	}
+	eng.table, ov.Table = ov.Table, nil
+	eng.table.SetBudget(cfg.MaxStates)
 	numOps := g.NumOps()
 	h := &Hybrid{
 		eng:       eng,
@@ -93,7 +93,7 @@ func NewHybrid(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ov *automaton
 		ovBytes:   ov.MemoryBytes(),
 		ovEntries: ov.Entries,
 	}
-	// Seed-only mode (closure past automaton.ExpandMaxStates): no direct
+	// Seed-only mode (expansion past automaton.ExpandMaxBytes): no direct
 	// arrays. Normalize to per-op nil rows so labelNode can index by
 	// operator unconditionally.
 	if h.dir1 == nil {

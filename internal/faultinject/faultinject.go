@@ -42,9 +42,11 @@ import (
 // Point names one injection site.
 type Point string
 
-// The wired-in points. GenLoad fires inside internal/gen.Load, before
-// any blob bytes are decoded — arming it makes every table-blob load
-// (preload, swap re-read, in-process round trip) fail, truncate-style.
+// The wired-in points. GenLoad fires inside internal/gen.Decode, before
+// any blob bytes are parsed — arming it makes every table-blob load
+// (preload path, compiled-in preload store, swap re-read, cluster
+// transfer) fail, truncate-style. Tables computed in-process take no
+// blob and never fire it.
 // DynCost is fired by harness-side wrappers around grammar dynamic cost
 // functions (see internal/bench's swap scenario): arming it injects
 // panics or stalls into the middle of a labeling pass.

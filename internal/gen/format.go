@@ -4,46 +4,36 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
 
 	"repro/internal/automaton"
 	"repro/internal/faultinject"
 	"repro/internal/grammar"
 )
 
-// The `.isel` wire format. Everything after the magic is little-endian
-// and fully deterministic, so the same grammar always serializes to the
-// same bytes (the golden-file guarantee cmd/iselgen's committed outputs
-// rely on). Two versions are live:
+// The `.isel` wire format, version 2 ("ISEL2\n"). Everything after the
+// magic is little-endian and fully deterministic, so the same grammar
+// always serializes to the same bytes (the golden-file guarantee
+// cmd/iselgen's committed outputs rely on). The table sections are
+// varint/delta-encoded: state vectors, representer maps and transition
+// tables are runs of small, strongly correlated integers, so each run is
+// written as zigzag varints of the difference from the previous entry.
+// That is what makes `.isel` blobs cheap enough to be the cluster's
+// warm-state distribution plane — typically 2-4x smaller on the wire
+// than fixed-width entries.
 //
-// Version 1 ("ISEL1\n") writes every table entry as a fixed-width u32.
-// Version 2 ("ISEL2\n") keeps the identical header but varint/delta-
-// encodes the table sections: state vectors, representer maps and
-// transition tables are runs of small, strongly correlated integers, so
-// each run is written as zigzag varints of the difference from the
-// previous entry. That is what makes `.isel` blobs cheap enough to be the
-// cluster's warm-state distribution plane — typically 2-4x smaller on the
-// wire than the fixed-width form (iselgen -stats reports both sizes).
-//
-//	magic   "ISEL1\n" or "ISEL2\n"
+//	magic   "ISEL2\n"
 //	u64     grammar fingerprint (Fingerprint; name + normal-form dump)
 //	u32     grammar-name length, then the name bytes (diagnostics only)
 //	u32×3   numOps, numNT, numStates
 //	u8×ops  operator arities (structure check against the loading grammar)
 //
-// Version 1 body:
-//
-//	states  numStates × numNT × (u32 delta, u32 rule)
-//	leaf    numOps × u32 state ids (^0 for non-leaf operators)
-//	projs   per operator, per child position < arity:
-//	            u32 nreps, then numStates × u32 representer ids
-//	trans   per unary operator:  u32 len, len × u32 state ids (t1)
-//	        per binary operator: u32 len, len × u32 state ids (t2)
-//
-// Version 2 body (svar = zigzag varint of the difference from the
-// previous entry of the same run, starting from 0; uvar = plain varint):
+// Body (svar = zigzag varint of the difference from the previous entry
+// of the same run, starting from 0; uvar = plain varint):
 //
 //	deltas  numStates × numNT svar (one run)
 //	rules   numStates × numNT svar (one run)
@@ -53,7 +43,7 @@ import (
 //	trans   per unary operator:  uvar len, len svar state ids (t1)
 //	        per binary operator: uvar len, len svar state ids (t2)
 //
-// Both versions end with:
+// and the blob ends with:
 //
 //	u32     trailer 0x4c455349 ("ISEL" reversed) — truncation check
 //	u64     FNV-64a checksum of everything before it — content check
@@ -62,26 +52,26 @@ import (
 // validation cannot see (a flipped cost bit still yields a well-formed
 // state vector); Decode verifies it before parsing a single table.
 //
-// Loaders read both versions (a fleet mid-upgrade must keep exchanging
-// blobs); encoders write version 2. Unknown magics are rejected outright
-// instead of guessed at, and a fingerprint mismatch rejects tables
+// Version 2 is the only version. Any other ISEL magic — the retired
+// fixed-width version 1 included — fails with ErrUnsupportedVersion,
+// anything else is not a blob, and a fingerprint mismatch rejects tables
 // generated for any other grammar (or another revision of the same
 // grammar — the fingerprint covers the normal-form dump).
 const (
-	// Magic identifies version 1 (fixed-width table entries).
-	Magic = "ISEL1\n"
-	// MagicV2 identifies version 2 (varint/delta table entries) — what
-	// Encode writes.
+	// MagicV2 identifies version 2, the format EncodeBytes writes and Decode
+	// reads.
 	MagicV2 = "ISEL2\n"
 	// trailer terminates a well-formed blob.
 	trailer uint32 = 0x4c455349
 )
 
+// ErrUnsupportedVersion is the typed error for a blob of another `.isel`
+// version; match with errors.Is.
+var ErrUnsupportedVersion = errors.New("gen: unsupported .isel version (regenerate with iselgen)")
+
 // Header is the cheap-to-read prefix of a blob: enough to route it to the
 // right grammar (fingerprint matching) without decoding any table.
 type Header struct {
-	// Version is the format version (1 or 2).
-	Version     int
 	Fingerprint uint64
 	// Grammar is the name the tables were generated for (diagnostics; the
 	// fingerprint is the authority).
@@ -91,32 +81,11 @@ type Header struct {
 	States  int
 }
 
-// Encode writes the `.isel` form of ts (generated for g) to w.
-func Encode(w io.Writer, g *grammar.Grammar, ts *automaton.TableSet) error {
-	blob, err := EncodeBytes(g, ts)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(blob)
-	return err
-}
-
-// EncodeBytes is the canonical encoder: a version-2 (varint/delta)
-// payload plus the trailing FNV-64a content checksum.
+// EncodeBytes is the canonical encoder: the version-2 payload plus the
+// trailing FNV-64a content checksum.
 func EncodeBytes(g *grammar.Grammar, ts *automaton.TableSet) ([]byte, error) {
-	return encodeBytes(g, ts, 2)
-}
-
-// EncodeBytesV1 writes the fixed-width version-1 form. Kept for the
-// old-version half of the round-trip suite (loaders must read both) and
-// for the encoded-vs-expanded size report of `iselgen -stats`.
-func EncodeBytesV1(g *grammar.Grammar, ts *automaton.TableSet) ([]byte, error) {
-	return encodeBytes(g, ts, 1)
-}
-
-func encodeBytes(g *grammar.Grammar, ts *automaton.TableSet, version int) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := encodePayload(&buf, g, ts, version); err != nil {
+	if err := encodePayload(&buf, g, ts); err != nil {
 		return nil, err
 	}
 	h := fnv.New64a()
@@ -127,13 +96,9 @@ func encodeBytes(g *grammar.Grammar, ts *automaton.TableSet, version int) ([]byt
 	return buf.Bytes(), nil
 }
 
-func encodePayload(w io.Writer, g *grammar.Grammar, ts *automaton.TableSet, version int) error {
+func encodePayload(w io.Writer, g *grammar.Grammar, ts *automaton.TableSet) error {
 	bw := bufio.NewWriter(w)
-	magic := Magic
-	if version == 2 {
-		magic = MagicV2
-	}
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(MagicV2); err != nil {
 		return err
 	}
 	put64 := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
@@ -148,44 +113,9 @@ func encodePayload(w io.Writer, g *grammar.Grammar, ts *automaton.TableSet, vers
 	for op := 0; op < numOps; op++ {
 		bw.WriteByte(byte(g.Ops[op].Arity))
 	}
-	if version == 2 {
-		encodeBodyV2(bw, g, ts)
-	} else {
-		encodeBodyV1(bw, g, ts)
-	}
+	encodeBody(bw, g, ts)
 	put(trailer)
 	return bw.Flush()
-}
-
-func encodeBodyV1(bw *bufio.Writer, g *grammar.Grammar, ts *automaton.TableSet) {
-	put := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	putIDs := func(ids []int32) {
-		for _, id := range ids {
-			put(uint32(id))
-		}
-	}
-	numOps, numNT, numStates := g.NumOps(), ts.NumNT, ts.NumStates()
-	for i := 0; i < numStates*numNT; i++ {
-		put(uint32(ts.Deltas[i]))
-		put(uint32(ts.Rules[i]))
-	}
-	putIDs(ts.Leaf)
-	for op := 0; op < numOps; op++ {
-		for p := 0; p < g.Ops[op].Arity; p++ {
-			put(uint32(ts.NReps[op][p]))
-			putIDs(ts.Mu[op][p])
-		}
-	}
-	for op := 0; op < numOps; op++ {
-		switch g.Ops[op].Arity {
-		case 1:
-			put(uint32(len(ts.T1[op])))
-			putIDs(ts.T1[op])
-		case 2:
-			put(uint32(len(ts.T2[op])))
-			putIDs(ts.T2[op])
-		}
-	}
 }
 
 // vwriter emits the version-2 varint sections.
@@ -214,10 +144,10 @@ func (v *vwriter) run(ids []int32) {
 	}
 }
 
-func encodeBodyV2(bw *bufio.Writer, g *grammar.Grammar, ts *automaton.TableSet) {
+func encodeBody(bw *bufio.Writer, g *grammar.Grammar, ts *automaton.TableSet) {
 	v := &vwriter{bw: bw}
-	// Deltas and Rules as two separate runs (not interleaved as in v1):
-	// each is self-correlated — normalized deltas repeat across states,
+	// Deltas and Rules as two separate runs (not interleaved): each is
+	// self-correlated — normalized deltas repeat across states,
 	// rules repeat per nonterminal — so separating them is what makes the
 	// difference stream small.
 	prev := int64(0)
@@ -250,13 +180,17 @@ func encodeBodyV2(bw *bufio.Writer, g *grammar.Grammar, ts *automaton.TableSet) 
 // corrupt header cannot demand gigabytes.
 const maxPlausible = 1 << 24
 
-// maxBlobBytes bounds how much of a blob Decode will read: far above any
+// maxBlobBytes bounds the blobs Decode and ReadFile accept: far above any
 // real table set, far below what a corrupt length field could waste.
 const maxBlobBytes = 1 << 28
 
 type reader struct {
 	br  *bufio.Reader
 	err error
+	// max bounds the entries one run may claim (the payload length:
+	// every entry takes at least a byte), so a count field cannot demand
+	// an allocation the bytes behind it could never fill.
+	max int
 }
 
 func (r *reader) u32() uint32 {
@@ -275,17 +209,6 @@ func (r *reader) u64() uint64 {
 	var v uint64
 	r.err = binary.Read(r.br, binary.LittleEndian, &v)
 	return v
-}
-
-func (r *reader) ids(n int) []int32 {
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.u32())
-	}
-	return out
 }
 
 func (r *reader) uvar() uint64 {
@@ -309,6 +232,9 @@ func (r *reader) svar() int64 {
 // run reads one delta-encoded run of n entries (the inverse of
 // vwriter.run).
 func (r *reader) run(n int) []int32 {
+	if r.err == nil && n > r.max {
+		r.err = fmt.Errorf("run of %d entries in a %d-byte payload", n, r.max)
+	}
 	if r.err != nil {
 		return nil
 	}
@@ -323,21 +249,18 @@ func (r *reader) run(n int) []int32 {
 
 // readHeader consumes the blob prefix through the arity table.
 func readHeader(br *bufio.Reader) (*Header, []int, error) {
-	magic := make([]byte, len(Magic))
+	magic := make([]byte, len(MagicV2))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, nil, fmt.Errorf("gen: reading blob header: %w", err)
 	}
-	version := 0
-	switch string(magic) {
-	case Magic:
-		version = 1
-	case MagicV2:
-		version = 2
-	default:
-		return nil, nil, fmt.Errorf("gen: not a .isel blob (or an unsupported version): magic %q, want %q or %q", magic, Magic, MagicV2)
+	if string(magic) != MagicV2 {
+		if bytes.HasPrefix(magic, []byte("ISEL")) {
+			return nil, nil, fmt.Errorf("%w: magic %q, want %q", ErrUnsupportedVersion, magic, MagicV2)
+		}
+		return nil, nil, fmt.Errorf("gen: not a .isel blob: magic %q, want %q", magic, MagicV2)
 	}
 	r := &reader{br: br}
-	h := &Header{Version: version, Fingerprint: r.u64()}
+	h := &Header{Fingerprint: r.u64()}
 	nameLen := r.u32()
 	if r.err == nil && nameLen > maxPlausible {
 		return nil, nil, fmt.Errorf("gen: implausible grammar-name length %d", nameLen)
@@ -376,27 +299,37 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	return h, err
 }
 
-// Decode reads a blob generated for exactly g and returns its table set.
-// Both format versions are accepted. The content checksum is verified
+// ReadFile reads a blob file, refusing one past the decode bound before
+// reading it.
+func ReadFile(path string) ([]byte, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > maxBlobBytes {
+		return nil, fmt.Errorf("gen: %s exceeds %d bytes", path, maxBlobBytes)
+	}
+	return os.ReadFile(path)
+}
+
+// Decode parses a blob generated for exactly g and returns its table set,
+// unvalidated: engines run it through automaton.ValidateTables (inside
+// their constructors) before serving it. The content checksum is verified
 // first (any corruption — header, body or truncation — fails here), then
 // a fingerprint mismatch — tables for another grammar, or for another
 // revision of this one — is rejected before any table is decoded.
-func Decode(g *grammar.Grammar, rd io.Reader) (*automaton.TableSet, error) {
+func Decode(g *grammar.Grammar, data []byte) (*automaton.TableSet, error) {
 	// Fault-injection seam: inert (one atomic load) unless a robustness
 	// test armed it to simulate a corrupt or truncated blob at load time.
 	// Decode is the one gate every blob load passes — preload, hot-swap
-	// re-read, hybrid overlay, in-process round trip, cluster transfer.
+	// re-read, the compiled-in preload store, cluster transfer.
 	if err := faultinject.Fire(faultinject.GenLoad); err != nil {
-		return nil, fmt.Errorf("gen: reading blob: %w", err)
-	}
-	data, err := io.ReadAll(io.LimitReader(rd, maxBlobBytes+1))
-	if err != nil {
 		return nil, fmt.Errorf("gen: reading blob: %w", err)
 	}
 	if len(data) > maxBlobBytes {
 		return nil, fmt.Errorf("gen: blob exceeds %d bytes", maxBlobBytes)
 	}
-	if len(data) < len(Magic)+8 {
+	if len(data) < len(MagicV2)+8 {
 		return nil, fmt.Errorf("gen: blob too short (%d bytes)", len(data))
 	}
 	payload, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
@@ -419,9 +352,9 @@ func Decode(g *grammar.Grammar, rd io.Reader) (*automaton.TableSet, error) {
 			h.NumOps, h.NumNT, g.Name, g.NumOps(), g.NumNonterms())
 	}
 	// Bound the state-vector product too: the per-field checks alone would
-	// let a corrupt header (with a copied magic+fingerprint prefix) demand
-	// States*NumNT entries of allocation before the payload read fails.
-	if h.States*h.NumNT > maxPlausible {
+	// let a header demand States*NumNT entries of allocation before the
+	// payload read fails. Each entry takes at least a byte.
+	if h.States*h.NumNT > min(maxPlausible, len(payload)) {
 		return nil, fmt.Errorf("gen: implausible state-vector volume (%d states × %d nonterminals)", h.States, h.NumNT)
 	}
 	for op, ar := range arities {
@@ -431,13 +364,8 @@ func Decode(g *grammar.Grammar, rd io.Reader) (*automaton.TableSet, error) {
 		}
 	}
 
-	r := &reader{br: br}
-	var ts *automaton.TableSet
-	if h.Version == 2 {
-		ts, err = decodeBodyV2(r, h, arities)
-	} else {
-		ts, err = decodeBodyV1(r, h, arities)
-	}
+	r := &reader{br: br, max: len(payload)}
+	ts, err := decodeBody(r, h, arities)
 	if err != nil {
 		return nil, err
 	}
@@ -450,44 +378,7 @@ func Decode(g *grammar.Grammar, rd io.Reader) (*automaton.TableSet, error) {
 	return ts, nil
 }
 
-func decodeBodyV1(r *reader, h *Header, arities []int) (*automaton.TableSet, error) {
-	ts := newTableSet(h)
-	for i := range ts.Deltas {
-		if r.err != nil {
-			break // a short payload fails once below, not per entry
-		}
-		ts.Deltas[i] = grammar.Cost(int32(r.u32()))
-		ts.Rules[i] = int32(r.u32())
-	}
-	ts.Leaf = r.ids(h.NumOps)
-	for op := 0; op < h.NumOps; op++ {
-		for p := 0; p < arities[op]; p++ {
-			nreps := r.u32()
-			if r.err == nil && nreps > maxPlausible {
-				return nil, fmt.Errorf("gen: implausible representer count %d", nreps)
-			}
-			ts.NReps[op][p] = int32(nreps)
-			ts.Mu[op][p] = r.ids(h.States)
-		}
-	}
-	for op := 0; op < h.NumOps; op++ {
-		if arities[op] == 0 {
-			continue
-		}
-		n := r.u32()
-		if r.err == nil && n > maxPlausible {
-			return nil, fmt.Errorf("gen: implausible transition count %d", n)
-		}
-		if arities[op] == 1 {
-			ts.T1[op] = r.ids(int(n))
-		} else {
-			ts.T2[op] = r.ids(int(n))
-		}
-	}
-	return ts, nil
-}
-
-func decodeBodyV2(r *reader, h *Header, arities []int) (*automaton.TableSet, error) {
+func decodeBody(r *reader, h *Header, arities []int) (*automaton.TableSet, error) {
 	ts := newTableSet(h)
 	prev := int64(0)
 	for i := range ts.Deltas {
@@ -530,21 +421,9 @@ func newTableSet(h *Header) *automaton.TableSet {
 	return &automaton.TableSet{
 		NumNT:  h.NumNT,
 		Deltas: make([]grammar.Cost, h.States*h.NumNT),
-		Rules:  make([]int32, h.States*h.NumNT),
 		NReps:  make([][2]int32, h.NumOps),
 		Mu:     make([][2][]int32, h.NumOps),
 		T1:     make([][]int32, h.NumOps),
 		T2:     make([][]int32, h.NumOps),
 	}
-}
-
-// Load decodes a blob for g and reconstitutes the labeling automaton in
-// one step — the serving-side entry point behind Options.PreloadPath and
-// the preload store.
-func Load(g *grammar.Grammar, rd io.Reader) (*automaton.Static, error) {
-	ts, err := Decode(g, rd)
-	if err != nil {
-		return nil, err
-	}
-	return automaton.NewStaticFromTables(g, ts)
 }

@@ -1,11 +1,10 @@
 // Package gen is the ahead-of-time automaton compiler: the offline half
-// of the paper's comparison that the repo had been missing. Where the
-// on-demand engine (internal/core) constructs states lazily under
-// traffic, gen computes the grammar's entire tree-parsing automaton —
-// the exhaustive fixpoint over leaf/unary/binary transitions, closed
-// over Chase representer classes and interned through the shared
-// automaton.Table — before any tree is ever labeled, and serializes the
-// result two ways:
+// of the paper's comparison. Where the on-demand engine (internal/core)
+// constructs states lazily under traffic, gen computes a grammar's
+// tree-parsing automaton — the exhaustive fixpoint over the fixed
+// operators' leaf/unary/binary transitions, closed over Chase
+// representer classes (automaton.GenerateTables) — before any tree is
+// ever labeled, and serializes the result two ways:
 //
 //   - a compact versioned binary blob (the `.isel` format; Encode/Decode)
 //     that a serving process loads at Registry construction, so a machine
@@ -14,16 +13,17 @@
 //     registering it in the process-global preload store at init time,
 //     for tables compiled into the binary itself.
 //
-// cmd/iselgen is the front end; the `offline` engine kind (the fourth
-// registered repro engine) consumes the output. The tradeoff measured
-// against the on-demand engine is the paper's: offline tables cost full
-// generation up front and cannot host dynamic-cost rules, but serve every
-// request at pure table-lookup speed with zero construction under
-// traffic.
+// cmd/iselgen is the front end. Loading is Decode followed by the engine
+// constructor's validation: the `static` engine kind serves the tables of
+// a fixed-cost grammar, the `hybrid` kind serves the fixed operators of a
+// grammar with dynamic-cost rules and builds the rest on demand. The
+// tradeoff measured against the on-demand engine is the paper's: offline
+// tables cost full generation up front and cannot host dynamic-cost
+// rules, but serve every request at pure table-lookup speed with zero
+// construction under traffic.
 package gen
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/automaton"
@@ -33,9 +33,6 @@ import (
 
 // Config tunes ahead-of-time compilation.
 type Config struct {
-	// DeltaCap bounds relative costs in states (automaton.DefaultDeltaCap
-	// if zero).
-	DeltaCap grammar.Cost
 	// MaxStates bounds the closure (a generator-side safety valve, 1<<20 if
 	// zero). A closure pruned by the bound fails with a
 	// *automaton.TruncatedError carrying the truncation diagnostics.
@@ -57,29 +54,21 @@ type Stats struct {
 	Representers      int
 	TransitionEntries int
 	// TableBytes is the in-memory footprint of the compact (compressed)
-	// automaton; BlobBytes the size of the serialized `.isel` form
-	// (version 2: varint/delta-encoded state vectors — the wire form the
-	// cluster's blob exchange ships). BlobBytesFixed is the same table set
-	// in the fixed-width v1 encoding, so the encoded-vs-expanded ratio the
-	// v2 format buys on the wire is visible in `iselgen -stats`.
+	// automaton; BlobBytes the size of the serialized `.isel` form.
 	// ExpandedTableBytes is the footprint a serving process actually pays:
-	// the preloaded offline engine expands the compressed tables into
-	// direct state-indexed arrays at load time (automaton.Static.Expand),
-	// and those arrays — 4·states² per binary operator — dominate the
-	// served memory, so accounting only TableBytes understates it.
+	// the table-backed engines expand the compressed tables into direct
+	// state-indexed arrays at load time, and those arrays — 4·states² per
+	// binary operator — dominate the served memory.
 	TableBytes         int
 	ExpandedTableBytes int
 	BlobBytes          int
-	BlobBytesFixed     int
 	GenTime            time.Duration
 }
 
 // Result is a completed ahead-of-time compilation.
 type Result struct {
 	Grammar *grammar.Grammar
-	// Auto is the generated automaton, ready to label in-process.
-	Auto *automaton.Static
-	// Tables is its exported flat form; Blob its serialized `.isel`
+	// Tables is the closure's flat form; Blob its serialized `.isel`
 	// bytes — encoded once here so callers never pay a second pass.
 	Tables *automaton.TableSet
 	Blob   []byte
@@ -91,38 +80,31 @@ type Result struct {
 // notion covers every serialized automaton in the repo.
 func Fingerprint(g *grammar.Grammar) uint64 { return core.Fingerprint(g) }
 
-// Compile computes the full (or MaxStates-bounded) closure of g's
-// tree-parsing automaton. It fails for grammars with dynamic-cost rules —
-// the classical offline limitation the paper's on-demand construction
-// lifts; strip them first (grammar.StripDynamic) to tabulate the
-// fixed-cost subset — and with a *automaton.TruncatedError when the
-// closure is pruned by Config.MaxStates.
+// Compile computes the closure of g's tree-parsing automaton over its
+// fixed operators (automaton.GenerateTables). For a fixed-cost grammar
+// that is the whole automaton, served by the `static` engine kind. For a
+// grammar with dynamic-cost rules it is the `hybrid` kind's offline half:
+// the blob keeps the FULL grammar's fingerprint, because its states are
+// genuine full-grammar states (contrast StripDynamic, which renumbers
+// rules and so produces tables of a different grammar).
+//
+// Fails with automaton.ErrNoFixedClosure when every leaf operator carries
+// dynamic rules, and with *automaton.TruncatedError when Config.MaxStates
+// prunes the closure.
 func Compile(g *grammar.Grammar, cfg Config) (*Result, error) {
-	if g.HasAnyDynRules() {
-		return nil, fmt.Errorf("gen: grammar %s has dynamic-cost rules; ahead-of-time tables are impossible (strip them first, or use the on-demand engine)", g.Name)
-	}
 	start := time.Now()
-	a, err := automaton.Generate(g, automaton.StaticConfig{
-		DeltaCap:  cfg.DeltaCap,
-		MaxStates: cfg.MaxStates,
-	})
+	ts, gst, err := automaton.GenerateTables(g, automaton.StaticConfig{MaxStates: cfg.MaxStates})
 	if err != nil {
 		return nil, err
 	}
-	ts := a.Export()
 	blob, err := EncodeBytes(g, ts)
-	if err != nil {
-		return nil, err
-	}
-	fixed, err := EncodeBytesV1(g, ts)
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
 	st := g.ComputeStats()
-	res := &Result{
+	return &Result{
 		Grammar: g,
-		Auto:    a,
 		Tables:  ts,
 		Blob:    blob,
 		Stats: Stats{
@@ -131,15 +113,13 @@ func Compile(g *grammar.Grammar, cfg Config) (*Result, error) {
 			Ops:                st.Operators,
 			Nonterms:           st.Nonterminals,
 			Rules:              st.NormalizedRules,
-			States:             a.NumStates(),
-			Representers:       a.Gen.Representers,
-			TransitionEntries:  a.NumTransitions(),
-			TableBytes:         a.MemoryBytes(),
-			ExpandedTableBytes: a.MemoryBytes() + a.ExpandBytes(),
+			States:             gst.States,
+			Representers:       gst.Representers,
+			TransitionEntries:  ts.TransitionEntries(),
+			TableBytes:         gst.TableBytes,
+			ExpandedTableBytes: gst.TableBytes + automaton.ExpandBytes(g, gst.States),
 			BlobBytes:          len(blob),
-			BlobBytesFixed:     len(fixed),
 			GenTime:            elapsed,
 		},
-	}
-	return res, nil
+	}, nil
 }

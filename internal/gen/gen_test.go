@@ -2,8 +2,9 @@ package gen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"reflect"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/automaton"
@@ -27,6 +28,21 @@ func fixedGrammar(t *testing.T, name string) *grammar.Grammar {
 	return g
 }
 
+// load builds the static engine from a blob the way a served blob is
+// loaded: Decode, the one validator, then expansion.
+func load(g *grammar.Grammar, blob []byte) (*automaton.Static, error) {
+	ts, err := Decode(g, blob)
+	if err != nil {
+		return nil, err
+	}
+	a, err := automaton.NewStaticFromTables(g, ts)
+	if err != nil {
+		return nil, err
+	}
+	a.Expand()
+	return a, nil
+}
+
 // TestRoundTrip: encode/decode must reconstitute an automaton that is
 // indistinguishable from the in-process generation — same table shape,
 // same label for every node of a few hundred random forests.
@@ -41,17 +57,21 @@ func TestRoundTrip(t *testing.T) {
 		if res.Stats.BlobBytes != len(blob) || len(blob) == 0 {
 			t.Errorf("%s: Stats.BlobBytes = %d, blob %d", g.Name, res.Stats.BlobBytes, len(blob))
 		}
-		loaded, err := Load(g, bytes.NewReader(blob))
+		generated, err := automaton.Generate(g, automaton.StaticConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if loaded.NumStates() != res.Auto.NumStates() || loaded.NumTransitions() != res.Auto.NumTransitions() {
+		loaded, err := load(g, blob)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if loaded.NumStates() != generated.NumStates() || loaded.NumTransitions() != generated.NumTransitions() {
 			t.Fatalf("%s: loaded %d states / %d transitions, generated %d / %d",
-				g.Name, loaded.NumStates(), loaded.NumTransitions(), res.Auto.NumStates(), res.Auto.NumTransitions())
+				g.Name, loaded.NumStates(), loaded.NumTransitions(), generated.NumStates(), generated.NumTransitions())
 		}
 		for seed := 0; seed < 60; seed++ {
 			f := ir.RandomForest(g, ir.RandomConfig{Seed: int64(seed), Trees: 3, MaxDepth: 5, MaxLeafVal: 64})
-			want := res.Auto.LabelStates(f)
+			want := generated.LabelStates(f)
 			got := loaded.LabelStates(f)
 			for _, n := range f.Nodes {
 				for nt := 0; nt < g.NumNonterms(); nt++ {
@@ -61,20 +81,17 @@ func TestRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			res.Auto.ReleaseLabeling(want)
+			generated.ReleaseLabeling(want)
 			loaded.ReleaseLabeling(got)
 		}
 	}
 }
 
-// TestEncodeDeterministic: the same grammar must serialize to the same
-// bytes every time — the property the committed golden files rely on.
-// TestExpandedTableBytesAccounting: the generation-time stat must predict
-// exactly what a serving process pays — a loaded blob, expanded into
-// direct tables the way preloaded serving does, must report precisely
-// Stats.ExpandedTableBytes, and the expansion increment must match
-// ExpandBytes. This closes the accounting gap where offline table memory
-// was reported pre-expansion only.
+// TestExpandedTableBytesAccounting: the generation-time stats must predict
+// exactly what a serving process pays — a loaded blob reports
+// Stats.TableBytes compressed (as does Generate, the paper's table-size
+// figure) and precisely Stats.ExpandedTableBytes once expanded the way the
+// table-backed engines serve it, the increment being ExpandBytes.
 func TestExpandedTableBytesAccounting(t *testing.T) {
 	for _, name := range md.Names() {
 		g := fixedGrammar(t, name)
@@ -82,20 +99,19 @@ func TestExpandedTableBytesAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		// Generate-time automaton stays compact: its footprint is the
-		// TableBytes stat, and the expansion increment is its ExpandBytes.
-		if got := res.Auto.MemoryBytes(); got != res.Stats.TableBytes {
+		generated, err := automaton.Generate(g, automaton.StaticConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if got := generated.MemoryBytes(); got != res.Stats.TableBytes {
 			t.Errorf("%s: compact footprint %d != Stats.TableBytes %d", g.Name, got, res.Stats.TableBytes)
 		}
-		predicted := res.Auto.ExpandBytes()
+		predicted := automaton.ExpandBytes(g, res.Stats.States)
 		if res.Stats.ExpandedTableBytes != res.Stats.TableBytes+predicted {
 			t.Errorf("%s: Stats.ExpandedTableBytes %d != TableBytes %d + ExpandBytes %d",
 				g.Name, res.Stats.ExpandedTableBytes, res.Stats.TableBytes, predicted)
 		}
-		// A loaded blob is the serving form — NewStaticFromTables expands
-		// at load time — so its real footprint must be exactly what the
-		// stat predicted at generation time.
-		loaded, err := Load(g, bytes.NewReader(res.Blob))
+		loaded, err := load(g, res.Blob)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -103,13 +119,14 @@ func TestExpandedTableBytesAccounting(t *testing.T) {
 			t.Errorf("%s: loaded serving footprint %d != Stats.ExpandedTableBytes %d",
 				g.Name, got, res.Stats.ExpandedTableBytes)
 		}
-		if predicted > 0 && res.Stats.ExpandedTableBytes <= res.Stats.TableBytes {
-			t.Errorf("%s: ExpandedTableBytes %d not above compact %d despite expandable tables",
-				g.Name, res.Stats.ExpandedTableBytes, res.Stats.TableBytes)
+		if predicted == 0 {
+			t.Errorf("%s: real table set not expandable", g.Name)
 		}
 	}
 }
 
+// TestEncodeDeterministic: the same grammar must serialize to the same
+// bytes every time — the property the committed golden files rely on.
 func TestEncodeDeterministic(t *testing.T) {
 	g := fixedGrammar(t, "x86")
 	var blobs [][]byte
@@ -145,53 +162,30 @@ func mustResult(t *testing.T, g *grammar.Grammar) *Result {
 	return res
 }
 
-// TestFormatVersions: both live wire versions must round-trip — the v2
-// varint/delta form Encode writes and the v1 fixed-width form older
-// fleets still ship — decoding to identical table sets, with v2 strictly
-// smaller (it is the cluster's wire form; size is the point).
+// TestFormatVersions: version 2 is the only wire version. A blob must
+// round-trip exactly (decode then re-encode gives the same bytes), and the
+// same payload framed as the retired fixed-width version 1 — checksum
+// recomputed, so only the magic is wrong — must fail with
+// ErrUnsupportedVersion, from ReadHeader and Decode alike.
 func TestFormatVersions(t *testing.T) {
 	check := func(t *testing.T, g *grammar.Grammar, res *Result) {
-		v1, err := EncodeBytesV1(g, res.Tables)
+		ts, err := Decode(g, res.Blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h2, err := ReadHeader(bytes.NewReader(res.Blob))
+		again, err := EncodeBytes(g, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h1, err := ReadHeader(bytes.NewReader(v1))
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(again, res.Blob) {
+			t.Fatal("decode then encode does not reproduce the blob")
 		}
-		if h2.Version != 2 || h1.Version != 1 {
-			t.Fatalf("versions: blob %d (want 2), fixed-width %d (want 1)", h2.Version, h1.Version)
+		v1 := reframe(res.Blob, "ISEL1\n")
+		if _, err := ReadHeader(bytes.NewReader(v1)); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("ReadHeader of an ISEL1 blob: err = %v, want ErrUnsupportedVersion", err)
 		}
-		if h1.Fingerprint != h2.Fingerprint || h1.States != h2.States {
-			t.Fatalf("headers disagree across versions: %+v vs %+v", h1, h2)
-		}
-		ts2, err := Decode(g, bytes.NewReader(res.Blob))
-		if err != nil {
-			t.Fatalf("decoding v2: %v", err)
-		}
-		ts1, err := Decode(g, bytes.NewReader(v1))
-		if err != nil {
-			t.Fatalf("decoding v1: %v", err)
-		}
-		if !reflect.DeepEqual(ts1, ts2) {
-			t.Fatal("v1 and v2 decode to different table sets")
-		}
-		if len(res.Blob) >= len(v1) {
-			t.Errorf("v2 blob (%d bytes) not smaller than fixed-width v1 (%d bytes)", len(res.Blob), len(v1))
-		}
-		if res.Stats.BlobBytesFixed != len(v1) {
-			t.Errorf("Stats.BlobBytesFixed = %d, v1 encoding is %d bytes", res.Stats.BlobBytesFixed, len(v1))
-		}
-		// Corruption must be rejected in the v1 path too (the shared
-		// content checksum, not the v2 decoder, is the guard).
-		bad := append([]byte(nil), v1...)
-		bad[len(Magic)+20] ^= 0x40
-		if _, err := Decode(g, bytes.NewReader(bad)); err == nil {
-			t.Error("Decode accepted a corrupted v1 blob")
+		if _, err := Decode(g, v1); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("Decode of an ISEL1 blob: err = %v, want ErrUnsupportedVersion", err)
 		}
 	}
 	for _, name := range md.Names() {
@@ -200,25 +194,21 @@ func TestFormatVersions(t *testing.T) {
 			check(t, g, mustResult(t, g))
 		})
 	}
-	// The hybrid fixed-subset closure ships over the same wire: both
-	// versions must round-trip it too.
+	// The fixed-operator closure of a grammar with dynamic rules ships
+	// over the same wire.
 	t.Run("x86.hybrid", func(t *testing.T) {
 		g := md.MustLoad("x86").Grammar
-		res, err := CompileHybrid(g, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, g, res)
+		check(t, g, mustResult(t, g))
 	})
 }
 
-// TestCompileRejectsDynamic: grammars with dynamic rules cannot be
-// tabulated offline.
-func TestCompileRejectsDynamic(t *testing.T) {
-	d := md.MustLoad("x86")
-	if _, err := Compile(d.Grammar, Config{}); err == nil {
-		t.Fatal("Compile accepted a grammar with dynamic-cost rules")
-	}
+// reframe swaps a blob's magic for another of the same length and
+// recomputes the trailing checksum, so the framing is valid again.
+func reframe(blob []byte, magic string) []byte {
+	out := append([]byte(magic), blob[len(magic):len(blob)-8]...)
+	h := fnv.New64a()
+	h.Write(out)
+	return binary.LittleEndian.AppendUint64(out, h.Sum64())
 }
 
 // TestTruncation: a closure pruned by MaxStates must fail with the typed
@@ -241,41 +231,40 @@ func TestDecodeRejects(t *testing.T) {
 	g := fixedGrammar(t, "demo")
 	other := fixedGrammar(t, "jit64")
 	blob := mustResult(t, g).Blob
-	if _, err := Decode(other, bytes.NewReader(blob)); err == nil {
+	if _, err := Decode(other, blob); err == nil {
 		t.Error("Decode accepted tables generated for a different grammar")
 	}
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xff
-	if _, err := Decode(g, bytes.NewReader(bad)); err == nil {
+	if _, err := Decode(g, bad); err == nil {
 		t.Error("Decode accepted a corrupted magic")
 	}
-	if _, err := Decode(g, bytes.NewReader(blob[:len(blob)-6])); err == nil {
+	if _, err := Decode(g, blob[:len(blob)-6]); err == nil {
 		t.Error("Decode accepted a truncated blob")
 	}
 	short := append([]byte(nil), blob[:len(blob)-4]...)
 	short = append(short, 0xde, 0xad, 0xbe, 0xef)
-	if _, err := Decode(g, bytes.NewReader(short)); err == nil {
+	if _, err := Decode(g, short); err == nil {
 		t.Error("Decode accepted a blob with a corrupt trailer")
 	}
 }
 
 // TestLoadRejectsBodyCorruption: bit flips inside the state-vector region
-// leave the framing (magic, fingerprint, trailer) intact, so only the
-// cost-normalization validation in NewStaticFromTables can catch them —
-// a corrupt blob must fail at load, never panic or mislabel at serve
-// time.
+// leave the framing (magic, fingerprint, trailer) intact; the content
+// checksum (and behind it the validator) must catch them — a corrupt blob
+// must fail at load, never panic or mislabel at serve time.
 func TestLoadRejectsBodyCorruption(t *testing.T) {
 	g := fixedGrammar(t, "jit64")
 	blob := mustResult(t, g).Blob
 	// The state vectors start right after the header; flip high bits
 	// through that region so deltas go negative or rules leave range.
-	start := len(Magic) + 8 + 4 + len(g.Name) + 3*4 + g.NumOps()
+	start := len(MagicV2) + 8 + 4 + len(g.Name) + 3*4 + g.NumOps()
 	rejected := 0
 	const probes = 40
 	for i := 0; i < probes; i++ {
 		bad := append([]byte(nil), blob...)
 		bad[start+i*5] ^= 0x80
-		if _, err := Load(g, bytes.NewReader(bad)); err != nil {
+		if _, err := load(g, bad); err != nil {
 			rejected++
 		}
 	}
@@ -285,9 +274,9 @@ func TestLoadRejectsBodyCorruption(t *testing.T) {
 	// A huge state count with a valid prefix must be rejected before any
 	// large allocation (the States*NumNT volume bound).
 	bad := append([]byte(nil), blob...)
-	pos := len(Magic) + 8 + 4 + len(g.Name) + 8 // the states u32
+	pos := len(MagicV2) + 8 + 4 + len(g.Name) + 8 // the states u32
 	bad[pos], bad[pos+1], bad[pos+2] = 0xff, 0xff, 0xfe
-	if _, err := Load(g, bytes.NewReader(bad)); err == nil {
+	if _, err := load(g, bad); err == nil {
 		t.Error("Load accepted an implausibly huge state count")
 	}
 }

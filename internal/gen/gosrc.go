@@ -9,8 +9,8 @@ import (
 // GoSource renders a compilation result as a Go source file: the blob
 // embedded as a string literal plus an init function that registers it in
 // the preload store, so importing the generated package makes the
-// grammar's `offline` engine construct from compiled-in tables with zero
-// closure work. Output is byte-for-byte deterministic for a given grammar
+// grammar's table-backed engines construct from compiled-in tables with
+// zero closure work. Output is byte-for-byte deterministic for a given grammar
 // — the property the committed examples' golden check enforces.
 func GoSource(pkg, varName string, res *Result) ([]byte, error) {
 	if pkg == "" || varName == "" {

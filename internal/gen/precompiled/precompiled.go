@@ -1,7 +1,7 @@
 // Package precompiled holds the committed iselgen output for the repo's
 // example grammars: `.isel` blobs embedded as generated Go source, each
 // registering itself in the internal/gen preload store at init time.
-// Importing this package (for side effects) makes the `offline` engine
+// Importing this package (for side effects) makes the `static` engine
 // kind construct these grammars from compiled-in tables with zero closure
 // work — the fully-ahead-of-time end of the paper's tradeoff.
 //

@@ -9,7 +9,7 @@ import (
 
 // The process-global preload store: `.isel` blobs compiled into the
 // binary. Generated Go source (GoSource) registers its embedded blob here
-// from an init function; the `offline` engine constructor looks the
+// from an init function; the table-backed engine kinds look the
 // grammar's fingerprint up before falling back to compiling the closure
 // in-process. Keyed by fingerprint, so registration is independent of how
 // a grammar gets loaded or renamed.

@@ -175,7 +175,7 @@ func TestCollectorSeriesAndMerge(t *testing.T) {
 	}
 	tr.total = stampFromNs(150)
 	set.RecordTrace(&tr)
-	c.Set("jit64", "offline").Record(StageLabel, 99)
+	c.Set("jit64", "static").Record(StageLabel, 99)
 
 	snap := c.Snapshot()
 	if len(snap) != 2 || snap[0].Machine != "jit64" || snap[1].Machine != "x86" {

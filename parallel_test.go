@@ -164,7 +164,7 @@ func TestCompileWithWorkersLevelParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, kind := range []repro.Kind{repro.KindDP, repro.KindStatic, repro.KindOnDemand, repro.KindOffline} {
+	for _, kind := range []repro.Kind{repro.KindDP, repro.KindStatic, repro.KindOnDemand, repro.KindHybrid} {
 		sel, err := fixed.NewSelector(kind, repro.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -228,16 +228,16 @@ int one(int n) {
 }
 
 // TestKindsRegistry: the built-ins are registered in declaration order
-// (hybrid and offline, living in their own files, follow them — file
-// init order is alphabetical), and every registered kind constructs
-// through the registry on a fixed-cost grammar.
+// (hybrid, living in its own file, follows them — file init order is
+// alphabetical), and every registered kind constructs through the
+// registry on a fixed-cost grammar.
 func TestKindsRegistry(t *testing.T) {
 	kinds := repro.Kinds()
-	if len(kinds) < 5 {
-		t.Fatalf("kinds = %v, want the three built-ins plus hybrid and offline", kinds)
+	if len(kinds) < 4 {
+		t.Fatalf("kinds = %v, want the three built-ins plus hybrid", kinds)
 	}
 	if kinds[0] != repro.KindDP || kinds[1] != repro.KindStatic || kinds[2] != repro.KindOnDemand ||
-		kinds[3] != repro.KindHybrid || kinds[4] != repro.KindOffline {
+		kinds[3] != repro.KindHybrid {
 		t.Errorf("registered kinds out of order: %v", kinds)
 	}
 	m, err := repro.LoadMachine("demo")

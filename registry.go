@@ -371,7 +371,7 @@ func (r *Registry) Swap(name string) error {
 // SwapMachine is Swap with a replacement recipe: the machine m (served
 // under m.Name), engine kind and options replace the entry's registered
 // ones — the lever for cutovers that change the grammar, the engine kind
-// (a re-scanned preload blob electing hybrid over offline), or the
+// (a re-scanned preload blob electing hybrid over static), or the
 // options. The cutover semantics are exactly Swap's.
 func (r *Registry) SwapMachine(m *Machine, kind Kind, opt Options) error {
 	return r.swap(m.Name, &regEntry{

@@ -1,0 +1,412 @@
+package repro_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro"
+	"repro/internal/automaton"
+	"repro/internal/gen"
+	"repro/internal/grammar"
+	"repro/internal/ir"
+	"repro/internal/server"
+	"repro/internal/workload"
+
+	// Registers the committed ahead-of-time tables for demo.fixed and
+	// jit64.fixed, so this binary also exercises the compiled-in preload
+	// path of the table-backed engines.
+	_ "repro/internal/gen/precompiled"
+)
+
+// writeBlob compiles m's grammar ahead of time and writes the `.isel`
+// blob — what `iselgen -machine <m> -fixed -out <path>` produces.
+func writeBlob(t *testing.T, m *repro.Machine, path string) {
+	t.Helper()
+	res, err := gen.Compile(m.Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, res.Blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOfflineRoundTrip pins the one table path: for every machine's
+// fixed-cost subset, KindStatic built from each table source — the
+// closure computed in-process, a PreloadPath blob, and (demo, jit64) the
+// compiled-in preload store — is one engine: identical NumStates,
+// NumTransitions and MemoryBytes, identical labels and Compile output.
+func TestOfflineRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range repro.Machines() {
+		t.Run(name, func(t *testing.T) {
+			fixed := mustFixed(t, name)
+			path := filepath.Join(dir, name+".isel")
+			writeBlob(t, fixed, path)
+			// The same grammar under another name has another fingerprint,
+			// so the preload store misses it and the closure is computed
+			// in-process.
+			renamed := *fixed.Grammar
+			renamed.Name += ".inproc"
+			type source struct {
+				what string
+				m    *repro.Machine
+				opt  repro.Options
+			}
+			sources := []source{
+				{"in-process", &repro.Machine{Name: fixed.Name, Grammar: &renamed}, repro.Options{}},
+				{"blob", fixed, repro.Options{PreloadPath: path}},
+			}
+			if _, ok := gen.Lookup(gen.Fingerprint(fixed.Grammar)); ok {
+				sources = append(sources, source{"preload store", fixed, repro.Options{}})
+			} else if name == "demo" || name == "jit64" {
+				t.Fatalf("precompiled %s tables not registered", fixed.Name)
+			}
+			sels := make([]*repro.Selector, len(sources))
+			for i, src := range sources {
+				sel, err := src.m.NewSelector(repro.KindStatic, src.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", src.what, err)
+				}
+				sels[i] = sel
+			}
+			ref := sels[0]
+			for i, sel := range sels[1:] {
+				if sel.States() != ref.States() || sel.Transitions() != ref.Transitions() || sel.MemoryBytes() != ref.MemoryBytes() {
+					t.Fatalf("%s: %d states, %d transitions, %d bytes; in-process %d, %d, %d", sources[i+1].what,
+						sel.States(), sel.Transitions(), sel.MemoryBytes(), ref.States(), ref.Transitions(), ref.MemoryBytes())
+				}
+			}
+			roots, inner, leaf := opSplit(fixed.Grammar)
+			for seed := 0; seed < 50; seed++ {
+				f := ir.RandomForest(fixed.Grammar, diffConfig(seed, roots, inner, leaf))
+				want, wantErr := ref.Compile(context.Background(), f)
+				for i, sel := range sels[1:] {
+					got, err := sel.Compile(context.Background(), f)
+					if (err == nil) != (wantErr == nil) {
+						t.Fatalf("seed %d: %s err=%v, in-process err=%v", seed, sources[i+1].what, err, wantErr)
+					}
+					if err == nil && (got.Asm != want.Asm || got.Cost != want.Cost) {
+						t.Fatalf("seed %d: %s tables compile differently from in-process ones", seed, sources[i+1].what)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOfflineRejectsDynamicAndWrongBlob: the static kind refuses
+// dynamic-cost grammars, blobs generated for another grammar, and blobs
+// of the retired `.isel` version 1.
+func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
+	m, err := repro.LoadMachine("x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.NewSelector(repro.KindStatic, repro.Options{}); err == nil {
+		t.Fatal("static selector constructed on a grammar with dynamic rules")
+	}
+	fixed := mustFixed(t, "x86")
+	path := filepath.Join(t.TempDir(), "other.isel")
+	writeBlob(t, mustFixed(t, "jit64"), path)
+	if _, err := fixed.NewSelector(repro.KindStatic, repro.Options{PreloadPath: path}); err == nil {
+		t.Fatal("static selector accepted tables generated for a different grammar")
+	}
+
+	// The payload of a good blob, framed as version 1 with a valid
+	// checksum: only the version is wrong.
+	res, err := gen.Compile(fixed.Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("ISEL1\n"), res.Blob[len(gen.MagicV2):len(res.Blob)-8]...)
+	h := fnv.New64a()
+	h.Write(v1)
+	v1 = binary.LittleEndian.AppendUint64(v1, h.Sum64())
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fixed.NewSelector(repro.KindStatic, repro.Options{PreloadPath: path}); !errors.Is(err, gen.ErrUnsupportedVersion) {
+		t.Fatalf("version-1 blob: err = %v, want gen.ErrUnsupportedVersion", err)
+	}
+}
+
+// TestOfflinePreloadRegistered: with the precompiled package imported,
+// demo.fixed and jit64.fixed construct from the compiled-in blobs — no
+// PreloadPath, no closure computation.
+func TestOfflinePreloadRegistered(t *testing.T) {
+	for _, name := range []string{"demo", "jit64"} {
+		fixed := mustFixed(t, name)
+		blob, ok := gen.Lookup(gen.Fingerprint(fixed.Grammar))
+		if !ok {
+			t.Fatalf("precompiled %s tables not registered", fixed.Name)
+		}
+		h, err := gen.ReadHeader(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := fixed.NewSelector(repro.KindStatic, repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.States() != h.States {
+			t.Fatalf("%s: selector has %d states, the compiled-in blob %d", fixed.Name, sel.States(), h.States)
+		}
+	}
+}
+
+func mustFixed(tb testing.TB, name string) *repro.Machine {
+	tb.Helper()
+	m, err := repro.LoadMachine(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fixed, err := m.FixedMachine()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fixed
+}
+
+// statsStates fetches /stats and returns the one served machine's
+// states/transitions plus its engine kind.
+func statsStates(t *testing.T, url string) (states, trans int, kind string) {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Machines) != 1 {
+		t.Fatalf("stats machines = %d, want 1", len(st.Machines))
+	}
+	return st.Machines[0].States, st.Machines[0].Transitions, st.Machines[0].Kind
+}
+
+// TestOfflinePreloadServesWarm is the acceptance check end to end:
+// loading a generated `.isel` blob yields a served machine whose first
+// request is already warm — /stats reports the full table before any
+// traffic and exactly zero construction under it.
+func TestOfflinePreloadServesWarm(t *testing.T) {
+	fixed := mustFixed(t, "demo")
+	fixed.Name = "demo" // serve under the requested name, like iselserver -preload
+	path := filepath.Join(t.TempDir(), "demo.isel")
+	writeBlob(t, fixed, path)
+
+	reg := repro.NewRegistry()
+	if err := reg.AddMachine(fixed, repro.KindStatic, repro.Options{PreloadPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Warm("demo"); err != nil { // boot-time construction, like iselserver
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Config{Workers: 2})
+	defer srv.Shutdown()
+	hs := httptest.NewServer(server.NewHandler(srv))
+	defer hs.Close()
+
+	before, beforeTrans, kind := statsStates(t, hs.URL)
+	if kind != string(repro.KindStatic) {
+		t.Fatalf("served kind = %q, want static", kind)
+	}
+	if before == 0 || beforeTrans == 0 {
+		t.Fatalf("machine not warm before traffic: %d states, %d transitions", before, beforeTrans)
+	}
+
+	body := `{"client":"t","trees":"Store(Reg[1], Plus(Reg[2], Reg[3]))"}`
+	resp, err := http.Post(hs.URL+"/compile?machine=demo", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile status = %d", resp.StatusCode)
+	}
+	var cr server.CompileResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.Outputs) != 1 || cr.Outputs[0].Asm == "" {
+		t.Fatalf("no code emitted: %+v", cr)
+	}
+	if cr.States != before {
+		t.Fatalf("first request constructed states: %d -> %d, want 0 construction under traffic", before, cr.States)
+	}
+
+	after, afterTrans, _ := statsStates(t, hs.URL)
+	if after != before || afterTrans != beforeTrans {
+		t.Fatalf("traffic grew the tables: states %d -> %d, transitions %d -> %d (want unchanged)",
+			before, after, beforeTrans, afterTrans)
+	}
+}
+
+// TestEvictOverHTTP: POST /evict resets a machine's engine — /stats
+// shows it unconstructed, the next request rebuilds it.
+func TestEvictOverHTTP(t *testing.T) {
+	reg := repro.NewRegistry()
+	if err := reg.Add("jit64", repro.KindOnDemand, repro.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Config{Workers: 2})
+	defer srv.Shutdown()
+	hs := httptest.NewServer(server.NewHandler(srv))
+	defer hs.Close()
+
+	body := `{"client":"t","minc":"int f(int a) { return a + 2; }"}`
+	resp, err := http.Post(hs.URL+"/compile?machine=jit64", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile status = %d", resp.StatusCode)
+	}
+	if states, _, _ := statsStates(t, hs.URL); states == 0 {
+		t.Fatal("no states after traffic")
+	}
+
+	resp, err = http.Post(hs.URL+"/evict?machine=jit64", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evict status = %d", resp.StatusCode)
+	}
+	var st server.StatsResponse
+	r2, err := http.Get(hs.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(r2.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	r2.Body.Close()
+	if st.Machines[0].Constructed {
+		t.Fatal("machine still constructed after /evict")
+	}
+	// Next job reconstructs transparently.
+	resp, err = http.Post(hs.URL+"/compile?machine=jit64", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile after evict status = %d", resp.StatusCode)
+	}
+
+	resp, err = http.Post(hs.URL+"/evict?machine=ghost", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evict unknown machine status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// inflate pads ts with synthetic states up to n: distinct,
+// cost-normalized vectors that no transition reaches, projected onto
+// representer 0 wherever a projection row exists — a well-formed table
+// set, accepted by the validator, that claims n states.
+func inflate(g *grammar.Grammar, ts *automaton.TableSet, n int) {
+	for s := ts.NumStates(); s < n; s++ {
+		for nt := 0; nt < ts.NumNT; nt++ {
+			d, r := grammar.Inf, int32(-1)
+			if nt == 0 {
+				d, r = grammar.Cost(s), 0
+			}
+			ts.Deltas = append(ts.Deltas, d)
+			ts.Rules = append(ts.Rules, r)
+		}
+		for op := range ts.Mu {
+			for p := 0; p < g.Ops[op].Arity; p++ {
+				ts.Mu[op][p] = append(ts.Mu[op][p], 0)
+			}
+		}
+	}
+}
+
+// TestCraftedBlobExpansionBounded: a well-formed blob claiming 4,096
+// states — 21 binary operators' worth of 64 MB grids, had expansion no
+// total bound — must load within automaton.ExpandMaxBytes of allocation
+// and footprint, and then still select exactly like DP: the static engine
+// through its compressed tables, the hybrid with seeded states only.
+func TestCraftedBlobExpansionBounded(t *testing.T) {
+	const claimed = 4096
+	x86, err := repro.LoadMachine("x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		m    *repro.Machine
+		kind repro.Kind
+	}{{mustFixed(t, "x86"), repro.KindStatic}, {x86, repro.KindHybrid}} {
+		g := c.m.Grammar
+		res, err := gen.Compile(g, gen.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inflate(g, res.Tables, claimed)
+		blob, err := gen.EncodeBytes(g, res.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "crafted.isel")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sel, err := c.m.NewSelector(c.kind, repro.Options{PreloadPath: path})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s %s: crafted blob rejected: %v", g.Name, c.kind, err)
+		}
+		alloc, mem := after.TotalAlloc-before.TotalAlloc, sel.MemoryBytes()
+		t.Logf("%s %s: %d-byte blob: %d bytes allocated to load, %d served", g.Name, c.kind, len(blob), alloc, mem)
+		if alloc > automaton.ExpandMaxBytes || mem > automaton.ExpandMaxBytes {
+			t.Errorf("%s %s: load allocated %d bytes and serves %d, bound %d", g.Name, c.kind, alloc, mem, automaton.ExpandMaxBytes)
+		}
+		if sel.States() != claimed {
+			t.Errorf("%s %s: %d states, the blob claims %d", g.Name, c.kind, sel.States(), claimed)
+		}
+
+		oracle, err := c.m.NewSelector(repro.KindDP, repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range workload.MustCompileAll(g) {
+			for _, f := range u.Forests() {
+				want, err := oracle.Compile(context.Background(), f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sel.Compile(context.Background(), f)
+				if err != nil {
+					t.Fatalf("%s %s: %v", g.Name, c.kind, err)
+				}
+				if got.Asm != want.Asm || got.Cost != want.Cost {
+					t.Fatalf("%s %s: output differs from DP", g.Name, c.kind)
+				}
+			}
+		}
+	}
+}

@@ -128,7 +128,7 @@ func TestEvictAndSwapConflictMidSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFaultInjectGenLoadQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.CompileHybrid(m.Grammar, gen.Config{})
+	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

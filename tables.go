@@ -1,0 +1,64 @@
+package repro
+
+import (
+	"fmt"
+
+	"repro/internal/automaton"
+	"repro/internal/gen"
+)
+
+// tableSet resolves the ahead-of-time tables the table-backed kinds
+// (KindStatic, KindHybrid) serve, in order: Options.PreloadPath (a `.isel`
+// blob written by iselgen — the instant-warm serving path behind
+// `iselserver -preload`), then the process-global preload store
+// (generated Go source compiled into the binary), and finally the
+// closure computed here. Whatever the source, the engine constructor runs
+// the result through the one validator, automaton.ValidateTables, before
+// serving it.
+func tableSet(m *Machine, opt Options) (*automaton.TableSet, error) {
+	g := m.Grammar
+	if opt.PreloadPath != "" {
+		blob, err := gen.ReadFile(opt.PreloadPath)
+		if err != nil {
+			return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
+		}
+		ts, err := gen.Decode(g, blob)
+		if err != nil {
+			return nil, fmt.Errorf("repro: machine %s: loading %s: %w", m.Name, opt.PreloadPath, err)
+		}
+		return ts, nil
+	}
+	if blob, ok := gen.Lookup(gen.Fingerprint(g)); ok {
+		ts, err := gen.Decode(g, blob)
+		if err != nil {
+			return nil, fmt.Errorf("repro: machine %s: preloaded tables: %w", m.Name, err)
+		}
+		return ts, nil
+	}
+	ts, _, err := automaton.GenerateTables(g, automaton.StaticConfig{DeltaCap: opt.DeltaCap, MaxStates: opt.MaxStates})
+	if err != nil {
+		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
+	}
+	return ts, nil
+}
+
+// newStaticEngine builds KindStatic: the burg-style automaton, serving
+// tableSet's tables expanded into direct state-indexed arrays. It cannot
+// host dynamic-cost rules; serve a FixedMachine for grammars that have
+// them.
+func newStaticEngine(m *Machine, opt Options) (Labeler, error) {
+	if m.Grammar.HasAnyDynRules() {
+		return nil, fmt.Errorf("repro: grammar %s has dynamic-cost rules; the static automaton cannot host them (use FixedMachine, KindHybrid or KindOnDemand)", m.Grammar.Name)
+	}
+	ts, err := tableSet(m, opt)
+	if err != nil {
+		return nil, err
+	}
+	a, err := automaton.NewStaticFromTables(m.Grammar, ts)
+	if err != nil {
+		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
+	}
+	a.Expand()
+	a.SetMetrics(opt.Metrics)
+	return a, nil
+}
