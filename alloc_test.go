@@ -1,9 +1,10 @@
 // Allocation-regression guards for the warm path. The paper's pitch is
 // that a warm on-demand automaton labels a node for "the cost of one table
-// lookup"; these tests pin down the Go-side corollary — a warm label +
-// reduce performs zero heap allocations, because labelings, reducer
-// scratch and dynamic-cost buffers are all pooled and the transition
-// tables are flat id arrays.
+// lookup"; these tests pin down the Go-side corollary — a warm Compile
+// allocates exactly its *Output result: label, reduce and emit allocate
+// nothing, because labelings, reducer scratch, dynamic-cost buffers and
+// emitters are all pooled and the transition tables are flat id arrays.
+// The same holds with the serving tier's per-call options attached.
 //
 // The guards run in the -race CI job too (exercising the pooled paths
 // under the detector), but the strict counts are only asserted in normal
@@ -12,19 +13,23 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/md"
+	"repro/internal/reduce"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// warmSelector builds a selector for gname (stripped of dynamic rules if
-// fixed) and warms it over the whole workload corpus.
-func warmSelector(t *testing.T, gname string, fixed bool) (*repro.Selector, []*ir.Forest) {
+// warmSelector builds a selector of kind for gname (stripped of dynamic
+// rules if fixed) and warms it over the whole workload corpus: every
+// state and transition constructed, the emitter pool filled and the
+// assembly texts interned.
+func warmSelector(t *testing.T, gname string, fixed bool, kind repro.Kind) (*repro.Selector, []*ir.Forest) {
 	t.Helper()
 	m, err := repro.LoadMachine(gname)
 	if err != nil {
@@ -35,7 +40,7 @@ func warmSelector(t *testing.T, gname string, fixed bool) (*repro.Selector, []*i
 			t.Fatal(err)
 		}
 	}
-	sel, err := m.NewSelector(repro.KindOnDemand, repro.Options{})
+	sel, err := m.NewSelector(kind, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +48,10 @@ func warmSelector(t *testing.T, gname string, fixed bool) (*repro.Selector, []*i
 	for _, c := range workload.MustCompileAll(m.Grammar) {
 		fs = append(fs, c.Forests()...)
 	}
-	for i := 0; i < 3; i++ { // warm: all states and transitions constructed
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
 		for _, f := range fs {
-			if _, err := sel.SelectCost(f); err != nil {
+			if _, err := sel.Compile(ctx, f); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,87 +71,153 @@ func assertZeroAllocs(t *testing.T, what string, allocs float64) {
 	}
 }
 
+// assertCompileAllocsAreResultOnly checks that a warm corpus pass of
+// compile allocates exactly one *Output per forest.
+func assertCompileAllocsAreResultOnly(t *testing.T, what string, fs []*ir.Forest, compile func(*ir.Forest)) {
+	t.Helper()
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, f := range fs {
+			compile(f)
+		}
+	})
+	t.Logf("warm %s: %.1f allocs per corpus pass over %d forests", what, allocs, len(fs))
+	if raceEnabled {
+		return
+	}
+	if allocs != float64(len(fs)) {
+		t.Errorf("warm %s allocates %.1f per corpus pass, want exactly %d (one *Output per call)",
+			what, allocs, len(fs))
+	}
+}
+
+// bareCompile is a warm selector's Compile with no options.
+func bareCompile(sel *repro.Selector) func(*ir.Forest) {
+	return func(f *ir.Forest) { sel.Compile(context.Background(), f) }
+}
+
+// assertLabelReduceAllocFree checks that a warm corpus pass of label plus
+// cost-only reduce — Selector.Label, a reducer over the machine's
+// grammar, and the labeling handed back to the engine, which is what
+// Compile runs before it emits — allocates nothing at all: of Compile's
+// one allocation, label and reduce owe none.
+func assertLabelReduceAllocFree(t *testing.T, what string, sel *repro.Selector, fs []*ir.Forest) {
+	t.Helper()
+	m := sel.Machine()
+	rd, err := reduce.New(m.Grammar, m.Env, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, ok := sel.Labeler().(reduce.LabelingRecycler)
+	if !ok {
+		t.Fatalf("%s engine %T does not recycle labelings", what, sel.Labeler())
+	}
+	pass := func() {
+		for _, f := range fs {
+			lab, err := sel.Label(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rd.Cover(f, lab, nil); err != nil {
+				t.Fatal(err)
+			}
+			rc.ReleaseLabeling(lab)
+		}
+	}
+	pass() // fill the reducer's scratch pool
+	assertZeroAllocs(t, "warm label+reduce ("+what+", whole corpus)", testing.AllocsPerRun(100, pass))
+}
+
 // TestWarmSelectCostAllocFree: a warm label+reduce over a fixed-cost
 // grammar must not allocate at all — the dense fast path plus the pooled
 // reducer.
 func TestWarmSelectCostAllocFree(t *testing.T) {
-	sel, fs := warmSelector(t, "x86", true)
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range fs {
-			sel.SelectCost(f)
-		}
-	})
-	assertZeroAllocs(t, "warm SelectCost (fixed x86, whole corpus)", allocs)
+	sel, fs := warmSelector(t, "x86", true, repro.KindOnDemand)
+	assertLabelReduceAllocFree(t, "on-demand x86.fixed", sel, fs)
 }
 
-// TestWarmDynSelectCostAllocFree: the same guarantee with dynamic rules
-// active — the hit path probes the per-op hash with a no-copy view of the
-// pooled signature bytes, so even dynamic-op nodes stay allocation-free
-// once their transitions exist.
-func TestWarmDynSelectCostAllocFree(t *testing.T) {
-	sel, fs := warmSelector(t, "x86", false)
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range fs {
-			sel.SelectCost(f)
-		}
-	})
-	assertZeroAllocs(t, "warm SelectCost (dynamic x86, whole corpus)", allocs)
+// TestWarmHybridSelectCostAllocFree: the hybrid engine inherits both
+// halves' warm contracts at once — overlay hits are plain loads on
+// immutable arrays, fallthrough hits are the on-demand engine's pooled
+// hash path — so a warm label+reduce on the FULL dynamic x86 grammar must
+// allocate nothing.
+func TestWarmHybridSelectCostAllocFree(t *testing.T) {
+	sel, fs := warmSelector(t, "x86", false, repro.KindHybrid)
+	assertLabelReduceAllocFree(t, "hybrid x86", sel, fs)
 }
 
-// TestWarmOfflineSelectCostAllocFree: the static engine, serving
+// TestWarmCompileAllocsAreResultOnly: a full warm Compile on the dense
+// fast path (fixed x86, on-demand) allocates exactly its *Output result
+// and nothing else — zero allocations per node. The emit layer's operand
+// text lives in per-emitter arenas, the virtual-register names and
+// bookkeeping slices are reused across Reset, and the assembly string of
+// previously compiled code comes from the selector's interner instead of
+// a fresh copy.
+func TestWarmCompileAllocsAreResultOnly(t *testing.T) {
+	sel, fs := warmSelector(t, "x86", true, repro.KindOnDemand)
+	assertCompileAllocsAreResultOnly(t, "Compile (on-demand x86.fixed)", fs, bareCompile(sel))
+}
+
+// TestWarmDynCompileAllocsAreResultOnly: the same guarantee with dynamic
+// rules active — the hit path probes the per-op hash with a no-copy view
+// of the pooled signature bytes, so even dynamic-op nodes stay
+// allocation-free once their transitions exist.
+func TestWarmDynCompileAllocsAreResultOnly(t *testing.T) {
+	sel, fs := warmSelector(t, "x86", false, repro.KindOnDemand)
+	assertCompileAllocsAreResultOnly(t, "Compile (on-demand x86)", fs, bareCompile(sel))
+}
+
+// TestWarmStaticCompileAllocsAreResultOnly: the static engine, serving
 // ahead-of-time tables, makes the same warm-path promise as the on-demand
 // one — and for it "warm" is the only state there is: tables are complete
-// before the first request, so label + reduce must allocate nothing from
-// call one (after one pass to fill the labeling/reducer pools).
-func TestWarmOfflineSelectCostAllocFree(t *testing.T) {
-	m, err := repro.LoadMachine("x86")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, err := m.FixedMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := fixed.NewSelector(repro.KindStatic, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fs []*ir.Forest
-	for _, c := range workload.MustCompileAll(fixed.Grammar) {
-		fs = append(fs, c.Forests()...)
-	}
-	for _, f := range fs { // fill the pools; no states are constructed here
-		if _, err := sel.SelectCost(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range fs {
-			sel.SelectCost(f)
-		}
-	})
-	assertZeroAllocs(t, "warm SelectCost (static x86.fixed, whole corpus)", allocs)
+// before the first request, so the warm-up passes only fill the pools.
+func TestWarmStaticCompileAllocsAreResultOnly(t *testing.T) {
+	sel, fs := warmSelector(t, "x86", true, repro.KindStatic)
+	assertCompileAllocsAreResultOnly(t, "Compile (static x86.fixed)", fs, bareCompile(sel))
 }
 
-// TestWarmCostOnlyCompileAllocs: the v2 spelling of the same path —
-// Compile(ctx, f, CostOnly()) — may allocate only its *Output result (the
-// option closure is static and the variadic slice stays on the stack):
-// nothing per node, nothing proportional to forest size.
-func TestWarmCostOnlyCompileAllocs(t *testing.T) {
-	sel, fs := warmSelector(t, "x86", true)
+// TestWarmHybridCompileAllocsAreResultOnly: the hybrid engine's warm
+// contracts carry through emit — a warm Compile on the FULL dynamic x86
+// grammar, labeling across the fixed/dynamic boundary, allocates only
+// its *Output.
+func TestWarmHybridCompileAllocsAreResultOnly(t *testing.T) {
+	sel, fs := warmSelector(t, "x86", false, repro.KindHybrid)
+	assertCompileAllocsAreResultOnly(t, "Compile (hybrid x86)", fs, bareCompile(sel))
+}
+
+// TestWarmCompileObservedAllocsAreResultOnly: the telemetry plane must
+// be paid for — on every configuration the bare guards above cover, a
+// warm Compile carrying live counters AND a pooled trace, as the
+// compilation server calls it, allocates exactly what the bare one does:
+// one *Output per call. Options are plain values and stage marks are
+// monotonic clock reads into a fixed struct; histogram records (done by
+// the server, not here) are atomic adds.
+func TestWarmCompileObservedAllocsAreResultOnly(t *testing.T) {
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range fs {
-			sel.Compile(ctx, f, repro.CostOnly())
+	for _, c := range []struct {
+		gname string
+		fixed bool
+		kind  repro.Kind
+	}{
+		{"x86", true, repro.KindOnDemand},
+		{"x86", false, repro.KindOnDemand},
+		{"x86", true, repro.KindStatic},
+		{"x86", false, repro.KindHybrid},
+	} {
+		sel, fs := warmSelector(t, c.gname, c.fixed, c.kind)
+		var jm repro.Counters
+		var pool telemetry.TracePool
+		observed := func(f *ir.Forest) {
+			tr := pool.Get(sel.Machine().Name, string(sel.Kind()), "alloc-test")
+			if _, err := sel.Compile(ctx, f, repro.WithCounters(&jm), repro.WithTrace(tr)); err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(tr)
 		}
-	})
-	perCall := allocs / float64(len(fs))
-	t.Logf("warm CostOnly Compile: %.2f allocs/op over %d forests (%.2f per call)", allocs, len(fs), perCall)
-	if raceEnabled {
-		return
-	}
-	if perCall > 2 {
-		t.Errorf("warm CostOnly Compile allocates %.2f per call, want <= 2 (the Output result only)", perCall)
+		for _, f := range fs { // fill the trace pool
+			observed(f)
+		}
+		assertCompileAllocsAreResultOnly(t, fmt.Sprintf("Compile(WithCounters, WithTrace) (%s %s)", c.kind, sel.Machine().Name),
+			fs, observed)
 	}
 }
 
@@ -171,149 +243,4 @@ func TestWarmLabelReleaseAllocFree(t *testing.T) {
 		}
 	})
 	assertZeroAllocs(t, "warm LabelStates+Release (dynamic x86, whole corpus)", allocs)
-}
-
-// TestWarmHybridSelectCostAllocFree: the hybrid engine inherits both
-// halves' warm contracts at once — overlay hits are plain loads on
-// immutable arrays, fallthrough hits are the on-demand engine's pooled
-// hash path — so a warm label+reduce on the FULL dynamic x86 grammar must
-// allocate nothing.
-func TestWarmHybridSelectCostAllocFree(t *testing.T) {
-	m, err := repro.LoadMachine("x86")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := m.NewSelector(repro.KindHybrid, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fs []*ir.Forest
-	for _, c := range workload.MustCompileAll(m.Grammar) {
-		fs = append(fs, c.Forests()...)
-	}
-	for i := 0; i < 3; i++ { // warm the dynamic fallthrough transitions
-		for _, f := range fs {
-			if _, err := sel.SelectCost(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range fs {
-			sel.SelectCost(f)
-		}
-	})
-	assertZeroAllocs(t, "warm SelectCost (hybrid x86 full grammar, whole corpus)", allocs)
-}
-
-// TestWarmHybridCompileAllocsAreResultOnly: a warm full hybrid Compile —
-// label across the fixed/dynamic boundary, reduce, emit — allocates
-// exactly one *Output per forest, matching the on-demand engine's
-// contract from PR 6.
-func TestWarmHybridCompileAllocsAreResultOnly(t *testing.T) {
-	m, err := repro.LoadMachine("x86")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := m.NewSelector(repro.KindHybrid, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fs []*ir.Forest
-	for _, c := range workload.MustCompileAll(m.Grammar) {
-		fs = append(fs, c.Forests()...)
-	}
-	ctx := context.Background()
-	for i := 0; i < 3; i++ { // warm transitions, emitter pool and interner
-		for _, f := range fs {
-			if _, err := sel.Compile(ctx, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, f := range fs {
-			sel.Compile(ctx, f)
-		}
-	})
-	t.Logf("warm hybrid Compile: %.1f allocs per corpus pass over %d forests", allocs, len(fs))
-	if raceEnabled {
-		return
-	}
-	if allocs != float64(len(fs)) {
-		t.Errorf("warm hybrid Compile allocates %.1f per corpus pass, want exactly %d (one *Output per call)",
-			allocs, len(fs))
-	}
-}
-
-// TestWarmCompileObservedAllocsAreResultOnly: the telemetry plane must
-// be paid for — a warm CompileObserved carrying live counters AND a
-// pooled trace allocates exactly what plain Compile does: one *Output
-// per call. Stage marks are monotonic clock reads into a fixed struct;
-// histogram records (done by the server, not here) are atomic adds.
-// This is the "zero-overhead" in the telemetry plane's contract.
-func TestWarmCompileObservedAllocsAreResultOnly(t *testing.T) {
-	sel, fs := warmSelector(t, "x86", true)
-	ctx := context.Background()
-	var jm repro.Counters
-	var pool telemetry.TracePool
-	for _, f := range fs { // warm the emitter pool and intern the asm texts
-		tr := pool.Get("x86", "ondemand", "alloc-test")
-		if _, err := sel.CompileObserved(ctx, f, &jm, tr); err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(tr)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, f := range fs {
-			tr := pool.Get("x86", "ondemand", "alloc-test")
-			sel.CompileObserved(ctx, f, &jm, tr)
-			pool.Put(tr)
-		}
-	})
-	t.Logf("warm CompileObserved: %.1f allocs per corpus pass over %d forests", allocs, len(fs))
-	if raceEnabled {
-		return
-	}
-	if allocs != float64(len(fs)) {
-		t.Errorf("warm CompileObserved allocates %.1f per corpus pass, want exactly %d (telemetry must be free)",
-			allocs, len(fs))
-	}
-}
-
-// TestWarmCompileAllocsAreResultOnly: a full warm Compile allocates
-// exactly its *Output result and nothing else — zero allocations per
-// node. The emit layer's operand text lives in per-emitter arenas, the
-// virtual-register names and bookkeeping slices are reused across Reset,
-// and the assembly string of previously compiled code comes from the
-// selector's interner instead of a fresh copy. One warm-up pass through
-// Compile (SelectCost warming in warmSelector never touches the
-// emitters) fills the emitter pool and the interner before counting.
-func TestWarmCompileAllocsAreResultOnly(t *testing.T) {
-	sel, fs := warmSelector(t, "x86", true)
-	nodes := 0
-	for _, f := range fs {
-		nodes += f.NumNodes()
-	}
-	ctx := context.Background()
-	for _, f := range fs { // warm the emitter pool and intern the asm texts
-		if _, err := sel.Compile(ctx, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, f := range fs {
-			sel.Compile(ctx, f)
-		}
-	})
-	perNode := (allocs - float64(len(fs))) / float64(nodes)
-	t.Logf("warm Compile: %.1f allocs per corpus pass over %d forests, %.3f/node over %d nodes",
-		allocs, len(fs), perNode, nodes)
-	if raceEnabled {
-		return
-	}
-	if allocs != float64(len(fs)) {
-		t.Errorf("warm Compile allocates %.1f per corpus pass, want exactly %d (one *Output per call, 0/node)",
-			allocs, len(fs))
-	}
 }

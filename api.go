@@ -23,10 +23,10 @@
 //	out, _ := sel.Compile(ctx, unit.Funcs[0].Forest)
 //	fmt.Println(out.Asm, out.Cost)
 //
-// Compile and CompileUnit take a context.Context plus functional options:
+// Compile and CompileUnit take a context.Context plus options:
 // WithCounters(c) attributes this one call's work to c (the compilation
-// server's per-client accounting), CostOnly() skips emission (the cheap
-// experiment path), WithWorkers(n) compiles a unit's functions across n
+// server's per-client accounting), WithTrace(tr) stamps its stage
+// boundaries into tr, and WithWorkers(n) spreads the call across n
 // goroutines sharing the selector's one engine. Cancellation is
 // cooperative: the reducer polls ctx.Done() every few hundred nodes and
 // unit compilation checks between functions, so a cancelled call returns
@@ -42,10 +42,9 @@
 //
 // Every engine implements reduce.Labeler — Label plus the
 // NumStates/NumTransitions/MemoryBytes table stats — and Selector
-// dispatches exclusively through that interface. Engine kinds are bound
-// by a constructor registry: RegisterEngine adds a kind without touching
-// any Selector code, which is how downstream experiments plug in engine
-// variants.
+// dispatches exclusively through that interface. NewSelector builds one
+// of the four kinds; lower-level tooling reaches the engine through
+// Selector.Labeler.
 //
 // # Concurrency
 //
@@ -111,8 +110,8 @@ type (
 	Labeler = reduce.Labeler
 	// Trace is a per-request stage timeline (lease, queue, label,
 	// reduce, emit). Compile stamps it at stage boundaries under
-	// WithTrace/CompileObserved; the compilation server pools and
-	// aggregates them (see internal/telemetry).
+	// WithTrace; the compilation server pools and aggregates them (see
+	// internal/telemetry).
 	Trace = telemetry.Trace
 )
 
@@ -123,59 +122,16 @@ const Inf = grammar.Inf
 type Kind string
 
 // The three engines of the paper's comparison. KindHybrid (hybrid.go) is
-// the fourth registered kind.
+// the fourth kind.
 const (
 	KindDP       Kind = "dp"
 	KindStatic   Kind = "static"
 	KindOnDemand Kind = "ondemand"
 )
 
-// EngineConstructor builds a labeling engine for a machine. Constructors
-// receive the full Options so engine-specific knobs (DeltaCap, ForceHash,
-// Metrics) reach them without Selector knowing which engine wants what.
-type EngineConstructor func(m *Machine, opt Options) (Labeler, error)
-
-var (
-	engineCtors = map[Kind]EngineConstructor{}
-	engineKinds []Kind // registration order, for stable listings
-)
-
-// RegisterEngine binds kind to an engine constructor. Registering a kind
-// twice panics: kinds are process-global identifiers. Call from an init
-// function; registration is not synchronized against concurrent
-// NewSelector calls.
-func RegisterEngine(kind Kind, ctor EngineConstructor) {
-	if _, dup := engineCtors[kind]; dup {
-		panic(fmt.Sprintf("repro: engine kind %q registered twice", kind))
-	}
-	engineCtors[kind] = ctor
-	engineKinds = append(engineKinds, kind)
-}
-
-func init() {
-	RegisterEngine(KindDP, func(m *Machine, opt Options) (Labeler, error) {
-		l, err := dp.New(m.Grammar, m.Env, opt.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		return l, nil
-	})
-	RegisterEngine(KindStatic, newStaticEngine)
-	RegisterEngine(KindOnDemand, func(m *Machine, opt Options) (Labeler, error) {
-		e, err := core.New(m.Grammar, m.Env, core.Config{
-			DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
-			MaxStates: opt.MaxStates,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
-	})
-}
-
-// Kinds lists the registered engine kinds in registration order: dp,
-// static, ondemand, hybrid, then any kind registered downstream.
-func Kinds() []Kind { return append([]Kind(nil), engineKinds...) }
+// Kinds lists the engine kinds NewSelector accepts: dp, static,
+// ondemand, hybrid.
+func Kinds() []Kind { return []Kind{KindDP, KindStatic, KindOnDemand, KindHybrid} }
 
 // Machine is a loaded machine description: grammar plus dynamic-cost
 // bindings.
@@ -238,19 +194,6 @@ func (m *Machine) CompileMinC(src string) (*Unit, error) {
 	return frontend.Lower(prog, m.Grammar)
 }
 
-// CompileUnitParallel compiles every function of unit with sel across
-// workers goroutines sharing sel's one engine — the compilation-server
-// scenario: for the on-demand kind, every worker's misses warm the same
-// automaton.
-//
-// Deprecated: use sel.CompileUnit(ctx, unit, WithWorkers(workers)).
-func (m *Machine) CompileUnitParallel(sel *Selector, unit *Unit, workers int) ([]*Output, error) {
-	if sel.Machine() != m {
-		return nil, fmt.Errorf("repro: selector belongs to machine %q, not %q", sel.Machine().Name, m.Name)
-	}
-	return sel.CompileUnitParallel(unit, workers)
-}
-
 // Options tunes selector construction.
 type Options struct {
 	// Metrics, when non-nil, receives the engine's event counts.
@@ -293,7 +236,6 @@ var ErrStateBudget = core.ErrStateBudget
 type Selector struct {
 	kind    Kind
 	machine *Machine
-	m       *Counters
 
 	eng reduce.Labeler
 	rd  *reduce.Reducer
@@ -308,28 +250,52 @@ type Selector struct {
 	intern *emit.Interner
 }
 
-// NewSelector builds a selector of the given kind (any registered kind;
-// see RegisterEngine).
+// NewSelector builds a selector of the given kind (see Kinds).
 //
 // KindStatic fails for grammars with dynamic-cost rules — that is the
 // limitation the paper lifts; use FixedMachine, KindHybrid or
 // KindOnDemand.
 func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
-	ctor, ok := engineCtors[kind]
-	if !ok {
+	var eng Labeler
+	var err error
+	switch kind {
+	case KindDP:
+		eng, err = dp.New(m.Grammar, m.Env, opt.Metrics)
+	case KindStatic:
+		eng, err = newStaticEngine(m, opt)
+	case KindOnDemand:
+		eng, err = core.New(m.Grammar, m.Env, opt.coreConfig())
+	case KindHybrid:
+		eng, err = newHybridEngine(m, opt)
+	default:
 		return nil, fmt.Errorf("repro: unknown selector kind %q", kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	rd, err := reduce.New(m.Grammar, m.Env, opt.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := ctor(m, opt)
-	if err != nil {
-		return nil, err
+	s := &Selector{kind: kind, machine: m, eng: eng, rd: rd, intern: emit.NewInterner(0)}
+	// All emitters of one selector share its interner, so repeated
+	// compiles of the same functions return the same Asm string without a
+	// per-call copy.
+	s.emitters.New = func() any {
+		e := emit.New(m.Grammar)
+		e.SetInterner(s.intern)
+		return e
 	}
-	s := &Selector{kind: kind, machine: m, m: opt.Metrics, eng: eng, rd: rd, intern: newInterner()}
-	s.emitters.New = func() any { return emitterFor(m.Grammar, s.intern) }
 	return s, nil
+}
+
+// coreConfig is the on-demand engine configuration opt asks for (the
+// whole engine for KindOnDemand, the on-demand half of KindHybrid).
+func (opt Options) coreConfig() core.Config {
+	return core.Config{
+		DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
+		MaxStates: opt.MaxStates,
+	}
 }
 
 // FixedMachine returns a copy of the machine with all dynamic-cost rules
@@ -372,21 +338,15 @@ func (s *Selector) Label(f *Forest) (reduce.Labeling, error) {
 	return s.labelChecked(f, nil, 0)
 }
 
-// CompileOption tunes one Compile or CompileUnit call. Options compose:
-// Compile(ctx, f, WithCounters(c), CostOnly()) is a metered cost-only
-// selection.
-type CompileOption func(*compileConfig)
-
-// compileConfig is the resolved option set of one call. The deprecated
-// shims construct it directly (no variadic slice, no closures), which is
-// what keeps the warm SelectCost path at exactly zero allocations.
-type compileConfig struct {
+// CompileOption tunes one Compile or CompileUnit call. Options are plain
+// values, so passing them allocates nothing; each sets one setting, and
+// a later option of the same kind overrides an earlier one.
+type CompileOption struct {
 	counters *Counters
-	costOnly bool
-	workers  int
 	// trace, when non-nil, receives stage-boundary stamps (label,
 	// reduce, emit). A nil trace costs one pointer test per boundary.
-	trace *telemetry.Trace
+	trace   *Trace
+	workers int
 }
 
 // WithCounters attributes this one call's labeling and reduction events to
@@ -394,26 +354,14 @@ type compileConfig struct {
 // fresh Counters per call; callers merge deltas with Counters.Add. This is
 // the session hook the compilation server (internal/server) uses to
 // account one shared warm engine's work to individual clients.
-func WithCounters(c *Counters) CompileOption {
-	return func(cfg *compileConfig) { cfg.counters = c }
-}
+func WithCounters(c *Counters) CompileOption { return CompileOption{counters: c} }
 
 // WithTrace records this call's stage boundaries into tr, which must
 // have been Begin()-stamped (telemetry.TracePool does). The instrument
 // cost is one monotonic clock read per stage boundary — the warm path
 // stays allocation-free, which alloc_test.go and the PF trajectory's
-// telemetry column gate. Callers on the serving hot path use
-// CompileObserved instead to avoid the option-closure heap allocation.
-func WithTrace(tr *Trace) CompileOption {
-	return func(cfg *compileConfig) { cfg.trace = tr }
-}
-
-// CostOnly skips emission: the call labels and reduces only, and the
-// returned Output carries the derivation cost with empty assembly — the
-// cheap path for experiments and cost probes.
-func CostOnly() CompileOption {
-	return func(cfg *compileConfig) { cfg.costOnly = true }
-}
+// telemetry column gate.
+func WithTrace(tr *Trace) CompileOption { return CompileOption{trace: tr} }
 
 // WithWorkers runs this call's work across n goroutines sharing the
 // selector's one engine (n <= 0 means GOMAXPROCS; 1 is sequential).
@@ -424,55 +372,42 @@ func CostOnly() CompileOption {
 // reduce.ParallelLabeler; the automaton kinds do, DP does not). Results
 // are identical to sequential compilation either way.
 func WithWorkers(n int) CompileOption {
-	return func(cfg *compileConfig) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		cfg.workers = n
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
+	return CompileOption{workers: n}
 }
 
-// Compile selects instructions for f: label, reduce, emit (emission
-// elided under CostOnly). It is the single forest-level entry point of the
-// v2 surface; the legacy CompileMetered/SelectCost/SelectCostMetered
-// methods are thin deprecated shims over it.
+// resolveOpts merges a call's options into one setting each.
+func resolveOpts(opts []CompileOption) CompileOption {
+	var cfg CompileOption
+	for _, o := range opts {
+		if o.counters != nil {
+			cfg.counters = o.counters
+		}
+		if o.trace != nil {
+			cfg.trace = o.trace
+		}
+		if o.workers != 0 {
+			cfg.workers = o.workers
+		}
+	}
+	return cfg
+}
+
+// Compile selects instructions for f: label, reduce, emit. It is the
+// single forest-level entry point; warm, it allocates exactly its
+// *Output, with or without options.
 //
 // Cancellation is cooperative: ctx is checked before labeling and then at
 // reducer checkpoints every few hundred nodes, so a cancelled compile of
 // an arbitrarily large forest returns ctx.Err() within a bounded amount of
 // work. context.Background() costs nothing on the warm path.
 func (s *Selector) Compile(ctx context.Context, f *Forest, opts ...CompileOption) (*Output, error) {
-	cfg := resolveOpts(opts)
-	return s.compile(ctx, f, &cfg)
+	return s.compile(ctx, f, resolveOpts(opts))
 }
 
-// resolveOpts applies a call's options to a fresh config. Kept out of the
-// callers so their cfg stays on the stack when no options are passed: the
-// dynamic option calls happen against this function's own copy (which
-// escape analysis must heap-allocate), so the common Compile(ctx, f) path
-// allocates only its *Output.
-func resolveOpts(opts []CompileOption) compileConfig {
-	if len(opts) == 0 {
-		return compileConfig{}
-	}
-	// cfg is declared on the options path only: its address reaches the
-	// option closures, so it is heap-allocated — but just for calls that
-	// actually pass options.
-	var cfg compileConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-func (s *Selector) compile(ctx context.Context, f *Forest, cfg *compileConfig) (*Output, error) {
-	if cfg.costOnly {
-		cost, err := s.selectCostTraced(ctx, f, cfg.counters, cfg.workers, cfg.trace)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Cost: cost}, nil
-	}
+func (s *Selector) compile(ctx context.Context, f *Forest, cfg CompileOption) (*Output, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -500,34 +435,6 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg *compileConfig) (
 	return out, nil
 }
 
-// selectCost is the shared cost-only path: label + reduce, no emitter and
-// no Output allocation, so a warm call allocates nothing at all.
-func (s *Selector) selectCost(ctx context.Context, f *Forest, m *Counters) (Cost, error) {
-	return s.selectCostWorkers(ctx, f, m, 0)
-}
-
-// selectCostWorkers is selectCost with optional level-parallel labeling.
-func (s *Selector) selectCostWorkers(ctx context.Context, f *Forest, m *Counters, workers int) (Cost, error) {
-	return s.selectCostTraced(ctx, f, m, workers, nil)
-}
-
-// selectCostTraced is the traced form: label and reduce stamps, no
-// emit stage (cost-only calls elide emission).
-func (s *Selector) selectCostTraced(ctx context.Context, f *Forest, m *Counters, workers int, tr *telemetry.Trace) (Cost, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	lab, err := s.labelChecked(f, m, workers)
-	tr.Mark(telemetry.StageLabel)
-	if err != nil {
-		return 0, err
-	}
-	defer s.releaseLabeling(lab)
-	cost, err := s.rd.CoverContext(ctx, f, lab, nil, m)
-	tr.Mark(telemetry.StageReduce)
-	return cost, err
-}
-
 // labelChecked labels f, converting the engine's typed state-budget panic
 // (Options.MaxStates exceeded; see core.Config.MaxStates) into an error.
 // Any other panic — a user dynamic-cost function blowing up — propagates
@@ -543,40 +450,6 @@ func (s *Selector) labelChecked(f *Forest, m *Counters, workers int) (lab reduce
 		}
 	}()
 	return s.labelMetered(f, m, workers), nil
-}
-
-// CompileObserved is Compile with per-call counter attribution and
-// trace stage stamps: the compilation server's hot path. Like the
-// deprecated shims it constructs its config directly — no variadic
-// slice, no option closures — which keeps the warm observed Compile at
-// exactly the same allocations as the bare one (its one *Output).
-// Either argument may be nil.
-func (s *Selector) CompileObserved(ctx context.Context, f *Forest, m *Counters, tr *Trace) (*Output, error) {
-	cfg := compileConfig{counters: m, trace: tr}
-	return s.compile(ctx, f, &cfg)
-}
-
-// CompileMetered is Compile with per-call counter attribution.
-//
-// Deprecated: use Compile(ctx, f, WithCounters(m)).
-func (s *Selector) CompileMetered(f *Forest, m *Counters) (*Output, error) {
-	return s.compile(context.Background(), f, &compileConfig{counters: m})
-}
-
-// SelectCost labels and reduces without emitting, returning only the
-// derivation cost. Warm, it allocates nothing: the labeling and the
-// reducer's working set are pooled.
-//
-// Deprecated: use Compile(ctx, f, CostOnly()) and read Output.Cost.
-func (s *Selector) SelectCost(f *Forest) (Cost, error) {
-	return s.selectCost(context.Background(), f, nil)
-}
-
-// SelectCostMetered is SelectCost with per-call counter attribution.
-//
-// Deprecated: use Compile(ctx, f, CostOnly(), WithCounters(m)).
-func (s *Selector) SelectCostMetered(f *Forest, m *Counters) (Cost, error) {
-	return s.selectCost(context.Background(), f, m)
 }
 
 // releaseLabeling hands a labeling that Compile obtained internally back
@@ -621,15 +494,8 @@ func (s *Selector) labelMetered(f *Forest, m *Counters, workers int) reduce.Labe
 // functions fail with ctx.Err().
 func (s *Selector) CompileUnit(ctx context.Context, u *Unit, opts ...CompileOption) ([]*Output, error) {
 	cfg := resolveOpts(opts)
-	return s.compileUnit(ctx, u, &cfg)
-}
-
-func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig) ([]*Output, error) {
 	n := len(u.Funcs)
-	workers := cfg.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(cfg.workers, n)
 	// The per-function config: when the unit has fewer functions than
 	// requested workers — one big function is the common case — the surplus
 	// parallelism flows inward as level-parallel labeling of each forest
@@ -637,18 +503,18 @@ func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig)
 	// functions to occupy every worker, inner compiles label sequentially:
 	// function-level parallelism already saturates the workers, and nested
 	// fan-out would just multiply goroutines.
-	inner := *cfg
+	inner := cfg
 	inner.workers = 0
 	if cfg.workers > n {
 		inner.workers = cfg.workers
 	}
+	outs := make([]*Output, n)
 	if workers <= 1 {
-		outs := make([]*Output, n)
 		for i := range u.Funcs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out, err := s.compile(ctx, u.Funcs[i].Forest, &inner)
+			out, err := s.compile(ctx, u.Funcs[i].Forest, inner)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", u.Funcs[i].Name, err)
 			}
@@ -656,7 +522,6 @@ func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig)
 		}
 		return outs, nil
 	}
-	outs := make([]*Output, n)
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -676,7 +541,7 @@ func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig)
 					errs[i] = err
 					continue
 				}
-				outs[i], errs[i] = s.compile(ctx, u.Funcs[i].Forest, &inner)
+				outs[i], errs[i] = s.compile(ctx, u.Funcs[i].Forest, inner)
 			}
 		}()
 	}
@@ -687,17 +552,6 @@ func (s *Selector) compileUnit(ctx context.Context, u *Unit, cfg *compileConfig)
 		}
 	}
 	return outs, nil
-}
-
-// CompileUnitParallel compiles the functions of unit across workers
-// goroutines sharing this selector.
-//
-// Deprecated: use CompileUnit(ctx, u, WithWorkers(workers)).
-func (s *Selector) CompileUnitParallel(u *Unit, workers int) ([]*Output, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return s.compileUnit(context.Background(), u, &compileConfig{workers: workers})
 }
 
 // Snapshot is a point-in-time view of a selector's automaton warmth. The

@@ -105,9 +105,6 @@ int f(int n) {
 		t.Errorf("engines disagree: dp(%d,%d) vs od(%d,%d)",
 			a.Cost, a.Instructions, b.Cost, b.Instructions)
 	}
-	if got, err := odSel.Compile(context.Background(), f, repro.CostOnly()); err != nil || got.Cost != a.Cost {
-		t.Errorf("CostOnly compile = %v, %v; want cost %d", got, err, a.Cost)
-	}
 }
 
 func TestStaticRefusesDynamicGrammar(t *testing.T) {

@@ -1,5 +1,5 @@
-// Root benchmarks: one testing.B entry per experiment table/figure (see
-// DESIGN.md §3 and EXPERIMENTS.md). Work-unit tables come from
+// Root benchmarks: one testing.B entry per experiment table/figure (E1–E8,
+// the RunE* functions of internal/bench). Work-unit tables come from
 // cmd/iselbench; these benchmarks supply the wall-clock and allocation
 // analogues (`go test -bench=. -benchmem`).
 package repro_test
@@ -206,11 +206,15 @@ func BenchmarkOnDemandWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, f := range fs { // warm: every transition constructed
-		if _, err := sel.SelectCost(f); err != nil {
+		if _, err := sel.Compile(context.Background(), f); err != nil {
 			b.Fatal(err)
 		}
 	}
 	eng := sel.Labeler().(*core.Engine)
+	rd, err := reduce.New(d.Grammar, d.Env, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("label", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -224,9 +228,11 @@ func BenchmarkOnDemandWarm(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, f := range fs {
-				if _, err := sel.SelectCost(f); err != nil {
+				lab := eng.LabelStates(f)
+				if _, err := rd.Cover(f, lab, nil); err != nil {
 					b.Fatal(err)
 				}
+				eng.ReleaseLabeling(lab)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")

@@ -38,8 +38,8 @@ func TestCompilePreCancelled(t *testing.T) {
 	if _, err := sel.Compile(ctx, f); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compile on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := sel.Compile(ctx, f, repro.CostOnly()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CostOnly Compile on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := sel.Compile(ctx, f, repro.WithWorkers(2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("level-parallel Compile on cancelled ctx = %v, want context.Canceled", err)
 	}
 	unit, err := m.CompileMinC("int main() { return 1; }")
 	if err != nil {

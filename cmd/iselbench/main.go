@@ -1,5 +1,6 @@
 // Command iselbench regenerates the evaluation tables and figures of the
-// reproduction (see DESIGN.md §3 and EXPERIMENTS.md).
+// reproduction (E1–E8, the RunE* functions of internal/bench) and runs the
+// EP, SV and PF experiments below.
 //
 // Usage:
 //

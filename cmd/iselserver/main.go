@@ -37,10 +37,10 @@
 // -shed turns a saturated queue from backpressure into load shedding
 // (jobs that would block answer 429 with Retry-After). POST /evict resets
 // a machine (a capped automaton starts over without a restart).
-// -max-machines keeps at most N engines live, evicting the least recently
-// used; -max-table-bytes bounds the summed resident table bytes the same
-// way (live versions draining through a swap count toward the budget but
-// are never its victims — cold machines are).
+// -max-table-bytes bounds the summed resident table bytes, evicting the
+// least recently used machine (live versions draining through a swap
+// count toward the budget but are never its victims — cold machines
+// are).
 //
 // With -automaton-dir, each machine's saved on-demand tables are loaded
 // at boot (warm start: zero misses on traffic the previous run saw) and
@@ -103,7 +103,6 @@ func main() {
 	maxStates := flag.Int("max-states", 0, "state budget per on-demand automaton (0 = unlimited; exhausted budgets answer 503)")
 	autoDir := flag.String("automaton-dir", "", "directory of persisted automata: loaded per machine at boot, saved on graceful drain")
 	preload := flag.String("preload", "", "directory of iselgen .isel blobs: machines with a <machine>.isel file are served from those tables (static, or hybrid for a grammar with dynamic-cost rules)")
-	maxMachines := flag.Int("max-machines", 0, "keep at most N engines constructed, evicting the least recently used (0 = unlimited)")
 	maxTableBytes := flag.Int("max-table-bytes", 0, "byte budget for summed resident table bytes, evicting the least recently used machine when exceeded (0 = unlimited)")
 	shed := flag.Bool("shed", false, "shed load when the work queue is full (429 + Retry-After) instead of blocking the submitter")
 	role := flag.String("role", "standalone", "serving role: standalone, replica (fleet member with blob exchange), or router (fleet front end)")
@@ -124,7 +123,7 @@ func main() {
 		machines: *machines, kind: *kind, addr: *addr,
 		autoDir: *autoDir, preload: *preload,
 		workers: *workers, queue: *queue,
-		maxStates: *maxStates, maxMachines: *maxMachines, maxTableBytes: *maxTableBytes,
+		maxStates: *maxStates, maxTableBytes: *maxTableBytes,
 		timeout: *timeout, shed: *shed,
 		role: *role, peers: splitList(*peers), self: *self,
 		replication: *replication, blobCache: *blobCache,
@@ -148,11 +147,10 @@ func main() {
 }
 
 type serveConfig struct {
-	machines, kind, addr, autoDir, preload string
-	workers, queue, maxStates, maxMachines int
-	maxTableBytes                          int
-	timeout                                time.Duration
-	shed                                   bool
+	machines, kind, addr, autoDir, preload   string
+	workers, queue, maxStates, maxTableBytes int
+	timeout                                  time.Duration
+	shed                                     bool
 
 	role, self, blobCache string
 	peers                 []string
@@ -271,9 +269,6 @@ func run(cfg serveConfig) error {
 	if cfg.autoDir != "" {
 		reg.SetAutomatonDir(cfg.autoDir)
 	}
-	if cfg.maxMachines > 0 {
-		reg.SetMaxMachines(cfg.maxMachines)
-	}
 	if cfg.maxTableBytes > 0 {
 		reg.SetMaxTableBytes(cfg.maxTableBytes)
 	}
@@ -302,24 +297,29 @@ func run(cfg serveConfig) error {
 	}
 	// Construct engines at boot: it surfaces bad machine names before the
 	// listener opens, and it is the moment persisted/preloaded tables
-	// restore so first traffic is already warm. With -max-machines below
-	// the machine count, warming everything would just construct-and-evict
-	// in registration order, so only the first N (the default machine
-	// first) warm eagerly; the rest construct on their first request. The
-	// eagerly warmed set is what /readyz vouches for.
-	warmN := len(names)
-	if cfg.maxMachines > 0 && cfg.maxMachines < warmN {
-		warmN = cfg.maxMachines
-		fmt.Printf("iselserver: -max-machines %d < %d machines; warming %s eagerly, the rest construct on first request\n",
-			cfg.maxMachines, len(names), strings.Join(names[:warmN], ","))
-	}
-	for _, name := range names[:warmN] {
+	// restore so first traffic is already warm. Under a -max-table-bytes
+	// budget below the machines' total, the boot warm itself evicts the
+	// least recently warmed ones; they construct again on their first
+	// request. The machines still resident afterwards are what /readyz
+	// vouches for.
+	for _, name := range names {
 		if err := reg.Warm(name); err != nil {
 			return err
 		}
-		if err := reg.ExpectWarm(name); err != nil {
+	}
+	var cold []string
+	for _, st := range reg.Status() {
+		if !st.Constructed {
+			cold = append(cold, st.Machine)
+			continue
+		}
+		if err := reg.ExpectWarm(st.Machine); err != nil {
 			return err
 		}
+	}
+	if len(cold) > 0 {
+		fmt.Printf("iselserver: -max-table-bytes %d holds %d of %d machines; cold until their first request: %s\n",
+			cfg.maxTableBytes, len(names)-len(cold), len(names), strings.Join(cold, ","))
 	}
 	if cfg.autoDir != "" {
 		for name, snap := range reg.Snapshots() {

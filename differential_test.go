@@ -9,7 +9,7 @@ import (
 	"repro/internal/ir"
 )
 
-// The cross-engine differential suite: every registered engine kind must
+// The cross-engine differential suite: every engine kind must
 // produce identical labelings, selection costs and emitted code on the
 // same inputs. The dp engine is the oracle (it computes the cost tables
 // directly, per grammar definition); the automaton engines must agree
@@ -19,7 +19,7 @@ import (
 //
 // Two arenas per machine: the full grammar (dynamic costs active; every
 // kind that can host them) and the stripped fixed-cost grammar (every
-// registered kind — including the static automaton, which cannot host
+// kind — including the static automaton, which cannot host
 // dynamic rules at all).
 
 // diffSeeds is the number of seeded forests per machine description per
@@ -117,29 +117,17 @@ func (a *arena) compare(t *testing.T, f *ir.Forest, seed int) bool {
 		}
 	}
 
-	refCost, refErr := a.sels[ref].SelectCost(f)
-	var refOut *repro.Output
-	if refErr == nil {
-		var err error
-		refOut, err = a.sels[ref].Compile(context.Background(), f)
-		if err != nil {
-			t.Fatalf("%s seed %d: %s compile after successful SelectCost: %v", a.name, seed, ref, err)
-		}
-	}
+	refOut, refErr := a.sels[ref].Compile(context.Background(), f)
 	for _, kind := range a.kinds[1:] {
-		cost, err := a.sels[kind].SelectCost(f)
+		out, err := a.sels[kind].Compile(context.Background(), f)
 		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%s seed %d: %s SelectCost err=%v but %s err=%v", a.name, seed, kind, err, ref, refErr)
+			t.Fatalf("%s seed %d: %s compile err=%v but %s err=%v", a.name, seed, kind, err, ref, refErr)
 		}
 		if refErr != nil {
 			continue
 		}
-		if cost != refCost {
-			t.Fatalf("%s seed %d: %s cost %d != %s cost %d", a.name, seed, kind, cost, ref, refCost)
-		}
-		out, err := a.sels[kind].Compile(context.Background(), f)
-		if err != nil {
-			t.Fatalf("%s seed %d: %s compile: %v", a.name, seed, kind, err)
+		if out.Cost != refOut.Cost {
+			t.Fatalf("%s seed %d: %s cost %d != %s cost %d", a.name, seed, kind, out.Cost, ref, refOut.Cost)
 		}
 		if out.Asm != refOut.Asm || out.Instructions != refOut.Instructions || out.Cost != refOut.Cost {
 			t.Fatalf("%s seed %d: %s emitted output differs from %s:\n%s\n--- vs ---\n%s",
@@ -150,12 +138,12 @@ func (a *arena) compare(t *testing.T, f *ir.Forest, seed int) bool {
 }
 
 // TestDifferentialEngines drives diffSeeds random forests per machine
-// description through every registered engine kind and requires identical
+// description through every engine kind and requires identical
 // results everywhere.
 func TestDifferentialEngines(t *testing.T) {
 	kinds := repro.Kinds()
 	if len(kinds) < 3 {
-		t.Fatalf("registered kinds = %v, want at least the three built-ins", kinds)
+		t.Fatalf("kinds = %v, want at least the three built-ins", kinds)
 	}
 	for _, name := range repro.Machines() {
 		t.Run(name, func(t *testing.T) {
@@ -195,7 +183,7 @@ func TestDifferentialEngines(t *testing.T) {
 					m.Grammar.HasAnyDynRules(), full.kinds)
 			}
 
-			// Fixed-grammar arena: every registered kind, no exceptions —
+			// Fixed-grammar arena: every kind, no exceptions —
 			// in particular the static engine's expanded ahead-of-time
 			// tables must agree with every other kind here.
 			fx := &arena{name: name + ".fixed", g: fixed.Grammar, sels: map[repro.Kind]*repro.Selector{}}

@@ -15,7 +15,7 @@ import (
 )
 
 // iselTarget is one machine whose table-backed engine FuzzISELDecode
-// feeds blobs to, with the corpus it must then label and reduce.
+// feeds blobs to, with the corpus it must then compile.
 type iselTarget struct {
 	m       *repro.Machine
 	kind    repro.Kind
@@ -69,17 +69,17 @@ func reseal(blob []byte) []byte {
 
 // FuzzISELDecode: arbitrary bytes, as given and resealed, go through the
 // one blob path — Options.PreloadPath, gen.Decode, the table validator —
-// for every target. Each must yield an error or an engine that labels and
-// reduces the target's whole corpus without panicking. A well-formed blob
-// can carry wrong transitions, so accepted inputs are not held to DP; the
+// for every target. Each must yield an error or an engine that compiles
+// the target's whole corpus without panicking. A well-formed blob can
+// carry wrong transitions, so accepted inputs are not held to DP; the
 // seeds are: the two committed precompiled blobs and freshly compiled x86
-// and x86.fixed blobs must load and match the dp oracle's cost on every
-// corpus forest.
+// and x86.fixed blobs must load and match the dp oracle's cost and
+// assembly on every corpus forest.
 func FuzzISELDecode(f *testing.F) {
 	targets := iselTargets(f)
 	var seeds [][]byte
 	for _, tg := range targets {
-		if blob, ok := gen.Lookup(gen.Fingerprint(tg.m.Grammar)); ok {
+		if blob, ok := gen.Lookup(tg.m.Grammar.Fingerprint()); ok {
 			seeds = append(seeds, blob) // committed: demo.fixed, jit64.fixed
 		} else {
 			res, err := gen.Compile(tg.m.Grammar, gen.Config{})
@@ -105,9 +105,9 @@ func FuzzISELDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		for j, forest := range tg.forests {
-			want, wantErr := oracle.Compile(ctx, forest, repro.CostOnly())
-			got, err := sel.Compile(ctx, forest, repro.CostOnly())
-			if (err == nil) != (wantErr == nil) || err == nil && got.Cost != want.Cost {
+			want, wantErr := oracle.Compile(ctx, forest)
+			got, err := sel.Compile(ctx, forest)
+			if (err == nil) != (wantErr == nil) || err == nil && (got.Cost != want.Cost || got.Asm != want.Asm) {
 				f.Fatalf("%s seed, forest %d: %s (%v) disagrees with dp (%v)", tg.m.Name, j, tg.kind, err, wantErr)
 			}
 		}
@@ -126,7 +126,7 @@ func FuzzISELDecode(f *testing.F) {
 					continue // rejected with an error: the other allowed outcome
 				}
 				for _, forest := range tg.forests {
-					sel.Compile(ctx, forest, repro.CostOnly())
+					sel.Compile(ctx, forest)
 				}
 			}
 		}

@@ -35,10 +35,6 @@ const KindHybrid Kind = "hybrid"
 // offline half. Match with errors.Is and fall back to KindOnDemand.
 var ErrNoFixedClosure = automaton.ErrNoFixedClosure
 
-func init() {
-	RegisterEngine(KindHybrid, newHybridEngine)
-}
-
 func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
 	ts, err := tableSet(m, opt)
 	if err != nil {
@@ -48,10 +44,7 @@ func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
 	}
-	h, err := core.NewHybrid(m.Grammar, m.Env, core.Config{
-		DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
-		MaxStates: opt.MaxStates,
-	}, ov)
+	h, err := core.NewHybrid(m.Grammar, m.Env, opt.coreConfig(), ov)
 	if err != nil {
 		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
 	}

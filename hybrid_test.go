@@ -397,7 +397,7 @@ func fuzzArenaFor(mask uint8) *fuzzHybridArena {
 
 // FuzzHybridBoundary: across seeded random grammars mixing fixed and
 // dynamic rules (mask) and seeded random forests, the hybrid engine's
-// labels and SelectCost must equal the on-demand engine's node for node —
+// labels and Compile output must equal the on-demand engine's node for node —
 // the silent-divergence check on the fallthrough boundary. When every
 // leaf rule is dynamic the hybrid must refuse with the typed error, never
 // construct wrong.
@@ -447,13 +447,14 @@ func FuzzHybridBoundary(f *testing.F) {
 				}
 			}
 		}
-		costH, errH := a.hybrid.SelectCost(forest)
-		costO, errO := a.onDemand.SelectCost(forest)
+		outH, errH := a.hybrid.Compile(context.Background(), forest)
+		outO, errO := a.onDemand.Compile(context.Background(), forest)
 		if (errH == nil) != (errO == nil) {
 			t.Fatalf("mask %06b seed %d: hybrid err=%v, on-demand err=%v", mask, seed, errH, errO)
 		}
-		if errH == nil && costH != costO {
-			t.Fatalf("mask %06b seed %d: hybrid cost %d != on-demand cost %d", mask, seed, costH, costO)
+		if errH == nil && (outH.Cost != outO.Cost || outH.Asm != outO.Asm) {
+			t.Fatalf("mask %06b seed %d: hybrid cost %d != on-demand cost %d, or their assembly differs",
+				mask, seed, outH.Cost, outO.Cost)
 		}
 	})
 }

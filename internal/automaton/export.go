@@ -216,6 +216,34 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 // expansion is refused, so compact-plus-ExpandBytes is always the true
 // serving footprint.
 func ExpandBytes(g *grammar.Grammar, states int) int {
+	if b := gridBytes(g, states); b <= ExpandMaxBytes {
+		return b
+	}
+	return 0
+}
+
+// ExpandMaxStates is the largest state count whose direct arrays for g
+// fit ExpandMaxBytes: the bound on the child state ids any direct
+// state-indexed table for g's fixed operators may be sized by. The
+// on-demand engine routes ids past it to its hash path.
+func ExpandMaxStates(g *grammar.Grammar) int {
+	// gridBytes grows with the state count and exceeds the bound at hi
+	// (unless g has no fixed unary or binary operator at all).
+	lo, hi := 0, ExpandMaxBytes/4+1
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if gridBytes(g, mid) <= ExpandMaxBytes {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// gridBytes is the size of direct arrays over states child states for
+// g's fixed operators: 4·states per unary operator, 4·states² per binary.
+func gridBytes(g *grammar.Grammar, states int) int {
 	b := 0
 	for op := range g.Ops {
 		if g.HasDynRules(grammar.OpID(op)) {
@@ -227,9 +255,6 @@ func ExpandBytes(g *grammar.Grammar, states int) int {
 		case 2:
 			b += 4 * states * states
 		}
-	}
-	if b > ExpandMaxBytes {
-		return 0
 	}
 	return b
 }

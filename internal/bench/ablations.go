@@ -11,9 +11,9 @@ import (
 )
 
 // RunAblationDeltaCap measures how the delta-cost cap (the finite-state
-// safety valve, DESIGN.md §5) affects offline state counts. For realistic
-// grammars the cap should be irrelevant until it gets close to the cost
-// spread of the rules.
+// safety valve, automaton.DefaultDeltaCap) affects offline state counts.
+// For realistic grammars the cap should be irrelevant until it gets close
+// to the cost spread of the rules.
 func RunAblationDeltaCap() (*Table, error) {
 	caps := []int{1, 2, 4, 8, 32, 128, int(automaton.DefaultDeltaCap)}
 	t := &Table{
@@ -43,8 +43,8 @@ func RunAblationDeltaCap() (*Table, error) {
 }
 
 // RunAblationHash compares the dense direct-lookup transition arrays
-// against routing everything through the hash table (Config.ForceHash),
-// the table-layout trade-off of DESIGN.md §5.
+// against routing everything through the hash table (Config.ForceHash):
+// the table-layout trade-off described in package core's documentation.
 func RunAblationHash(gname string) (*Table, error) {
 	d, err := md.Load(gname)
 	if err != nil {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// These tests pin the qualitative claims the experiments must show (see
-// DESIGN.md §3): who wins, in which direction, and that the tables render.
+// These tests pin the qualitative claims the experiments must show: who
+// wins, in which direction, and that the tables render.
 
 func TestE1Shapes(t *testing.T) {
 	rows, table, err := RunE1()

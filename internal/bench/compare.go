@@ -110,10 +110,9 @@ func ComparePerf(base, cur *PerfReport, tolPct float64, allocsOnly bool) []strin
 		}
 		// Within-report telemetry-overhead contract: the label stage's
 		// instrumentation (one boundary stamp per forest) may cost at most
-		// 2% over the bare warm label pass, plus the half-ns/node noise
-		// floor — a single TSC read across a ~60-node forest is ~0.3
-		// ns/node, the quantum of the measurement itself, and a ratio gate
-		// below the quantum would gate clock hardware, not code (the same
+		// 2% over the bare warm label pass, plus a half-ns/node noise
+		// floor — the pass pays one TSC read per ~57-node forest, and a
+		// pure ratio gate would gate the clock, not code (the same
 		// reasoning exceeded() applies to zero-allocation baselines). Both
 		// figures come from paired windows in the same run, so the ratio
 		// is meaningful where cross-run wall-clock is not; allocsOnly

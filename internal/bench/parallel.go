@@ -118,7 +118,7 @@ func RunParallel(gname string, workerCounts []int, passes int) ([]EPRow, *Table,
 
 // labelAll labels every forest once, fanned out over `workers` goroutines
 // pulling from a shared atomic index — the same worker-pool shape as
-// Selector.CompileUnitParallel.
+// Selector.CompileUnit under WithWorkers.
 func labelAll(e *core.Engine, fs []*ir.Forest, workers int) {
 	if workers <= 1 {
 		for _, f := range fs {

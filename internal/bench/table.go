@@ -1,7 +1,7 @@
 // Package bench implements the experiment harness: every table and figure
-// of the reconstructed evaluation (see DESIGN.md §3) is regenerated by a
-// RunE* function that returns a formatted Table plus structured rows the
-// tests assert qualitative shapes on.
+// of the reconstructed evaluation (E1–E8, experiments.go) is regenerated
+// by a RunE* function that returns a formatted Table plus structured rows
+// the tests assert qualitative shapes on.
 package bench
 
 import (

@@ -81,14 +81,14 @@ func ResolveBlobRecipe(name, path string) (Recipe, error) {
 // tables belong to, named like m — the one election behind both
 // ResolveBlobRecipe and ValidateBlob.
 func electMachine(m *repro.Machine, hdr *gen.Header) (*repro.Machine, error) {
-	if gen.Fingerprint(m.Grammar) == hdr.Fingerprint {
+	if m.Grammar.Fingerprint() == hdr.Fingerprint {
 		return m, nil
 	}
 	fixed, err := m.FixedMachine()
 	if err != nil {
 		return nil, err
 	}
-	if gen.Fingerprint(fixed.Grammar) != hdr.Fingerprint {
+	if fixed.Grammar.Fingerprint() != hdr.Fingerprint {
 		return nil, fmt.Errorf("tables were generated for grammar %q, which matches neither machine %s nor its fixed subset (regenerate with iselgen)",
 			hdr.Grammar, m.Name)
 	}

@@ -31,6 +31,13 @@
 // state list is append-only, so an id read from any published table cell
 // always resolves.
 //
+// A grid is sized by the largest child id it has seen, so ids are capped:
+// transitions with a child id past automaton.ExpandMaxStates(g) — which
+// keeps all dense tables together within automaton.ExpandMaxBytes — go to
+// the operator's hash table instead, the path ForceHash uses for all of
+// them. Engines seeded with thousands of states (a hybrid's blob may claim
+// them) therefore stay bounded under traffic.
+//
 // # Concurrency
 //
 // One warm engine can serve many goroutines — the compilation-server
@@ -143,6 +150,9 @@ type Engine struct {
 	deltaCap grammar.Cost
 	m        *metrics.Counters
 	force    bool
+	// denseIDs bounds the child state ids the dense tables index; see
+	// the package documentation.
+	denseIDs int32
 
 	// mus serializes the construct slow path per operator: state
 	// construction, dense table growth and hash insertion. Misses on
@@ -196,6 +206,7 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 		deltaCap: cfg.DeltaCap,
 		m:        cfg.Metrics,
 		force:    cfg.ForceHash,
+		denseIDs: int32(automaton.ExpandMaxStates(g)),
 		mus:      make([]sync.Mutex, g.NumOps()),
 		leaf:     make([]atomic.Int32, g.NumOps()),
 		un:       make([]atomic.Pointer[unRow], g.NumOps()),
@@ -349,7 +360,7 @@ func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 				}
 			}
 		}
-		return e.missUn(op, kid, m)
+		return e.missUn(op, n, ids, m)
 	default:
 		l := ids[n.Kids[0].Index]
 		r := ids[n.Kids[1].Index]
@@ -359,7 +370,7 @@ func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 				return id
 			}
 		}
-		return e.missBin(op, l, r, m)
+		return e.missBin(op, n, ids, m)
 	}
 }
 
@@ -379,7 +390,13 @@ func (e *Engine) missLeaf(op grammar.OpID, m *metrics.Counters) int32 {
 	return s.ID
 }
 
-func (e *Engine) missUn(op grammar.OpID, kid int32, m *metrics.Counters) int32 {
+// missUn is the unary slow path; a child id past the dense bound takes
+// the hash path instead.
+func (e *Engine) missUn(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
+	kid := ids[n.Kids[0].Index]
+	if kid >= e.denseIDs {
+		return e.labelForced(op, n, ids, m)
+	}
 	e.mus[op].Lock()
 	defer e.mus[op].Unlock()
 	if rp := e.un[op].Load(); rp != nil {
@@ -397,7 +414,12 @@ func (e *Engine) missUn(op grammar.OpID, kid int32, m *metrics.Counters) int32 {
 	return s.ID
 }
 
-func (e *Engine) missBin(op grammar.OpID, l, r int32, m *metrics.Counters) int32 {
+// missBin is missUn for binary operators.
+func (e *Engine) missBin(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
+	l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
+	if l >= e.denseIDs || r >= e.denseIDs {
+		return e.labelForced(op, n, ids, m)
+	}
 	e.mus[op].Lock()
 	defer e.mus[op].Unlock()
 	if t := e.bin[op].Load(); t != nil && l < t.rows && r < t.stride {
@@ -414,8 +436,13 @@ func (e *Engine) missBin(op grammar.OpID, l, r int32, m *metrics.Counters) int32
 }
 
 // setUnLocked writes un[op][kid] = id, growing the row copy-on-write when
-// kid is out of range. Caller holds e.mus[op].
+// kid is out of range; a kid past the dense bound goes to the hash table.
+// Caller holds e.mus[op].
 func (e *Engine) setUnLocked(op grammar.OpID, kid int, id int32) {
+	if kid >= int(e.denseIDs) {
+		e.setHashLocked(op, uint64(kid)<<32, id)
+		return
+	}
 	rp := e.un[op].Load()
 	if rp != nil && kid < len(*rp) {
 		atomic.StoreInt32(&(*rp)[kid], id)
@@ -425,7 +452,7 @@ func (e *Engine) setUnLocked(op grammar.OpID, kid int, id int32) {
 	if rp != nil {
 		old = *rp
 	}
-	row := make(unRow, kid+1+growSlack)
+	row := make(unRow, min(kid+1+growSlack, int(e.denseIDs)))
 	copy(row, old)
 	for i := len(old); i < len(row); i++ {
 		row[i] = -1
@@ -436,15 +463,19 @@ func (e *Engine) setUnLocked(op grammar.OpID, kid int, id int32) {
 }
 
 // setBinLocked writes bin[op][l][r] = id, growing the grid copy-on-write
-// (both dimensions at once) when (l, r) is out of range. Caller holds
-// e.mus[op].
+// (both dimensions at once) when (l, r) is out of range; ids past the
+// dense bound go to the hash table. Caller holds e.mus[op].
 func (e *Engine) setBinLocked(op grammar.OpID, l, r int, id int32) {
+	if l >= int(e.denseIDs) || r >= int(e.denseIDs) {
+		e.setHashLocked(op, uint64(l)<<32|uint64(r), id)
+		return
+	}
 	old := e.bin[op].Load()
 	if old != nil && int32(l) < old.rows && int32(r) < old.stride {
 		atomic.StoreInt32(&old.cells[int32(l)*old.stride+int32(r)], id)
 		return
 	}
-	rows, stride := int32(l+1+growSlack), int32(r+1+growSlack)
+	rows, stride := min(int32(l+1+growSlack), e.denseIDs), min(int32(r+1+growSlack), e.denseIDs)
 	if old != nil {
 		if old.rows > rows {
 			rows = old.rows
@@ -465,6 +496,14 @@ func (e *Engine) setBinLocked(op grammar.OpID, l, r int, id int32) {
 	t.cells[int32(l)*stride+int32(r)] = id
 	// Fully populated before publication.
 	e.bin[op].Store(t)
+}
+
+// setHashLocked memoizes a fixed-operator transition with a child id past
+// the dense bound in op's hash table, under the key labelForced probes:
+// l<<32|r. Caller holds e.mus[op].
+func (e *Engine) setHashLocked(op grammar.OpID, lr uint64, id int32) {
+	key := []uint64{lr}
+	e.insertDynLocked(op, key, hashKey(key), id)
 }
 
 // addTransition accounts one memoized transition. Caller holds the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/automaton"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/md"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // TestFixedGrammarNoDynWork: on a grammar without dynamic rules, the warm
@@ -182,6 +184,82 @@ x: U(x) (1)
 			}
 		}
 	}
+}
+
+// TestDenseBoundRoutesToHash: fixed-operator transitions with a child
+// state id past the dense bound take the operator's hash table instead of
+// sizing a grid by that id. With the bound lowered below the x86 corpus's
+// state count, labels still match DP and no dense table outgrows the
+// bound; loading a saved automaton — saved under the same bound, or
+// under the default one with dense cells past it — restores every
+// transition warm, the ones past the bound into the hash tables.
+func TestDenseBoundRoutesToHash(t *testing.T) {
+	const bound = 8
+	d := md.MustLoad("x86")
+	var fs []*ir.Forest
+	for _, c := range workload.MustCompileAll(d.Grammar) {
+		fs = append(fs, c.Forests()...)
+	}
+	newEngine := func(m *metrics.Counters) *Engine {
+		e, err := New(d.Grammar, d.Env, Config{Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.denseIDs = bound
+		return e
+	}
+	ref, err := dp.New(d.Grammar, d.Env, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBounded := func(what string, e *Engine) {
+		t.Helper()
+		hashed := 0
+		for op := range e.un {
+			name := d.Grammar.OpName(grammar.OpID(op))
+			if rp := e.un[op].Load(); rp != nil && len(*rp) > bound {
+				t.Errorf("%s, op %s: dense row of %d cells past the bound %d", what, name, len(*rp), bound)
+			}
+			if g := e.bin[op].Load(); g != nil && (g.rows > bound || g.stride > bound) {
+				t.Errorf("%s, op %s: %dx%d dense grid past the bound %d", what, name, g.rows, g.stride, bound)
+			}
+			if tab := e.dyn[op].Load(); tab != nil && !d.Grammar.HasDynRules(grammar.OpID(op)) {
+				hashed += tab.entries()
+			}
+		}
+		if hashed == 0 {
+			t.Fatalf("%s: no fixed-operator transition took the hash path", what)
+		}
+	}
+	saved := map[string]*Engine{"bounded": newEngine(nil)}
+	if saved["default bound"], err = New(d.Grammar, d.Env, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for what, e := range saved {
+		for _, f := range fs {
+			compareLabelings(t, d.Grammar, f, ref.LabelResult(f), e.LabelStates(f))
+		}
+		if e.NumStates() <= bound {
+			t.Fatalf("%d states never cross the bound %d", e.NumStates(), bound)
+		}
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m := &metrics.Counters{}
+		restored := newEngine(m)
+		if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		checkBounded("restored from "+what, restored)
+		for _, f := range fs {
+			compareLabelings(t, d.Grammar, f, ref.LabelResult(f), restored.LabelStates(f))
+		}
+		if m.TableMisses != 0 {
+			t.Errorf("restored from %s: %d misses on the corpus it was saved after", what, m.TableMisses)
+		}
+	}
+	checkBounded("labeled", saved["bounded"])
 }
 
 // TestOnDemandEqualsStaticStateCount: driving the on-demand engine over

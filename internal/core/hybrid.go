@@ -32,8 +32,8 @@ import (
 // range, so overlay cells are never "missing". The only fixed-operator
 // lookups the overlay cannot answer are those with an out-of-range child
 // — a state born on-demand under a dynamic subtree — and those are served
-// by the engine's own dense tables, warming under traffic like any
-// on-demand transition.
+// by the engine's own tables (dense, or hashed past its dense bound),
+// warming under traffic like any on-demand transition.
 //
 // Concurrency is inherited: the overlay is immutable after construction
 // (plain loads are safe), and everything that mutates goes through the
@@ -157,7 +157,7 @@ func (h *Hybrid) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 				return row[kid]
 			}
 		}
-		return h.fallUn(op, kid, m)
+		return h.fallUn(op, n, ids, m)
 	default:
 		l := ids[n.Kids[0].Index]
 		r := ids[n.Kids[1].Index]
@@ -167,7 +167,7 @@ func (h *Hybrid) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 				return grid[l*h.n+r]
 			}
 		}
-		return h.fallBin(op, l, r, m)
+		return h.fallBin(op, n, ids, m)
 	}
 }
 
@@ -175,8 +175,9 @@ func (h *Hybrid) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 // child or seed-only mode) from the engine's own dense table, warming it
 // on a miss. Kept out of the labeling loop so the loop body stays small
 // enough to inline.
-func (h *Hybrid) fallUn(op grammar.OpID, kid int32, m *metrics.Counters) int32 {
+func (h *Hybrid) fallUn(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 	e := h.eng
+	kid := ids[n.Kids[0].Index]
 	if rp := e.un[op].Load(); rp != nil {
 		if row := *rp; int(kid) < len(row) {
 			if id := atomic.LoadInt32(&row[kid]); id >= 0 {
@@ -185,19 +186,20 @@ func (h *Hybrid) fallUn(op grammar.OpID, kid int32, m *metrics.Counters) int32 {
 			}
 		}
 	}
-	return e.missUn(op, kid, m)
+	return e.missUn(op, n, ids, m)
 }
 
 // fallBin is fallUn for binary operators.
-func (h *Hybrid) fallBin(op grammar.OpID, l, r int32, m *metrics.Counters) int32 {
+func (h *Hybrid) fallBin(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 	e := h.eng
+	l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
 	if t := e.bin[op].Load(); t != nil && l < t.rows && r < t.stride {
 		if id := atomic.LoadInt32(&t.cells[l*t.stride+r]); id >= 0 {
 			m.CountProbe(false)
 			return id
 		}
 	}
-	return e.missBin(op, l, r, m)
+	return e.missBin(op, n, ids, m)
 }
 
 // LabelStates assigns a state to every node of f. Labelings are pooled —
@@ -252,7 +254,7 @@ func (h *Hybrid) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automato
 					continue
 				}
 			}
-			ids[i] = h.fallUn(op, kid, m)
+			ids[i] = h.fallUn(op, n, ids, m)
 		default:
 			l := ids[n.Kids[0].Index]
 			r := ids[n.Kids[1].Index]
@@ -263,7 +265,7 @@ func (h *Hybrid) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automato
 					continue
 				}
 			}
-			ids[i] = h.fallBin(op, l, r, m)
+			ids[i] = h.fallBin(op, n, ids, m)
 		}
 	}
 	lab.Bind(h.eng.table)

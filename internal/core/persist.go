@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 
 	"repro/internal/automaton"
@@ -23,14 +22,6 @@ import (
 
 const persistMagic = "ODTA1\n"
 
-// Fingerprint identifies a grammar for persistence compatibility.
-func Fingerprint(g *grammar.Grammar) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, g.Name)
-	io.WriteString(h, g.Dump())
-	return h.Sum64()
-}
-
 // Save writes the engine's automaton (states + transitions) to w. It
 // holds every per-operator construct lock for the duration, so the state
 // list and the transition tables are written as one consistent snapshot
@@ -44,7 +35,7 @@ func (e *Engine) Save(w io.Writer) error {
 		return err
 	}
 	put := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
-	put(Fingerprint(e.g))
+	put(e.g.Fingerprint())
 	put(uint64(e.g.NumNonterms()))
 
 	states := e.table.States()
@@ -160,9 +151,9 @@ func (e *Engine) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if fp != Fingerprint(e.g) {
+	if fp != e.g.Fingerprint() {
 		return fmt.Errorf("core: saved automaton was built for a different grammar (fingerprint %x != %x)",
-			fp, Fingerprint(e.g))
+			fp, e.g.Fingerprint())
 	}
 	numNT, err := get()
 	if err != nil {

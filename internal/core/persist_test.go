@@ -120,9 +120,9 @@ func TestLoadRequiresFreshEngine(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesGrammars(t *testing.T) {
-	a := Fingerprint(md.MustLoad("x86").Grammar)
-	b := Fingerprint(md.MustLoad("mips").Grammar)
-	c := Fingerprint(md.MustLoad("x86").Grammar)
+	a := md.MustLoad("x86").Grammar.Fingerprint()
+	b := md.MustLoad("mips").Grammar.Fingerprint()
+	c := md.MustLoad("x86").Grammar.Fingerprint()
 	if a == b {
 		t.Error("different grammars share a fingerprint")
 	}

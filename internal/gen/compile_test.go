@@ -23,7 +23,7 @@ func TestCompileDynamicGrammarIsHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Fingerprint != gen.Fingerprint(m.Grammar) || res.Stats.States == 0 {
+	if res.Stats.Fingerprint != m.Grammar.Fingerprint() || res.Stats.States == 0 {
 		t.Fatalf("stats %+v: want the full grammar's fingerprint and a nonempty closure", res.Stats)
 	}
 	path := filepath.Join(t.TempDir(), "x86.isel")
@@ -34,7 +34,7 @@ func TestCompileDynamicGrammarIsHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Kind != repro.KindHybrid || gen.Fingerprint(rec.M.Grammar) != gen.Fingerprint(m.Grammar) {
+	if rec.Kind != repro.KindHybrid || rec.M.Grammar.Fingerprint() != m.Grammar.Fingerprint() {
 		t.Fatalf("recipe %s for %s, want hybrid on the full grammar", rec.Kind, rec.M.Grammar.Name)
 	}
 	sel, err := rec.M.NewSelector(rec.Kind, rec.Opt)

@@ -27,7 +27,7 @@ import (
 // than fixed-width entries.
 //
 //	magic   "ISEL2\n"
-//	u64     grammar fingerprint (Fingerprint; name + normal-form dump)
+//	u64     grammar fingerprint (grammar.Grammar.Fingerprint; name + normal-form dump)
 //	u32     grammar-name length, then the name bytes (diagnostics only)
 //	u32×3   numOps, numNT, numStates
 //	u8×ops  operator arities (structure check against the loading grammar)
@@ -103,7 +103,7 @@ func encodePayload(w io.Writer, g *grammar.Grammar, ts *automaton.TableSet) erro
 	}
 	put64 := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
 	put := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	put64(Fingerprint(g))
+	put64(g.Fingerprint())
 	put(uint32(len(g.Name)))
 	bw.WriteString(g.Name)
 	numOps, numNT, numStates := g.NumOps(), ts.NumNT, ts.NumStates()
@@ -343,7 +343,7 @@ func Decode(g *grammar.Grammar, data []byte) (*automaton.TableSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if want := Fingerprint(g); h.Fingerprint != want {
+	if want := g.Fingerprint(); h.Fingerprint != want {
 		return nil, fmt.Errorf("gen: blob was generated for grammar %q (fingerprint %016x), not %q (%016x)",
 			h.Grammar, h.Fingerprint, g.Name, want)
 	}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/automaton"
-	"repro/internal/core"
 	"repro/internal/grammar"
 )
 
@@ -75,11 +74,6 @@ type Result struct {
 	Stats  Stats
 }
 
-// Fingerprint identifies a grammar for table compatibility: the same
-// identity the on-demand persistence format uses, so one fingerprint
-// notion covers every serialized automaton in the repo.
-func Fingerprint(g *grammar.Grammar) uint64 { return core.Fingerprint(g) }
-
 // Compile computes the closure of g's tree-parsing automaton over its
 // fixed operators (automaton.GenerateTables). For a fixed-cost grammar
 // that is the whole automaton, served by the `static` engine kind. For a
@@ -109,7 +103,7 @@ func Compile(g *grammar.Grammar, cfg Config) (*Result, error) {
 		Blob:    blob,
 		Stats: Stats{
 			Grammar:            g.Name,
-			Fingerprint:        Fingerprint(g),
+			Fingerprint:        g.Fingerprint(),
 			Ops:                st.Operators,
 			Nonterms:           st.Nonterminals,
 			Rules:              st.NormalizedRules,

@@ -290,7 +290,7 @@ func TestHeaderAndRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Grammar != g.Name || h.Fingerprint != Fingerprint(g) || h.States == 0 {
+	if h.Grammar != g.Name || h.Fingerprint != g.Fingerprint() || h.States == 0 {
 		t.Fatalf("bad header %+v", h)
 	}
 	if _, err := Register(blob); err != nil {

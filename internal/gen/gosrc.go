@@ -22,7 +22,7 @@ func GoSource(pkg, varName string, res *Result) ([]byte, error) {
 	fmt.Fprintf(&b, "//\n")
 	fmt.Fprintf(&b, "// Ahead-of-time tree-parsing automaton for grammar %q\n", g.Name)
 	fmt.Fprintf(&b, "// (fingerprint %016x): %d states, %d transition entries,\n",
-		Fingerprint(g), ts.NumStates(), ts.TransitionEntries())
+		g.Fingerprint(), ts.NumStates(), ts.TransitionEntries())
 	fmt.Fprintf(&b, "// %d blob bytes.\n", len(blob))
 	fmt.Fprintf(&b, "package %s\n\n", pkg)
 	fmt.Fprintf(&b, "import \"repro/internal/gen\"\n\n")

@@ -65,8 +65,8 @@ func TestRegisteredAtInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := gen.Lookup(gen.Fingerprint(g)); !ok {
-			t.Errorf("%s: no preloaded tables registered for fingerprint %016x", g.Name, gen.Fingerprint(g))
+		if _, ok := gen.Lookup(g.Fingerprint()); !ok {
+			t.Errorf("%s: no preloaded tables registered for fingerprint %016x", g.Name, g.Fingerprint())
 		}
 	}
 }

@@ -26,7 +26,10 @@
 // Ertl/Casey/Gregg (PLDI 2006) solve.
 package grammar
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // OpID identifies an operator within a Grammar.
 type OpID int16
@@ -140,6 +143,10 @@ type Grammar struct {
 	dynPos []int32
 
 	maxExternalID int
+
+	// fpOnce guards fp, the Fingerprint computed on first use.
+	fpOnce sync.Once
+	fp     uint64
 }
 
 // NumOps returns the number of operators.

@@ -2,6 +2,8 @@ package grammar
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"strings"
 )
 
@@ -104,4 +106,19 @@ func (g *Grammar) Dump() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Fingerprint identifies g for table compatibility: a hash of its name
+// and normal-form dump, the identity every serialized automaton (persisted
+// on-demand tables, `.isel` blobs) is checked against. It is computed
+// once, on first use, so a grammar must be renamed (as NewMachine in the
+// repro package does) before anything asks for it.
+func (g *Grammar) Fingerprint() uint64 {
+	g.fpOnce.Do(func() {
+		h := fnv.New64a()
+		io.WriteString(h, g.Name)
+		io.WriteString(h, g.Dump())
+		g.fp = h.Sum64()
+	})
+	return g.fp
 }

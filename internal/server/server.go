@@ -158,7 +158,7 @@ type job struct {
 	// (nil for plain Background submissions).
 	cleanup func()
 	// trace is the job's pooled stage timeline: lease stamped at submit,
-	// queue at worker pickup, label/reduce/emit inside CompileObserved.
+	// queue at worker pickup, label/reduce/emit inside Compile.
 	// Recorded into the latency collector and slowlog, then recycled.
 	trace *telemetry.Trace
 	// detail asks the worker to copy the finished trace onto the future.
@@ -338,7 +338,7 @@ func (s *Server) runJob(j job, jm *metrics.Counters) {
 			s.nodesDone.Add(int64(j.forest.NumNodes()))
 		}
 	}()
-	out, err = j.sel.CompileObserved(j.ctx, j.forest, jm, j.trace)
+	out, err = j.sel.Compile(j.ctx, j.forest, repro.WithCounters(jm), repro.WithTrace(j.trace))
 }
 
 // finishTrace closes a job's trace and feeds the telemetry plane:

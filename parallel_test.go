@@ -33,8 +33,8 @@ int max(int x, int y) {
 }
 `
 
-// TestCompileUnitParallel: the parallel driver must produce exactly the
-// outputs of sequential compilation, function by function, while sharing
+// TestCompileUnitParallel: CompileUnit under WithWorkers must produce
+// exactly the outputs of sequential compilation, function by function, while sharing
 // one warm on-demand engine across workers.
 func TestCompileUnitParallel(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
@@ -75,19 +75,6 @@ func TestCompileUnitParallel(t *testing.T) {
 		if parSel.States() != seqSel.States() {
 			t.Errorf("workers=%d: states %d != sequential %d", workers, parSel.States(), seqSel.States())
 		}
-	}
-
-	// A selector from another machine must be rejected.
-	other, err := repro.LoadMachine("mips")
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherSel, err := other.NewSelector(repro.KindOnDemand, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.CompileUnitParallel(otherSel, unit, 2); err == nil {
-		t.Error("expected machine-mismatch error")
 	}
 }
 
@@ -227,10 +214,9 @@ int one(int n) {
 	}
 }
 
-// TestKindsRegistry: the built-ins are registered in declaration order
-// (hybrid, living in its own file, follows them — file init order is
-// alphabetical), and every registered kind constructs through the
-// registry on a fixed-cost grammar.
+// TestKindsRegistry: Kinds lists dp, static, ondemand, hybrid in that
+// order, and every kind it lists constructs through NewSelector on a
+// fixed-cost grammar.
 func TestKindsRegistry(t *testing.T) {
 	kinds := repro.Kinds()
 	if len(kinds) < 4 {
@@ -238,7 +224,7 @@ func TestKindsRegistry(t *testing.T) {
 	}
 	if kinds[0] != repro.KindDP || kinds[1] != repro.KindStatic || kinds[2] != repro.KindOnDemand ||
 		kinds[3] != repro.KindHybrid {
-		t.Errorf("registered kinds out of order: %v", kinds)
+		t.Errorf("kinds out of order: %v", kinds)
 	}
 	m, err := repro.LoadMachine("demo")
 	if err != nil {

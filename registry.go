@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // ErrUnknownMachine is the typed error Registry.Get fails with for names
@@ -53,7 +51,7 @@ var ErrSwapInProgress = errors.New("repro: swap already in progress for this mac
 // Entries can also be dropped again: Evict resets one machine to
 // unconstructed (its next Get rebuilds the selector from scratch — the
 // way a MaxStates-capped automaton is reset without a restart), and
-// SetMaxMachines / SetMaxTableBytes arm caps so cold machines are evicted
+// SetMaxTableBytes arms a byte budget so cold machines are evicted
 // automatically as hot ones construct.
 //
 // Table sets are versioned: every construction of a machine's selector is
@@ -73,7 +71,6 @@ type Registry struct {
 	entries  map[string]*regEntry
 	order    []string // registration order; order[0] is the default
 	dir      string   // automaton persistence directory ("" = disabled)
-	maxLive  int      // LRU cap on constructed entries (0 = unlimited)
 	maxBytes int64    // byte budget on resident tables (0 = unlimited)
 	clock    atomic.Int64
 	// draining holds replaced or evicted versions that still have live
@@ -100,7 +97,7 @@ type regEntry struct {
 	load func() (*Machine, error)
 	// version is the table-set generation under this name: 1 for the
 	// entry registered first, +1 for every replacement (swap, eviction,
-	// or LRU/byte-budget reset). MachineStatus and /stats report it so
+	// or byte-budget reset). MachineStatus and /stats report it so
 	// operators can watch a cutover land.
 	version int
 	// expectWarm marks machines a front end promised would be serving
@@ -113,9 +110,6 @@ type regEntry struct {
 	m    *Machine
 	sel  *Selector
 	err  error
-	// fp is the grammar fingerprint, cached at construction (0 while
-	// cold); read behind done like m/sel/err.
-	fp uint64
 	// lastUse orders entries for LRU eviction: the registry clock value of
 	// the entry's most recent Get.
 	lastUse atomic.Int64
@@ -183,7 +177,6 @@ func (r *Registry) AddMachine(m *Machine, kind Kind, opt Options) error {
 func (r *Registry) AddSelector(sel *Selector) error {
 	e := &regEntry{
 		name: sel.Machine().Name, kind: sel.Kind(), m: sel.Machine(), sel: sel,
-		fp: core.Fingerprint(sel.Machine().Grammar),
 	}
 	e.once.Do(func() {}) // consume: Get must never re-construct this entry
 	e.done.Store(true)
@@ -233,8 +226,8 @@ func (r *Registry) lookup(name string) (*regEntry, string, error) {
 	return e, dir, nil
 }
 
-// materialize constructs e if it is still cold and applies the resource
-// caps after a fresh construction.
+// materialize constructs e if it is still cold and applies the byte
+// budget after a fresh construction.
 func (r *Registry) materialize(e *regEntry, dir string) {
 	e.lastUse.Store(r.clock.Add(1))
 	constructed := false
@@ -480,27 +473,14 @@ func (r *Registry) retireLocked(old *regEntry) {
 	}
 }
 
-// SetMaxMachines arms the count cap: whenever a Get constructs a selector
-// and more than n reconstructible selectors are live, the least recently
-// used others are evicted (reset to unconstructed) until n remain. Zero
-// disables the cap. Entries registered via AddSelector count toward n but
-// are never chosen as victims (they cannot be reconstructed).
-//
-// SetMaxTableBytes is the finer policy — it bounds what the cap actually
-// protects (resident table memory) instead of a proxy count. Both caps
-// may be armed; eviction runs until both are satisfied.
-func (r *Registry) SetMaxMachines(n int) {
-	r.mu.Lock()
-	r.maxLive = n
-	r.mu.Unlock()
-	r.enforceBudget(nil)
-}
-
 // SetMaxTableBytes arms the byte budget: whenever a construction or swap
 // raises the total resident table bytes — every constructed machine's
 // MemoryBytes plus every still-draining replaced version's — above n, the
-// least recently used reconstructible machines are evicted until the
-// total fits. Zero disables the budget.
+// least recently used reconstructible machines are evicted (reset to
+// unconstructed; the next Get rebuilds them) until the total fits. Zero
+// disables the budget. Entries registered via AddSelector count toward
+// the total but are never chosen as victims (they cannot be
+// reconstructed).
 //
 // Versions draining after a swap are counted (their tables are resident)
 // but never evicted: the budget squeezes cold machines out instead, so a
@@ -549,7 +529,7 @@ func (r *Registry) residentBytesLocked() int {
 // Evict resets name's entry to unconstructed, dropping its selector: the
 // next Get reconstructs from scratch (reloading any persisted automaton).
 // This is the reset lever for a MaxStates-capped automaton and the manual
-// form of the automatic caps. Entries registered via AddSelector fail
+// form of byte-budget eviction. Entries registered via AddSelector fail
 // with ErrNotEvictable; a machine mid-swap fails with ErrSwapInProgress
 // (the swap is already replacing it); evicting a never-constructed (or
 // sticky-failed) entry simply clears it.
@@ -558,7 +538,7 @@ func (r *Registry) residentBytesLocked() int {
 // its purpose; call SaveAll beforehand to keep warmth. With an automaton
 // directory configured it also removes the machine's persisted file, so
 // reconstruction truly starts from scratch instead of restoring the very
-// (possibly capped) tables the eviction meant to shed. (Automatic cap
+// (possibly capped) tables the eviction meant to shed. (Byte-budget
 // eviction is the opposite: it persists capable automata before dropping
 // them, because there the goal is bounding memory, not resetting.)
 //
@@ -606,39 +586,32 @@ func (r *Registry) resetEntry(e *regEntry) *regEntry {
 	return ne
 }
 
-// enforceBudget evicts least-recently-used constructed entries until both
-// armed caps are satisfied: at most maxLive constructed machines, and at
-// most maxBytes resident table bytes. keep (the entry just constructed or
-// swapped in) is never chosen; neither are draining versions, machines
-// mid-swap, or AddSelector entries. With an automaton directory
-// configured, a persistence-capable victim's tables are saved (best
-// effort), so cap pressure never silently discards warmth the next
-// construction could restore — but the disk writes happen after the
-// registry lock is released: a save of a large automaton must not stall
-// every machine's job dispatch and /stats behind r.mu.
+// enforceBudget evicts least-recently-used constructed entries until at
+// most maxBytes table bytes are resident. keep (the entry just
+// constructed or swapped in) is never chosen; neither are draining
+// versions, machines mid-swap, or AddSelector entries. With an
+// automaton directory configured, a persistence-capable victim's tables
+// are saved (best effort), so budget pressure never silently discards
+// warmth the next construction could restore — but the disk writes
+// happen after the registry lock is released: a save of a large
+// automaton must not stall every machine's job dispatch and /stats
+// behind r.mu.
 func (r *Registry) enforceBudget(keep *regEntry) {
 	var evicted []*regEntry
 	r.mu.Lock()
 	dir := r.dir
-	for r.maxLive > 0 || r.maxBytes > 0 {
-		live := 0
+	for r.maxBytes > 0 && int64(r.residentBytesLocked()) > r.maxBytes {
 		var victim *regEntry
 		for _, name := range r.order {
 			e := r.entries[name]
-			if !e.done.Load() || e.sel == nil {
-				continue
-			}
-			live++
-			if e == keep || e.load == nil || r.swapping[name] {
-				continue // protected newcomer, not reconstructible, or mid-swap
+			if !e.done.Load() || e.sel == nil || e == keep || e.load == nil || r.swapping[name] {
+				continue // cold, protected newcomer, not reconstructible, or mid-swap
 			}
 			if victim == nil || e.lastUse.Load() < victim.lastUse.Load() {
 				victim = e
 			}
 		}
-		over := (r.maxLive > 0 && live > r.maxLive) ||
-			(r.maxBytes > 0 && int64(r.residentBytesLocked()) > r.maxBytes)
-		if !over || victim == nil {
+		if victim == nil {
 			break
 		}
 		r.entries[victim.name] = r.resetEntry(victim)
@@ -655,7 +628,7 @@ func (r *Registry) enforceBudget(keep *regEntry) {
 		}
 		if err := os.MkdirAll(dir, 0o755); err == nil {
 			// Best effort: an eviction that cannot save still evicts — the
-			// cap is a resource bound, not a durability promise. The old
+			// budget is a resource bound, not a durability promise. The old
 			// selector is exclusively ours to snapshot here; racing jobs
 			// that still hold it only read warm tables.
 			saveAutomatonFile(e.sel, automatonPath(dir, e.name))
@@ -710,9 +683,6 @@ func (e *regEntry) construct(dir string, logf func(string, ...any)) {
 		}
 	}
 	e.m, e.sel = m, sel
-	// Cached once per construction: /version reports it on every scrape
-	// and the grammar hash is not free.
-	e.fp = core.Fingerprint(m.Grammar)
 }
 
 // buildSelector constructs the entry's selector, recovering from a bad
@@ -852,7 +822,9 @@ func (r *Registry) Status() []MachineStatus {
 		// it are race-free; an entry mid-construction just reads as cold.
 		if e.done.Load() {
 			st.Constructed = e.sel != nil
-			st.Fingerprint = e.fp
+			if e.m != nil {
+				st.Fingerprint = e.m.Grammar.Fingerprint()
+			}
 			if e.err != nil {
 				st.Err = e.err.Error()
 			}

@@ -263,7 +263,7 @@ func TestStateBudgetThroughAPI(t *testing.T) {
 	}
 	// The selector survives: the same call keeps failing typed, not
 	// panicking, and the budget does not corrupt the engine.
-	if _, err := starved.Compile(context.Background(), f, repro.CostOnly()); !errors.Is(err, repro.ErrStateBudget) {
+	if _, err := starved.Compile(context.Background(), f); !errors.Is(err, repro.ErrStateBudget) {
 		t.Fatalf("second starved compile = %v, want ErrStateBudget", err)
 	}
 
@@ -379,52 +379,150 @@ func TestRegistryEvict(t *testing.T) {
 	}
 }
 
-// TestRegistryMaxMachinesLRU: with the cap armed, constructing machine
-// N+1 evicts the least recently used constructed machine, and a
-// re-requested evicted machine comes back.
-func TestRegistryMaxMachinesLRU(t *testing.T) {
-	reg := repro.NewRegistry()
-	reg.SetMaxMachines(2)
+// TestRegistryByteBudgetLRU pins SetMaxTableBytes, the registry's one
+// residency bound, on static machines (their table bytes are fixed at
+// construction): a budget that holds any two of three machines evicts the
+// least recently used one when the third constructs; the evicted machine
+// is rebuilt on its next Get; a version draining after a swap is never a
+// victim; and the boot sequence iselserver runs — warm every machine,
+// then mark the still-resident ones ExpectWarm — leaves the registry
+// ready even when the budget cannot hold the whole boot set.
+func TestRegistryByteBudgetLRU(t *testing.T) {
+	var machines []*repro.Machine
+	var names []string
+	total, big, bigBytes := 0, "", 0
 	for _, name := range []string{"x86", "jit64", "mips"} {
-		if err := reg.Add(name, repro.KindOnDemand, repro.Options{}); err != nil {
+		m := mustFixed(t, name)
+		sel, err := m.NewSelector(repro.KindStatic, repro.Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		machines = append(machines, m)
+		names = append(names, m.Name)
+		total += sel.MemoryBytes()
+		if sel.MemoryBytes() > bigBytes {
+			big, bigBytes = m.Name, sel.MemoryBytes()
+		}
 	}
-	constructed := func() []string {
+	budget := total - 1 // any two machines fit, all three do not
+	newRegistry := func() *repro.Registry {
+		reg := repro.NewRegistry()
+		reg.SetMaxTableBytes(budget)
+		for _, m := range machines {
+			if err := reg.AddMachine(m, repro.KindStatic, repro.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reg
+	}
+	constructed := func(reg *repro.Registry) []string {
 		var live []string
 		for _, st := range reg.Status() {
 			if st.Constructed {
 				live = append(live, st.Machine)
 			}
 		}
+		if got := reg.ResidentBytes(); got > budget {
+			t.Fatalf("resident %d bytes over the %d budget with %v constructed", got, budget, live)
+		}
 		return live
 	}
-	if err := reg.Warm("x86"); err != nil {
-		t.Fatal(err)
+	x86, jit64, mips := names[0], names[1], names[2]
+
+	reg := newRegistry()
+	for _, name := range []string{x86, jit64} {
+		if err := reg.Warm(name); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := reg.Warm("jit64"); err != nil {
-		t.Fatal(err)
-	}
-	if live := constructed(); len(live) != 2 {
-		t.Fatalf("constructed = %v, want 2 machines", live)
+	if live := constructed(reg); len(live) != 2 {
+		t.Fatalf("constructed = %v, want both warmed machines", live)
 	}
 	// Touch x86 so jit64 is the LRU victim when mips constructs.
-	if _, _, err := reg.Get("x86"); err != nil {
+	if _, _, err := reg.Get(x86); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Warm("mips"); err != nil {
+	if err := reg.Warm(mips); err != nil {
 		t.Fatal(err)
 	}
-	live := constructed()
-	if len(live) != 2 || live[0] != "x86" || live[1] != "mips" {
-		t.Fatalf("constructed after LRU eviction = %v, want [x86 mips]", live)
+	if live := constructed(reg); len(live) != 2 || live[0] != x86 || live[1] != mips {
+		t.Fatalf("constructed after budget eviction = %v, want [%s %s]", live, x86, mips)
 	}
-	// The evicted machine reconstructs on demand (and evicts the LRU one).
-	if _, _, err := reg.Get("jit64"); err != nil {
+	// The evicted machine is rebuilt on demand, as a new version, and
+	// evicts the now least recently used x86.
+	if _, _, err := reg.Get(jit64); err != nil {
 		t.Fatal(err)
 	}
-	live = constructed()
-	if len(live) != 2 || live[0] != "jit64" || live[1] != "mips" {
-		t.Fatalf("constructed after re-Get = %v, want [jit64 mips]", live)
+	if live := constructed(reg); len(live) != 2 || live[0] != jit64 || live[1] != mips {
+		t.Fatalf("constructed after re-Get = %v, want [%s %s]", live, jit64, mips)
+	}
+	if v := statusOf(t, reg, jit64).Version; v != 2 {
+		t.Fatalf("rebuilt %s at version %d, want 2", jit64, v)
+	}
+
+	// A lease pins the largest machine's v1 across a swap. Two copies of
+	// it plus any other machine exceed the budget, so the budget sheds
+	// every cold machine, but never the draining version.
+	if _, _, err := reg.Get(big); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := reg.Acquire(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := lease.Version
+	if err := reg.Swap(big); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range reg.Status() {
+		switch {
+		case st.Machine == big && (st.Version != v+1 || st.Draining != 1):
+			t.Fatalf("%s after swap: version %d, draining %d; want %d and 1", big, st.Version, st.Draining, v+1)
+		case st.Machine != big && st.Constructed:
+			t.Fatalf("%s still resident beside a draining version; the budget should have evicted it", st.Machine)
+		}
+	}
+	f, err := lease.Machine.ParseTree("RET(ADD(REG[1], CNST[2]))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lease.Selector.Compile(context.Background(), f); err != nil {
+		t.Fatalf("draining version stopped compiling: %v", err)
+	}
+	lease.Release()
+	if st := statusOf(t, reg, big); st.Draining != 0 {
+		t.Fatalf("draining = %d after the last lease released, want 0", st.Draining)
+	}
+
+	// iselserver's boot sequence under a budget below the boot set.
+	boot := newRegistry()
+	for _, name := range names {
+		if err := boot.Warm(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cold []string
+	for _, st := range boot.Status() {
+		if !st.Constructed {
+			cold = append(cold, st.Machine)
+			continue
+		}
+		if err := boot.ExpectWarm(st.Machine); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(cold) == 0 {
+		t.Fatalf("all %d machines resident under a budget below their total", len(names))
+	}
+	if err := boot.Ready(); err != nil {
+		t.Fatalf("Ready after the boot warm = %v, want nil", err)
+	}
+	// Vouching for an evicted machine is exactly what the boot sequence
+	// must not do.
+	if err := boot.ExpectWarm(cold[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := boot.Ready(); err == nil {
+		t.Fatalf("Ready with evicted %s marked ExpectWarm = nil, want an error", cold[0])
 	}
 }

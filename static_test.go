@@ -54,21 +54,24 @@ func TestOfflineRoundTrip(t *testing.T) {
 			fixed := mustFixed(t, name)
 			path := filepath.Join(dir, name+".isel")
 			writeBlob(t, fixed, path)
-			// The same grammar under another name has another fingerprint,
-			// so the preload store misses it and the closure is computed
-			// in-process.
-			renamed := *fixed.Grammar
-			renamed.Name += ".inproc"
+			// The same grammar under another name (stripping a fixed-cost
+			// grammar copies it unchanged but for the ".fixed" suffix) has
+			// another fingerprint, so the preload store misses it and the
+			// closure is computed in-process.
+			renamed, err := fixed.Grammar.StripDynamic()
+			if err != nil {
+				t.Fatal(err)
+			}
 			type source struct {
 				what string
 				m    *repro.Machine
 				opt  repro.Options
 			}
 			sources := []source{
-				{"in-process", &repro.Machine{Name: fixed.Name, Grammar: &renamed}, repro.Options{}},
+				{"in-process", &repro.Machine{Name: fixed.Name, Grammar: renamed}, repro.Options{}},
 				{"blob", fixed, repro.Options{PreloadPath: path}},
 			}
-			if _, ok := gen.Lookup(gen.Fingerprint(fixed.Grammar)); ok {
+			if _, ok := gen.Lookup(fixed.Grammar.Fingerprint()); ok {
 				sources = append(sources, source{"preload store", fixed, repro.Options{}})
 			} else if name == "demo" || name == "jit64" {
 				t.Fatalf("precompiled %s tables not registered", fixed.Name)
@@ -148,7 +151,7 @@ func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 func TestOfflinePreloadRegistered(t *testing.T) {
 	for _, name := range []string{"demo", "jit64"} {
 		fixed := mustFixed(t, name)
-		blob, ok := gen.Lookup(gen.Fingerprint(fixed.Grammar))
+		blob, ok := gen.Lookup(fixed.Grammar.Fingerprint())
 		if !ok {
 			t.Fatalf("precompiled %s tables not registered", fixed.Name)
 		}
@@ -345,8 +348,9 @@ func inflate(g *grammar.Grammar, ts *automaton.TableSet, n int) {
 // TestCraftedBlobExpansionBounded: a well-formed blob claiming 4,096
 // states — 21 binary operators' worth of 64 MB grids, had expansion no
 // total bound — must load within automaton.ExpandMaxBytes of allocation
-// and footprint, and then still select exactly like DP: the static engine
-// through its compressed tables, the hybrid with seeded states only.
+// and footprint, stay within it through a corpus pass, and still select
+// exactly like DP: the static engine through its compressed tables, the
+// hybrid with seeded states only.
 func TestCraftedBlobExpansionBounded(t *testing.T) {
 	const claimed = 4096
 	x86, err := repro.LoadMachine("x86")
@@ -389,23 +393,43 @@ func TestCraftedBlobExpansionBounded(t *testing.T) {
 			t.Errorf("%s %s: %d states, the blob claims %d", g.Name, c.kind, sel.States(), claimed)
 		}
 
+		// One corpus pass: states born under traffic get ids past the
+		// claimed ones, which must not size the on-demand engine's dense
+		// grids (the hybrid's fallthrough) by the square of the seed.
 		oracle, err := c.m.NewSelector(repro.KindDP, repro.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var fs []*ir.Forest
+		var want []*repro.Output
 		for _, u := range workload.MustCompileAll(g) {
 			for _, f := range u.Forests() {
-				want, err := oracle.Compile(context.Background(), f)
+				out, err := oracle.Compile(context.Background(), f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sel.Compile(context.Background(), f)
-				if err != nil {
-					t.Fatalf("%s %s: %v", g.Name, c.kind, err)
-				}
-				if got.Asm != want.Asm || got.Cost != want.Cost {
-					t.Fatalf("%s %s: output differs from DP", g.Name, c.kind)
-				}
+				fs, want = append(fs, f), append(want, out)
+			}
+		}
+		got := make([]*repro.Output, len(fs))
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i, f := range fs {
+			if got[i], err = sel.Compile(context.Background(), f); err != nil {
+				t.Fatalf("%s %s: %v", g.Name, c.kind, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		alloc, mem = after.TotalAlloc-before.TotalAlloc, sel.MemoryBytes()
+		t.Logf("%s %s: %d bytes allocated by a corpus pass, %d served after it", g.Name, c.kind, alloc, mem)
+		// Under -race sync.Pool drops pooled labelings by design, so only
+		// the footprint is bounded there (see alloc_test.go).
+		if (alloc > automaton.ExpandMaxBytes && !raceEnabled) || mem > automaton.ExpandMaxBytes {
+			t.Errorf("%s %s: corpus pass allocated %d bytes and left %d served, bound %d", g.Name, c.kind, alloc, mem, automaton.ExpandMaxBytes)
+		}
+		for i := range fs {
+			if got[i].Asm != want[i].Asm || got[i].Cost != want[i].Cost {
+				t.Fatalf("%s %s: forest %d output differs from DP", g.Name, c.kind, i)
 			}
 		}
 	}

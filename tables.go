@@ -28,7 +28,7 @@ func tableSet(m *Machine, opt Options) (*automaton.TableSet, error) {
 		}
 		return ts, nil
 	}
-	if blob, ok := gen.Lookup(gen.Fingerprint(g)); ok {
+	if blob, ok := gen.Lookup(g.Fingerprint()); ok {
 		ts, err := gen.Decode(g, blob)
 		if err != nil {
 			return nil, fmt.Errorf("repro: machine %s: preloaded tables: %w", m.Name, err)
