@@ -135,11 +135,10 @@ func TestWarmSelectCostAllocFree(t *testing.T) {
 	assertLabelReduceAllocFree(t, "on-demand x86.fixed", sel, fs)
 }
 
-// TestWarmHybridSelectCostAllocFree: the hybrid engine inherits both
-// halves' warm contracts at once — overlay hits are plain loads on
-// immutable arrays, fallthrough hits are the on-demand engine's pooled
-// hash path — so a warm label+reduce on the FULL dynamic x86 grammar must
-// allocate nothing.
+// TestWarmHybridSelectCostAllocFree: the hybrid engine is the on-demand
+// engine seeded — seeded hits are dense table loads, dynamic hits the
+// pooled hash path — so a warm label+reduce on the FULL dynamic x86
+// grammar must allocate nothing.
 func TestWarmHybridSelectCostAllocFree(t *testing.T) {
 	sel, fs := warmSelector(t, "x86", false, repro.KindHybrid)
 	assertLabelReduceAllocFree(t, "hybrid x86", sel, fs)

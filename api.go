@@ -12,8 +12,9 @@
 //   - KindOnDemand: the paper's contribution — the automaton is built
 //     lazily at selection time, giving (warm) static-automaton speed
 //     *and* dynamic costs;
-//   - KindHybrid: the static automaton's tables for the fixed operators,
-//     on-demand construction for the dynamic ones (hybrid.go).
+//   - KindHybrid: the same on-demand engine seeded with the ahead-of-time
+//     closure of the fixed operators, which then hit from the first
+//     request (hybrid.go).
 //
 // Typical use (the v2 context-first surface):
 //
@@ -43,8 +44,9 @@
 // Every engine implements reduce.Labeler — Label plus the
 // NumStates/NumTransitions/MemoryBytes table stats — and Selector
 // dispatches exclusively through that interface. NewSelector builds one
-// of the four kinds; lower-level tooling reaches the engine through
-// Selector.Labeler.
+// of the four kinds from three engines: dp.Labeler, automaton.Static, and
+// core.Engine, which serves both KindOnDemand and KindHybrid. Lower-level
+// tooling reaches the engine through Selector.Labeler.
 //
 // # Concurrency
 //
@@ -122,7 +124,7 @@ const Inf = grammar.Inf
 type Kind string
 
 // The three engines of the paper's comparison. KindHybrid (hybrid.go) is
-// the fourth kind.
+// the fourth kind: the on-demand engine, seeded.
 const (
 	KindDP       Kind = "dp"
 	KindStatic   Kind = "static"
@@ -209,8 +211,8 @@ type Options struct {
 	// grammars in long-lived servers. A compile whose labeling would grow
 	// the state table past the budget fails with an error matching
 	// ErrStateBudget (errors.Is); warm traffic over already-materialized
-	// states keeps compiling at the cap (KindOnDemand, and KindHybrid's
-	// on-demand half). For the table-backed kinds (KindStatic, KindHybrid)
+	// states keeps compiling at the cap (KindOnDemand, and KindHybrid past
+	// its seeded states). For the table-backed kinds (KindStatic, KindHybrid)
 	// it also bounds a closure computed at construction: a pruned closure
 	// fails construction with truncation diagnostics.
 	MaxStates int
@@ -289,8 +291,8 @@ func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 	return s, nil
 }
 
-// coreConfig is the on-demand engine configuration opt asks for (the
-// whole engine for KindOnDemand, the on-demand half of KindHybrid).
+// coreConfig is the on-demand engine configuration opt asks for, for
+// KindOnDemand and KindHybrid alike.
 func (opt Options) coreConfig() core.Config {
 	return core.Config{
 		DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
@@ -587,40 +589,41 @@ func (s *Selector) Transitions() int { return s.eng.NumTransitions() }
 // MemoryBytes estimates the engine's table footprint (0 for DP).
 func (s *Selector) MemoryBytes() int { return s.eng.MemoryBytes() }
 
-// AutomatonPersister is the optional engine capability behind
-// SaveAutomaton/LoadAutomaton. Of the built-ins only the on-demand engine
-// implements it (static tables are regenerated, DP has none).
-type AutomatonPersister interface {
-	Save(w io.Writer) error
-	Load(r io.Reader) error
-}
+// SupportsPersistence reports whether the selector can save and restore
+// its automaton: only KindOnDemand selectors can. The table-backed kinds
+// rebuild from their table source instead — a hybrid's saved automaton
+// would repeat every seeded grid cell, and could not load, since Load
+// requires a fresh engine — and DP has no automaton. Registry.SaveAll and
+// Registry.Swap use it to skip the other kinds instead of failing.
+func (s *Selector) SupportsPersistence() bool { return s.kind == KindOnDemand }
 
-// SupportsPersistence reports whether the selector's engine can save and
-// restore its automaton (see AutomatonPersister). Registry.SaveAll uses it
-// to skip table-free engines instead of failing.
-func (s *Selector) SupportsPersistence() bool {
-	_, ok := s.eng.(AutomatonPersister)
-	return ok
+// persistent returns the on-demand engine behind SaveAutomaton and
+// LoadAutomaton, or an error for the other kinds.
+func (s *Selector) persistent() (*core.Engine, error) {
+	if !s.SupportsPersistence() {
+		return nil, fmt.Errorf("repro: %s selectors do not support automaton persistence", s.kind)
+	}
+	return s.eng.(*core.Engine), nil
 }
 
 // SaveAutomaton persists the selector's automaton so a later run can
-// start warm (see core.Engine.Save). It fails for engines that do not
-// implement AutomatonPersister.
+// start warm (see core.Engine.Save). It fails unless SupportsPersistence.
 func (s *Selector) SaveAutomaton(w io.Writer) error {
-	p, ok := s.eng.(AutomatonPersister)
-	if !ok {
-		return fmt.Errorf("repro: %s selectors do not support automaton persistence", s.kind)
+	e, err := s.persistent()
+	if err != nil {
+		return err
 	}
-	return p.Save(w)
+	return e.Save(w)
 }
 
 // LoadAutomaton restores a saved automaton into a freshly created
 // selector for the same machine description. It must complete before the
-// selector is shared across goroutines.
+// selector is shared across goroutines, and fails unless
+// SupportsPersistence.
 func (s *Selector) LoadAutomaton(r io.Reader) error {
-	p, ok := s.eng.(AutomatonPersister)
-	if !ok {
-		return fmt.Errorf("repro: %s selectors do not support automaton persistence", s.kind)
+	e, err := s.persistent()
+	if err != nil {
+		return err
 	}
-	return p.Load(r)
+	return e.Load(r)
 }

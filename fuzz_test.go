@@ -1,12 +1,14 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/gen"
@@ -129,6 +131,98 @@ func FuzzISELDecode(f *testing.F) {
 					sel.Compile(ctx, forest)
 				}
 			}
+		}
+	})
+}
+
+// automatonTarget is one machine FuzzAutomatonLoad loads saved automata
+// into, with the corpus it must then compile.
+type automatonTarget struct {
+	m       *repro.Machine
+	forests []*ir.Forest
+}
+
+// FuzzAutomatonLoad: arbitrary bytes, and mutations of warm x86 and
+// jit64 saves, go through Selector.LoadAutomaton into a fresh on-demand
+// selector of each machine. Each must be rejected with an error or yield
+// a selector that labels, reduces and emits the machine's whole corpus
+// without panicking. A well-formed save can carry wrong transitions, so
+// accepted inputs are not held to DP; the seeds are: each unmodified save
+// must load and match the dp oracle's cost and assembly on every corpus
+// forest.
+func FuzzAutomatonLoad(f *testing.F) {
+	ctx := context.Background()
+	var targets []automatonTarget
+	for _, name := range []string{"x86", "jit64"} {
+		m, err := repro.LoadMachine(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tg := automatonTarget{m: m}
+		for _, u := range workload.MustCompileAll(m.Grammar) {
+			tg.forests = append(tg.forests, u.Forests()...)
+		}
+		targets = append(targets, tg)
+	}
+	fresh := func(tb testing.TB, m *repro.Machine, kind repro.Kind) *repro.Selector {
+		sel, err := m.NewSelector(kind, repro.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return sel
+	}
+	for _, tg := range targets {
+		warm := fresh(f, tg.m, repro.KindOnDemand)
+		for _, forest := range tg.forests {
+			if _, err := warm.Compile(ctx, forest); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := warm.SaveAutomaton(&buf); err != nil {
+			f.Fatal(err)
+		}
+		sel := fresh(f, tg.m, repro.KindOnDemand)
+		if err := sel.LoadAutomaton(bytes.NewReader(buf.Bytes())); err != nil {
+			f.Fatalf("%s seed: %v", tg.m.Name, err)
+		}
+		oracle := fresh(f, tg.m, repro.KindDP)
+		for j, forest := range tg.forests {
+			want, wantErr := oracle.Compile(ctx, forest)
+			got, err := sel.Compile(ctx, forest)
+			if (err == nil) != (wantErr == nil) || err == nil && (got.Cost != want.Cost || got.Asm != want.Asm) {
+				f.Fatalf("%s seed, forest %d: restored selector (%v) disagrees with dp (%v)", tg.m.Name, j, err, wantErr)
+			}
+		}
+		f.Add(buf.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A corrupt state can make selection loop rather than panic (a
+		// chain rule recorded for the nonterminal it chains from, which
+		// automaton.ValidateState refuses), and the fuzzer reports a hung
+		// worker as a pass when its time runs out; so each input gets a
+		// deadline.
+		sels := make([]*repro.Selector, len(targets))
+		for i, tg := range targets {
+			sels[i] = fresh(t, tg.m, repro.KindOnDemand)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i, tg := range targets {
+				if err := sels[i].LoadAutomaton(bytes.NewReader(data)); err != nil {
+					continue // rejected with an error: the other allowed outcome
+				}
+				for _, forest := range tg.forests {
+					sels[i].Compile(ctx, forest)
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("loading a %d-byte input and compiling the corpus did not finish in 10s", len(data))
 		}
 	})
 }

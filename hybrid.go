@@ -7,15 +7,15 @@ import (
 	"repro/internal/core"
 )
 
-// KindHybrid closes the last cell in the paper's tradeoff matrix:
-// fixed-operator transitions are answered from ahead-of-time tables
-// expanded into direct state-id-indexed arrays (static-automaton speed,
-// warm before the first request) while dynamic-cost operators fall
-// through to the on-demand engine's hash path — so grammars with dynamic
-// rules, which KindStatic must reject outright, no longer pay full
-// on-demand cost for their fixed majority. Both halves share one
-// hash-consed state table, so a labeling that crosses the boundary is a
-// single consistent automaton.Labeling.
+// KindHybrid is the on-demand engine with a head start: it starts from
+// the ahead-of-time closure of the grammar's fixed operators (those
+// without dynamic-cost rules), adopted into its transition tables, so
+// fixed operators over seeded states hit from the first request, while
+// dynamic-cost operators construct their states on demand as under
+// KindOnDemand. Seeded and constructed states share one hash-consed
+// state table (see core.NewSeeded), so grammars with dynamic rules, which
+// KindStatic must reject outright, serve their fixed majority warm from
+// the start.
 //
 // Tables resolve exactly like KindStatic's: Options.PreloadPath (a
 // `.isel` blob written by iselgen for the full grammar), then the
@@ -25,14 +25,15 @@ import (
 // renumbered) and are rejected by the fingerprint check.
 //
 // Construction fails with an error matching ErrNoFixedClosure when every
-// leaf operator carries dynamic rules — such a grammar has no offline
-// half, and KindOnDemand is the right engine.
+// leaf operator carries dynamic rules — such a grammar has no fixed
+// closure to seed, and KindOnDemand is the right engine. Hybrid selectors
+// do not persist their automaton (see Selector.SupportsPersistence).
 const KindHybrid Kind = "hybrid"
 
 // ErrNoFixedClosure is the typed error hybrid construction fails with for
 // a grammar whose every leaf operator carries dynamic-cost rules (whether
 // compiling in-process or preloading a blob): such a grammar has no
-// offline half. Match with errors.Is and fall back to KindOnDemand.
+// fixed closure. Match with errors.Is and fall back to KindOnDemand.
 var ErrNoFixedClosure = automaton.ErrNoFixedClosure
 
 func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
@@ -40,13 +41,9 @@ func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
 	if err != nil {
 		return nil, err
 	}
-	ov, err := automaton.NewHybridOverlay(m.Grammar, ts)
+	e, err := core.NewSeeded(m.Grammar, m.Env, opt.coreConfig(), ts)
 	if err != nil {
 		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
 	}
-	h, err := core.NewHybrid(m.Grammar, m.Env, opt.coreConfig(), ov)
-	if err != nil {
-		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
-	}
-	return h, nil
+	return e, nil
 }

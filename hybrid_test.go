@@ -103,13 +103,13 @@ func TestHybridRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHybridBlobCoverage pins down exactly what a hybrid blob serves
-// offline and what falls through, at three levels: the overlay's tables
+// TestHybridBlobCoverage pins down exactly what a hybrid blob seeds and
+// what is constructed on demand, at three levels: the table set's tables
 // per operator, the rule partition those tables imply, and the engine's
 // observable growth under traffic on each side of the boundary. demo is
 // the machine: its one dynamic rule (the read-modify-write memop guard)
-// lives on Store, so Reg/Load/Plus are served offline and Store falls
-// through.
+// lives on Store, so Reg/Load/Plus are seeded and Store is constructed on
+// demand.
 func TestHybridBlobCoverage(t *testing.T) {
 	m, err := repro.LoadMachine("demo")
 	if err != nil {
@@ -120,12 +120,10 @@ func TestHybridBlobCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, err := automaton.NewHybridOverlay(g, res.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := res.Tables
 
-	// Level 1: the overlay carries tables for exactly the fixed operators.
+	// Level 1: the table set carries tables for exactly the fixed
+	// operators.
 	wantOffline := map[string]bool{"Reg": true, "Load": true, "Plus": true, "Store": false}
 	for op := 0; op < g.NumOps(); op++ {
 		name := g.OpName(grammar.OpID(op))
@@ -136,11 +134,11 @@ func TestHybridBlobCoverage(t *testing.T) {
 		served := false
 		switch g.Arity(grammar.OpID(op)) {
 		case 0:
-			served = ov.Leaf[op] >= 0
+			served = ts.Leaf[op] >= 0
 		case 1:
-			served = ov.Dir1[op] != nil
+			served = len(ts.T1[op]) > 0
 		default:
-			served = ov.Dir2[op] != nil
+			served = len(ts.T2[op]) > 0
 		}
 		if served != want {
 			t.Errorf("operator %s: served offline = %v, want %v", name, served, want)
@@ -167,17 +165,16 @@ func TestHybridBlobCoverage(t *testing.T) {
 	}
 
 	// Level 3: observable behavior. Fixed-only traffic must not grow the
-	// engine at all (every answer is an overlay load); the first dynamic
-	// node must.
+	// engine at all (every answer is a seeded table load); the first
+	// dynamic node must.
 	sel, err := m.NewSelector(repro.KindHybrid, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := sel.Labeler().(*core.Hybrid)
-	if !ok {
-		t.Fatalf("hybrid selector engine is %T, want *core.Hybrid", sel.Labeler())
+	if _, ok := sel.Labeler().(*core.Engine); !ok {
+		t.Fatalf("hybrid selector engine is %T, want the seeded *core.Engine", sel.Labeler())
 	}
-	seeded := h.OfflineStates()
+	seeded := ts.NumStates()
 	if sel.States() != seeded {
 		t.Fatalf("fresh hybrid has %d states, want the %d seeded", sel.States(), seeded)
 	}
@@ -191,7 +188,7 @@ func TestHybridBlobCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sel.States() != seeded || sel.Transitions() != trans0 {
-		t.Fatalf("fixed-only traffic grew the engine: %d -> %d states, %d -> %d transitions (want overlay-only answers)",
+		t.Fatalf("fixed-only traffic grew the engine: %d -> %d states, %d -> %d transitions (want seeded answers only)",
 			seeded, sel.States(), trans0, sel.Transitions())
 	}
 
@@ -203,16 +200,16 @@ func TestHybridBlobCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sel.Transitions() == trans0 {
-		t.Fatal("dynamic-operator traffic memoized nothing: the fallthrough path did not run")
+		t.Fatal("dynamic-operator traffic memoized nothing: the on-demand path did not run")
 	}
 
 	// And the hybrid blob is NOT loadable by the static automaton, which
 	// cannot host the dynamic operators.
-	ts, err := gen.Decode(g, res.Blob)
+	decoded, err := gen.Decode(g, res.Blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := automaton.NewStaticFromTables(g, ts); err == nil {
+	if _, err := automaton.NewStaticFromTables(g, decoded); err == nil {
 		t.Fatal("static automaton accepted a fixed-operator (hybrid) blob")
 	}
 }
@@ -268,9 +265,9 @@ stmt: S(reg) = 2 (1) "s %0"
 }
 
 // TestHybridColdStartParallel: 8 workers hammer one COLD hybrid engine —
-// every dynamic transition misses at once, exercising the overlay reads
-// racing the engine's construct slow path — and the result must match a
-// sequential reference compile. Run under -race in CI.
+// every dynamic transition misses at once, exercising the seeded table
+// reads racing the engine's construct slow path — and the result must
+// match a sequential reference compile. Run under -race in CI.
 func TestHybridColdStartParallel(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {
@@ -398,7 +395,7 @@ func fuzzArenaFor(mask uint8) *fuzzHybridArena {
 // FuzzHybridBoundary: across seeded random grammars mixing fixed and
 // dynamic rules (mask) and seeded random forests, the hybrid engine's
 // labels and Compile output must equal the on-demand engine's node for node —
-// the silent-divergence check on the fallthrough boundary. When every
+// the silent-divergence check on the seeded/on-demand boundary. When every
 // leaf rule is dynamic the hybrid must refuse with the typed error, never
 // construct wrong.
 func FuzzHybridBoundary(f *testing.F) {

@@ -299,3 +299,54 @@ func TestLabelingMetrics(t *testing.T) {
 		t.Errorf("static labeling must do no DP work: %s", m)
 	}
 }
+
+// TestValidateStateRejectsCorruptStates: beyond the cost-normalized form,
+// the shared per-state check refuses a rule recorded for a nonterminal it
+// does not derive and chain rules that cycle — states Compute never
+// builds, on which the reducer and emitter would follow chains forever.
+func TestValidateStateRejectsCorruptStates(t *testing.T) {
+	g := grammar.MustParse(`
+%name cyc
+%start a
+%term X(0)
+
+a: X = 1 (1) "x"
+a: b = 2 (1)
+b: a = 3 (0)
+`)
+	rule := func(id int) int32 {
+		for i, r := range g.Rules {
+			if r.ID == id {
+				return int32(i)
+			}
+		}
+		t.Fatalf("no rule %d", id)
+		return -1
+	}
+	a, _ := g.NTByName("a")
+	b, _ := g.NTByName("b")
+	state := func(ra, rb int32) error {
+		delta := make([]grammar.Cost, g.NumNonterms())
+		rules := make([]int32, g.NumNonterms())
+		for nt := range delta {
+			delta[nt], rules[nt] = grammar.Inf, -1
+		}
+		delta[a], rules[a] = 0, ra
+		delta[b], rules[b] = 0, rb
+		return ValidateState(g, delta, rules)
+	}
+	if err := state(rule(1), rule(3)); err != nil {
+		t.Fatalf("a state Compute builds was refused: %v", err)
+	}
+	for _, c := range []struct {
+		name   string
+		ra, rb int32
+	}{
+		{"rule for another nonterminal", rule(3), rule(3)},
+		{"chain cycle", rule(2), rule(3)},
+	} {
+		if err := state(c.ra, c.rb); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}

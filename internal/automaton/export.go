@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/grammar"
@@ -10,9 +11,9 @@ import (
 // state's cost-normalized vectors plus the leaf/unary/binary transition
 // tables in Chase-compressed representer form. It is the unit of
 // exchange between the closure (GenerateTables; internal/gen serializes
-// it as an `.isel` blob) and the serving side (NewStaticFromTables and
-// NewHybridOverlay turn it into a labeling engine without re-running any
-// closure work).
+// it as an `.isel` blob) and the serving side (NewStaticFromTables, and
+// core.NewSeeded for the hybrid kind, turn it into a labeling engine
+// without re-running any closure work).
 //
 // A TableSet handed to either constructor is owned by the engine
 // afterwards and must not be mutated.
@@ -55,16 +56,60 @@ func (ts *TableSet) TransitionEntries() int {
 	return n
 }
 
+// ErrNoFixedClosure is the typed failure of hybrid table generation and
+// loading for a grammar whose every leaf operator carries dynamic rules:
+// there is nothing to seed the fixed closure with, so a hybrid engine
+// would be the on-demand engine with extra steps. Match with errors.Is;
+// callers should fall back to KindOnDemand.
+var ErrNoFixedClosure = errors.New("automaton: no fixed-operator closure (every leaf operator has dynamic-cost rules); use the on-demand engine")
+
+// ValidateState applies the per-state rules every state vector pair
+// must satisfy to be a state of g: each rule id lies in [-1, NumRules),
+// each cost is non-negative, and a cost is infinite exactly when its rule
+// is -1 — the cost-normalized form Compute produces. Two structural rules
+// follow from how Compute picks rules, and keep the reducer and emitter
+// from looping on a corrupt state: the rule recorded for a nonterminal
+// derives that nonterminal, and the chain rules a state records never
+// cycle (chain closure records a rule only when it lowers the cost, and
+// grammars reject zero-cost chain cycles). ValidateTables checks
+// every table-set state with it, and core.Engine.Load every persisted one.
+func ValidateState(g *grammar.Grammar, delta []grammar.Cost, rule []int32) error {
+	for nt := range delta {
+		if rule[nt] < -1 || rule[nt] >= int32(g.NumRules()) {
+			return fmt.Errorf("rule %d outside grammar %s", rule[nt], g.Name)
+		}
+		if delta[nt] < 0 {
+			return fmt.Errorf("negative cost %d for nonterminal %d", delta[nt], nt)
+		}
+		if delta[nt].IsInf() != (rule[nt] == -1) {
+			return fmt.Errorf("not cost-normalized at nonterminal %d (delta %d, rule %d)", nt, delta[nt], rule[nt])
+		}
+		if rule[nt] >= 0 && int(g.Rules[rule[nt]].LHS) != nt {
+			return fmt.Errorf("rule %d for nonterminal %d derives nonterminal %d", rule[nt], nt, g.Rules[rule[nt]].LHS)
+		}
+	}
+	for nt := range rule {
+		cur := nt
+		for steps := 0; rule[cur] >= 0 && g.Rules[rule[cur]].IsChain; steps++ {
+			if steps == len(rule) {
+				return fmt.Errorf("chain rules cycle through nonterminal %d", nt)
+			}
+			cur = int(g.Rules[rule[cur]].ChainRHS)
+		}
+	}
+	return nil
+}
+
 // ValidateTables checks that ts is a well-formed table set for g and
 // returns its states interned into a fresh table, ids preserved. It is
 // the one validator every table set crosses before an engine serves it —
-// NewStaticFromTables, NewHybridOverlay, and the cluster's blob check all
+// NewStaticFromTables, core.NewSeeded, and the cluster's blob check all
 // call it — so a blob the framing checks accept (checksum, fingerprint,
 // shape) but whose body is wrong fails here rather than panicking or
 // mislabeling at serve time. It checks provenance-free structure only;
 // callers match the grammar fingerprint first.
 //
-// The rules: every state vector is cost-normalized and unique; every
+// The rules: every state passes ValidateState and is unique; every
 // operator of arity k carries k projection rows of one entry per state;
 // a fixed operator's representer ids, transition cells and leaf state are
 // in range; and a dynamic operator (one with dynamic-cost rules) carries
@@ -98,20 +143,8 @@ func ValidateTables(g *grammar.Grammar, ts *TableSet) (*Table, error) {
 		// later append to one must never spill into its neighbor.
 		delta := ts.Deltas[s*numNT : (s+1)*numNT : (s+1)*numNT]
 		rule := ts.Rules[s*numNT : (s+1)*numNT : (s+1)*numNT]
-		for nt := 0; nt < numNT; nt++ {
-			// Every legitimate state is cost-normalized: a finite,
-			// non-negative delta pairs with a valid rule id, an infinite
-			// delta with exactly -1.
-			if rule[nt] < -1 || rule[nt] >= int32(g.NumRules()) {
-				return nil, fmt.Errorf("automaton: state %d references rule %d outside grammar %s", s, rule[nt], g.Name)
-			}
-			if delta[nt] < 0 {
-				return nil, fmt.Errorf("automaton: state %d has negative cost %d for nonterminal %d", s, delta[nt], nt)
-			}
-			if delta[nt].IsInf() != (rule[nt] == -1) {
-				return nil, fmt.Errorf("automaton: state %d is not cost-normalized at nonterminal %d (delta %d, rule %d)",
-					s, nt, delta[nt], rule[nt])
-			}
+		if err := ValidateState(g, delta, rule); err != nil {
+			return nil, fmt.Errorf("automaton: state %d: %w", s, err)
 		}
 		// Duplicate vectors would intern to one id and shift every later
 		// state off its table id — transition cells would then point at
@@ -259,13 +292,13 @@ func gridBytes(g *grammar.Grammar, states int) int {
 	return b
 }
 
-// expand decompresses the fixed operators' transition tables of a
+// ExpandTables decompresses the fixed operators' transition tables of a
 // validated table set with n states into direct state-id-indexed arrays:
 // dir1[op][kid] and dir2[op][l*n+r]. Dynamic operators get nil rows. It
 // returns nil arrays when the grids would exceed ExpandMaxBytes; callers
-// then keep labeling through the compressed tables (static) or serve the
-// seeded states only (hybrid).
-func expand(g *grammar.Grammar, n int, ts *TableSet) (dir1, dir2 [][]int32) {
+// then keep labeling through the compressed tables (static) or seed the
+// states only and grow their grids under traffic (core.NewSeeded).
+func ExpandTables(g *grammar.Grammar, n int, ts *TableSet) (dir1, dir2 [][]int32) {
 	if ExpandBytes(g, n) == 0 {
 		return nil, nil
 	}

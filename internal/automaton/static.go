@@ -75,7 +75,7 @@ func (a *Static) Expand() {
 	if a.dir1 != nil {
 		return
 	}
-	a.dir1, a.dir2 = expand(a.g, len(a.states), &TableSet{NReps: a.nreps, Mu: a.mu, T1: a.t1, T2: a.t2})
+	a.dir1, a.dir2 = ExpandTables(a.g, len(a.states), &TableSet{NReps: a.nreps, Mu: a.mu, T1: a.t1, T2: a.t2})
 }
 
 // GenStats summarizes offline generation.
@@ -104,8 +104,8 @@ type StaticConfig struct {
 // for a grammar with dozens of binary operators could demand gigabytes.
 // 16 MiB is over 30× the largest real set (x86.fixed expands to
 // 436,944 bytes) and keeps every single grid at most 2²² cells, so the
-// hybrid engine's int32 l*n+r index cannot overflow. Larger table sets
-// label through the compressed representer tables instead.
+// on-demand engine's int32 l*stride+r index cannot overflow. Larger table
+// sets label through the compressed representer tables instead.
 const ExpandMaxBytes = 16 << 20
 
 // TruncatedError reports a closure that was pruned by StaticConfig
@@ -167,8 +167,8 @@ func errDynamic(g *grammar.Grammar) error {
 // GenerateTables computes the closure of g's tree-parsing automaton over
 // its fixed operators — operators without dynamic-cost rules — and
 // returns it as a TableSet. For a fixed-cost grammar that is the whole
-// automaton. For a grammar with dynamic rules it is the hybrid engine's
-// offline half: dynamic operators are seeded, projected and transitioned
+// automaton. For a grammar with dynamic rules it is the hybrid kind's
+// seed (core.NewSeeded): dynamic operators are seeded, projected and transitioned
 // nowhere, and carry zero representer classes, all-zero projection rows
 // (the wire format writes one row per child position unconditionally)
 // and empty transition tables; their states are constructed on demand at
@@ -177,9 +177,10 @@ func errDynamic(g *grammar.Grammar) error {
 // The closure keeps the full grammar (contrast StripDynamic, which
 // renumbers rules and drops orphaned helpers, so stripped-grammar states
 // are NOT states of the full grammar). Every state it interns is
-// therefore a genuine full-grammar state: seeding those states into an
-// on-demand engine's table (which hash-conses by content) gives both
-// halves of the hybrid one id space. The per-position representer
+// therefore a genuine full-grammar state: an on-demand engine seeded
+// with them (core.NewSeeded) would construct exactly these states under
+// traffic, so seeded and constructed states share one hash-consed id
+// space. The per-position representer
 // projection stays sound because chain rules can never carry dynamic
 // costs (the grammar normalizer rejects them), so Compute for a fixed
 // operator reads exactly the kid deltas its base rules name.

@@ -127,8 +127,8 @@ func ComparePerf(base, cur *PerfReport, tolPct float64, allocsOnly bool) []strin
 		}
 		// Within-report contract, not a baseline diff: on the fixed-only
 		// grammar the hybrid engine's warm select must stay within 1.2× of
-		// the static engine's on blob tables — the fallthrough machinery
-		// may not tax the fixed path. Both figures come from the same run on the same
+		// the static engine's on blob tables — the on-demand engine's
+		// seeded tables may not tax the fixed path. Both figures come from the same run on the same
 		// corpus, so the ratio is meaningful even where cross-run
 		// wall-clock is not; allocsOnly mode still skips it because CI's
 		// shared runners make even same-run ratios jitter.

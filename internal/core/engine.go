@@ -38,6 +38,18 @@
 // them. Engines seeded with thousands of states (a hybrid's blob may claim
 // them) therefore stay bounded under traffic.
 //
+// # Seeding
+//
+// NewSeeded is the hybrid kind: the same engine, started from an
+// ahead-of-time closure (automaton.GenerateTables, or a `.isel` blob)
+// instead of empty. It adopts the table set's states with their ids and
+// writes the fixed operators' expanded transitions straight into the
+// dense tables above, so fixed-operator traffic hits from the first
+// request while dynamic operators construct on demand as usual. The
+// closure is a fixpoint over the fixed operators, so a seeded grid never
+// misses on seeded children; children born on demand (under a dynamic
+// subtree) extend the grids like any other miss.
+//
 // # Concurrency
 //
 // One warm engine can serve many goroutines — the compilation-server
@@ -149,7 +161,9 @@ type Engine struct {
 	table    *automaton.Table
 	deltaCap grammar.Cost
 	m        *metrics.Counters
-	force    bool
+	// hashed[op] routes op through the hash path: the operator has
+	// dynamic rules, or Config.ForceHash is set.
+	hashed []bool
 	// denseIDs bounds the child state ids the dense tables index; see
 	// the package documentation.
 	denseIDs int32
@@ -205,7 +219,7 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 		table:    table,
 		deltaCap: cfg.DeltaCap,
 		m:        cfg.Metrics,
-		force:    cfg.ForceHash,
+		hashed:   make([]bool, g.NumOps()),
 		denseIDs: int32(automaton.ExpandMaxStates(g)),
 		mus:      make([]sync.Mutex, g.NumOps()),
 		leaf:     make([]atomic.Int32, g.NumOps()),
@@ -215,9 +229,57 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 	}
 	for op := range e.leaf {
 		e.leaf[op].Store(-1) // 0 is a valid state id; -1 means "no transition yet"
+		e.hashed[op] = cfg.ForceHash || g.HasDynRules(grammar.OpID(op))
 	}
 	e.scratch.New = func() any { return &dynScratch{} }
 	e.labels.New = func() any { return &automaton.Labeling{} }
+	return e, nil
+}
+
+// NewSeeded creates an on-demand automaton for g that starts from the
+// closure ts instead of empty (see the package documentation): it
+// validates ts with automaton.ValidateTables, adopts its states with
+// their ids, stores the fixed leaf states, and writes each fixed
+// operator's expanded transitions into the dense tables — or, when
+// expansion would exceed automaton.ExpandMaxBytes, seeds the states only
+// and lets the dense tables warm under traffic. A table set with no
+// states fails with automaton.ErrNoFixedClosure.
+//
+// Seeding is not subject to Config.MaxStates, which bounds on-demand
+// growth past the seeds: a budget below the seeded state count leaves no
+// headroom, and the first construction fails with ErrStateBudget.
+// NumTransitions starts at the table set's compressed transition count.
+// The engine takes ownership of ts.
+func NewSeeded(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ts *automaton.TableSet) (*Engine, error) {
+	e, err := New(g, env, cfg)
+	if err != nil {
+		return nil, err
+	}
+	table, err := automaton.ValidateTables(g, ts)
+	if err != nil {
+		return nil, err
+	}
+	table.SetBudget(cfg.MaxStates)
+	e.table = table
+	for op, id := range ts.Leaf {
+		if g.Ops[op].Arity == 0 && id >= 0 {
+			e.leaf[op].Store(id)
+		}
+	}
+	// Expansion is accepted only up to automaton.ExpandMaxStates(g) =
+	// denseIDs states, so the seeded grids always fit the dense bound.
+	n := int32(table.Len())
+	dir1, dir2 := automaton.ExpandTables(g, int(n), ts)
+	for op := range dir1 {
+		if dir1[op] != nil {
+			row := unRow(dir1[op])
+			e.un[op].Store(&row)
+		}
+		if dir2[op] != nil {
+			e.bin[op].Store(&binGrid{rows: n, stride: n, cells: dir2[op]})
+		}
+	}
+	e.transitions.Store(int64(ts.TransitionEntries()))
 	return e, nil
 }
 
@@ -269,6 +331,10 @@ func (e *Engine) LabelStates(f *ir.Forest) *automaton.Labeling {
 // engine's configured sink. A nil m falls back to the engine sink. This is
 // the metrics hook the compilation server uses to account one shared warm
 // engine's work to individual clients.
+//
+// The loop hand-inlines labelNode's dense hit path: on the warm fixed
+// majority a node costs one table load and no call. Hash-path operators
+// and misses stay out of line.
 func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automaton.Labeling {
 	if m == nil {
 		m = e.m
@@ -276,7 +342,27 @@ func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automato
 	lab := e.labels.Get().(*automaton.Labeling)
 	ids := lab.Reuse(len(f.Nodes))
 	for i, n := range f.Nodes {
-		ids[i] = e.labelNode(n, ids, m)
+		m.CountNode()
+		op := n.Op
+		if e.hashed[op] {
+			ids[i] = e.labelHashed(op, n, ids, m)
+			continue
+		}
+		var id int32
+		switch len(n.Kids) {
+		case 0:
+			id = e.leaf[op].Load()
+		case 1:
+			id = e.hitUn(op, ids[n.Kids[0].Index])
+		default:
+			id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
+		}
+		if id < 0 {
+			id = e.miss(op, n, ids, m)
+		} else {
+			m.CountProbe(false)
+		}
+		ids[i] = id
 	}
 	lab.Bind(e.table)
 	return lab
@@ -308,129 +394,112 @@ func (e *Engine) LabelNode(n *ir.Node, ids []int32) int32 {
 	return e.labelNode(n, ids, e.m)
 }
 
-// labelDyn labels one node of an operator with dynamic-cost rules.
-func (e *Engine) labelDyn(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
+// labelHashed labels one node through op's hash table: keyed by the
+// evaluated dynamic-cost signature for an operator with dynamic rules, by
+// the child ids alone otherwise (ForceHash, or a child id past the dense
+// bound). It is the one helper holding pooled scratch, and its single
+// defer keeps the callers free of deferred-call overhead.
+func (e *Engine) labelHashed(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 	sc := e.scratch.Get().(*dynScratch)
 	// Deferred so a panicking user cost function cannot leak the pooled
 	// buffers; see the package concurrency notes.
 	defer e.scratch.Put(sc)
-	e.evalDyn(n, ids, sc, m)
-	return e.lookupHash(op, n, ids, sc.key, sc.dyn, m)
-}
-
-// labelForced labels one node through the hash path regardless of the
-// operator's rules — the ForceHash ablation.
-func (e *Engine) labelForced(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
-	sc := e.scratch.Get().(*dynScratch)
-	defer e.scratch.Put(sc)
+	if e.g.HasDynRules(op) {
+		e.evalDyn(n, ids, sc, m)
+		return e.lookupHash(op, n, ids, sc.key, sc.dyn, m)
+	}
 	sc.key = append(sc.key[:0], packLR(n, ids))
 	return e.lookupHash(op, n, ids, sc.key, nil, m)
 }
 
-// labelNode labels one node, counting events into m.
+// labelNode labels one node, counting events into m: the body of
+// LabelStatesMetered's loop, for callers labeling one node at a time.
 func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
 	m.CountNode()
 	op := n.Op
-
-	// The fast path evaluates the operator's dynamic costs (rarely any)
-	// and performs one lookup. Both pooled-scratch paths live in their own
-	// single-defer helpers: a second defer here would push labelNode past
-	// the compiler's returns×defers open-coding budget and put the slow
-	// deferred-call machinery on every warm dynamic probe.
-	if e.g.HasDynRules(op) {
-		return e.labelDyn(op, n, ids, m)
+	if e.hashed[op] {
+		return e.labelHashed(op, n, ids, m)
 	}
-	if e.force {
-		return e.labelForced(op, n, ids, m)
-	}
+	var id int32
 	switch len(n.Kids) {
 	case 0:
-		if id := e.leaf[op].Load(); id >= 0 {
-			m.CountProbe(false)
-			return id
-		}
-		return e.missLeaf(op, m)
+		id = e.leaf[op].Load()
 	case 1:
-		kid := ids[n.Kids[0].Index]
-		if rp := e.un[op].Load(); rp != nil {
-			if row := *rp; int(kid) < len(row) {
-				if id := atomic.LoadInt32(&row[kid]); id >= 0 {
-					m.CountProbe(false)
-					return id
-				}
-			}
-		}
-		return e.missUn(op, n, ids, m)
+		id = e.hitUn(op, ids[n.Kids[0].Index])
 	default:
-		l := ids[n.Kids[0].Index]
-		r := ids[n.Kids[1].Index]
-		if t := e.bin[op].Load(); t != nil && l < t.rows && r < t.stride {
-			if id := atomic.LoadInt32(&t.cells[l*t.stride+r]); id >= 0 {
-				m.CountProbe(false)
-				return id
-			}
-		}
-		return e.missBin(op, n, ids, m)
+		id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
 	}
+	if id < 0 {
+		return e.miss(op, n, ids, m)
+	}
+	m.CountProbe(false)
+	return id
 }
 
-// missLeaf is the leaf slow path: construct under the operator's mutex,
-// re-checking first because another goroutine may have won the race.
-func (e *Engine) missLeaf(op grammar.OpID, m *metrics.Counters) int32 {
-	e.mus[op].Lock()
-	defer e.mus[op].Unlock()
-	if id := e.leaf[op].Load(); id >= 0 {
+// hitUn returns the dense unary transition of op from child state kid, or
+// -1 when it is not constructed yet.
+func (e *Engine) hitUn(op grammar.OpID, kid int32) int32 {
+	if rp := e.un[op].Load(); rp != nil {
+		if row := *rp; int(kid) < len(row) {
+			return atomic.LoadInt32(&row[kid])
+		}
+	}
+	return -1
+}
+
+// hitBin is hitUn for binary operators.
+func (e *Engine) hitBin(op grammar.OpID, l, r int32) int32 {
+	if t := e.bin[op].Load(); t != nil && l < t.rows && r < t.stride {
+		return atomic.LoadInt32(&t.cells[l*t.stride+r])
+	}
+	return -1
+}
+
+// miss is the dense slow path of a fixed operator: construct under the
+// operator's mutex, re-checking first because another goroutine may have
+// won the race. A child id past the dense bound takes the hash path
+// instead.
+func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
+	var kids [2]*automaton.State
+	var id int32
+	switch len(n.Kids) {
+	case 0:
+		e.mus[op].Lock()
+		defer e.mus[op].Unlock()
+		id = e.leaf[op].Load()
+	case 1:
+		kid := ids[n.Kids[0].Index]
+		if kid >= e.denseIDs {
+			return e.labelHashed(op, n, ids, m)
+		}
+		e.mus[op].Lock()
+		defer e.mus[op].Unlock()
+		id = e.hitUn(op, kid)
+		kids[0] = e.table.Get(kid)
+	default:
+		l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
+		if l >= e.denseIDs || r >= e.denseIDs {
+			return e.labelHashed(op, n, ids, m)
+		}
+		e.mus[op].Lock()
+		defer e.mus[op].Unlock()
+		id = e.hitBin(op, l, r)
+		kids[0], kids[1] = e.table.Get(l), e.table.Get(r)
+	}
+	if id >= 0 {
 		m.CountProbe(false)
 		return id
 	}
 	m.CountProbe(true)
-	s := e.construct(op, nil, nil, m)
-	e.leaf[op].Store(s.ID)
-	e.addTransition(m)
-	return s.ID
-}
-
-// missUn is the unary slow path; a child id past the dense bound takes
-// the hash path instead.
-func (e *Engine) missUn(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
-	kid := ids[n.Kids[0].Index]
-	if kid >= e.denseIDs {
-		return e.labelForced(op, n, ids, m)
+	s := e.construct(op, kids[:len(n.Kids)], nil, m)
+	switch len(n.Kids) {
+	case 0:
+		e.leaf[op].Store(s.ID)
+	case 1:
+		e.setUnLocked(op, int(kids[0].ID), s.ID)
+	default:
+		e.setBinLocked(op, int(kids[0].ID), int(kids[1].ID), s.ID)
 	}
-	e.mus[op].Lock()
-	defer e.mus[op].Unlock()
-	if rp := e.un[op].Load(); rp != nil {
-		if row := *rp; int(kid) < len(row) {
-			if id := atomic.LoadInt32(&row[kid]); id >= 0 {
-				m.CountProbe(false)
-				return id
-			}
-		}
-	}
-	m.CountProbe(true)
-	s := e.construct(op, []*automaton.State{e.table.Get(kid)}, nil, m)
-	e.setUnLocked(op, int(kid), s.ID)
-	e.addTransition(m)
-	return s.ID
-}
-
-// missBin is missUn for binary operators.
-func (e *Engine) missBin(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
-	l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
-	if l >= e.denseIDs || r >= e.denseIDs {
-		return e.labelForced(op, n, ids, m)
-	}
-	e.mus[op].Lock()
-	defer e.mus[op].Unlock()
-	if t := e.bin[op].Load(); t != nil && l < t.rows && r < t.stride {
-		if id := atomic.LoadInt32(&t.cells[l*t.stride+r]); id >= 0 {
-			m.CountProbe(false)
-			return id
-		}
-	}
-	m.CountProbe(true)
-	s := e.construct(op, []*automaton.State{e.table.Get(l), e.table.Get(r)}, nil, m)
-	e.setBinLocked(op, int(l), int(r), s.ID)
 	e.addTransition(m)
 	return s.ID
 }
@@ -499,7 +568,7 @@ func (e *Engine) setBinLocked(op grammar.OpID, l, r int, id int32) {
 }
 
 // setHashLocked memoizes a fixed-operator transition with a child id past
-// the dense bound in op's hash table, under the key labelForced probes:
+// the dense bound in op's hash table, under the key labelHashed probes:
 // l<<32|r. Caller holds e.mus[op].
 func (e *Engine) setHashLocked(op grammar.OpID, lr uint64, id int32) {
 	key := []uint64{lr}

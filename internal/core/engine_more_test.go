@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/automaton"
@@ -301,4 +302,75 @@ func TestMemoryGrowsMonotonically(t *testing.T) {
 		}
 		prev = cur
 	}
+}
+
+// TestSeededEngine: an engine seeded with a fixed-cost grammar's closure
+// labels like an empty one without a single miss or new state, Load
+// refuses it (it is not fresh), and Config.MaxStates bounds only growth
+// past the seeds: a budget below the seeded count still constructs, and
+// the first on-demand state then fails with ErrStateBudget.
+func TestSeededEngine(t *testing.T) {
+	d := md.MustLoad("x86")
+	fixed, err := d.Grammar.StripDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forests []*ir.Forest
+	for _, c := range workload.MustCompileAll(fixed) {
+		forests = append(forests, c.Forests()...)
+	}
+	closure := func(g *grammar.Grammar) *automaton.TableSet {
+		ts, _, err := automaton.GenerateTables(g, automaton.StaticConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	m := &metrics.Counters{}
+	seeded, err := NewSeeded(fixed, nil, Config{Metrics: m}, closure(fixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, trans := seeded.NumStates(), seeded.NumTransitions()
+	empty, _ := New(fixed, nil, Config{})
+	for _, f := range forests {
+		a, b := seeded.LabelStates(f), empty.LabelStates(f)
+		for _, n := range f.Nodes {
+			for nt := range a.StateAt(n).Rule {
+				if a.RuleAt(n, grammar.NT(nt)) != b.RuleAt(n, grammar.NT(nt)) {
+					t.Fatalf("seeded labeling differs at node %d", n.Index)
+				}
+			}
+		}
+	}
+	if m.TableMisses != 0 || seeded.NumStates() != states || seeded.NumTransitions() != trans {
+		t.Errorf("fixed traffic on a seeded engine: %d misses, states %d -> %d, transitions %d -> %d; want none",
+			m.TableMisses, states, seeded.NumStates(), trans, seeded.NumTransitions())
+	}
+	var buf bytes.Buffer
+	if err := empty.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := seeded.Load(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("Load into a seeded engine must fail")
+	}
+
+	ts := closure(d.Grammar)
+	tight, err := NewSeeded(d.Grammar, d.Env, Config{MaxStates: 1}, ts)
+	if err != nil {
+		t.Fatalf("seeding %d states under MaxStates 1: %v", ts.NumStates(), err)
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if err, ok := r.(error); !ok || !errors.Is(err, ErrStateBudget) {
+				t.Errorf("dynamic traffic past the seeds: recovered %v, want ErrStateBudget", r)
+			}
+		}()
+		for _, c := range workload.MustCompileAll(d.Grammar) {
+			for _, f := range c.Forests() {
+				tight.LabelStates(f)
+			}
+		}
+	}()
 }

@@ -125,7 +125,9 @@ func (e *Engine) Save(w io.Writer) error {
 }
 
 // Load restores a previously saved automaton into a fresh engine for the
-// same grammar. Loading into a non-empty engine is rejected.
+// same grammar. Loading into a non-empty engine — a seeded one included —
+// is rejected. Every state must pass automaton.ValidateState, and every
+// transition must reference states the file defines.
 func (e *Engine) Load(r io.Reader) error {
 	if e.table.Len() != 0 {
 		return fmt.Errorf("core: Load requires a fresh engine")
@@ -170,8 +172,10 @@ func (e *Engine) Load(r io.Reader) error {
 	if nStates > 1<<24 {
 		return fmt.Errorf("core: implausible state count %d", nStates)
 	}
-	byID := make([]*automaton.State, nStates)
-	for i := range byID {
+	// byID grows as states are read: the header's claim sizes nothing, so
+	// a short file claiming millions of states fails at EOF cheaply.
+	var byID []*automaton.State
+	for i := uint64(0); i < nStates; i++ {
 		delta := make([]grammar.Cost, numNT)
 		rule := make([]int32, numNT)
 		for nt := 0; nt < int(numNT); nt++ {
@@ -185,15 +189,18 @@ func (e *Engine) Load(r io.Reader) error {
 			}
 			delta[nt] = grammar.Cost(int32(uint32(d)))
 			rule[nt] = int32(uint32(rv))
-			if rule[nt] >= int32(e.g.NumRules()) {
-				return fmt.Errorf("core: state %d references rule %d outside the grammar", i, rule[nt])
-			}
+		}
+		// The per-state rules every table-set state passes: a state that
+		// breaks them would fail reduction or loop the emitter at serve
+		// time instead of failing here.
+		if err := automaton.ValidateState(e.g, delta, rule); err != nil {
+			return fmt.Errorf("core: saved state %d: %w", i, err)
 		}
 		s, _ := e.table.Intern(delta, rule, e.m)
 		if s.ID != int32(i) {
 			return fmt.Errorf("core: duplicate state %d in saved automaton", i)
 		}
-		byID[i] = s
+		byID = append(byID, s)
 	}
 	state := func(v uint64) (*automaton.State, error) {
 		if v >= nStates {
@@ -299,8 +306,11 @@ func (e *Engine) Load(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if sigLen > 1<<16 {
-			return fmt.Errorf("core: implausible signature length %d", sigLen)
+		if op >= uint64(e.g.NumOps()) {
+			return fmt.Errorf("core: hash transition references operator %d", op)
+		}
+		if want := 4 * len(e.g.DynRules(grammar.OpID(op))); sigLen != uint64(want) {
+			return fmt.Errorf("core: hash transition of operator %d carries a %d-byte signature, want %d", op, sigLen, want)
 		}
 		sig := make([]byte, sigLen)
 		if _, err := io.ReadFull(br, sig); err != nil {
@@ -309,13 +319,6 @@ func (e *Engine) Load(r io.Reader) error {
 		sid, err := get()
 		if err != nil {
 			return err
-		}
-		if op >= uint64(e.g.NumOps()) {
-			return fmt.Errorf("core: hash transition references operator %d", op)
-		}
-		if int(sigLen) != 4*len(e.g.DynRules(grammar.OpID(op))) {
-			return fmt.Errorf("core: hash transition of operator %d carries a %d-byte signature, want %d",
-				op, sigLen, 4*len(e.g.DynRules(grammar.OpID(op))))
 		}
 		s, err := state(sid)
 		if err != nil {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/md"
 	"repro/internal/metrics"
@@ -128,5 +131,88 @@ func TestFingerprintDistinguishesGrammars(t *testing.T) {
 	}
 	if a != c {
 		t.Error("fingerprint is not deterministic")
+	}
+}
+
+// persistHeader is the byte length of a saved automaton's header: magic,
+// grammar fingerprint, nonterminal count and state count. State entries
+// follow as (delta, rule) pairs of 8 bytes each.
+const persistHeader = len(persistMagic) + 3*8
+
+// TestLoadChecksSavedStates: a saved automaton whose framing is intact
+// but whose states break the per-state rules automaton.ValidateState
+// applies — a rule id of -2, or -1 on a finite cost, a negative cost, or
+// a chain rule recorded for a nonterminal it does not derive — must fail
+// to load instead of mislabeling or hanging. A header claiming 2^24
+// states must fail at EOF without allocating for the claim.
+func TestLoadChecksSavedStates(t *testing.T) {
+	d := md.MustLoad("x86")
+	warm, _ := New(d.Grammar, d.Env, Config{})
+	for _, c := range workload.MustCompileAll(d.Grammar) {
+		for _, f := range c.Forests() {
+			warm.LabelStates(f)
+		}
+	}
+	var buf bytes.Buffer
+	if err := warm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	save := buf.Bytes()
+	// The first finite entry: its rule is a valid id.
+	at := persistHeader
+	for grammar.Cost(int32(binary.LittleEndian.Uint32(save[at:]))).IsInf() {
+		at += 16
+	}
+	// A finite entry whose nonterminal is the source of some chain rule:
+	// recording that rule there made the emitter follow the chain forever.
+	g := d.Grammar
+	loopAt, loopRule := -1, -1
+	for e := at; loopAt < 0 && e+16 <= len(save); e += 16 {
+		nt := (e - persistHeader) / 16 % g.NumNonterms()
+		if grammar.Cost(int32(binary.LittleEndian.Uint32(save[e:]))).IsInf() {
+			continue
+		}
+		for ri, r := range g.Rules {
+			if r.IsChain && int(r.ChainRHS) == nt {
+				loopAt, loopRule = e, ri
+				break
+			}
+		}
+	}
+	if loopAt < 0 {
+		t.Fatal("no finite entry is the source of a chain rule")
+	}
+	for _, c := range []struct {
+		name       string
+		off        int
+		val        uint64
+		wantSubstr string
+	}{
+		{"rule -2", at + 8, uint64(uint32(0xfffffffe)), "outside grammar"},
+		{"rule -1 on a finite cost", at + 8, uint64(uint32(0xffffffff)), "not cost-normalized"},
+		{"negative cost", at, uint64(uint32(0xfffffffb)), "negative cost"},
+		{"chain rule back to its own nonterminal", loopAt + 8, uint64(loopRule), "derives nonterminal"},
+	} {
+		bad := bytes.Clone(save)
+		binary.LittleEndian.PutUint64(bad[c.off:], c.val)
+		e, _ := New(d.Grammar, d.Env, Config{})
+		if err := e.Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), c.wantSubstr) {
+			t.Errorf("%s: Load = %v, want an error containing %q", c.name, err, c.wantSubstr)
+		}
+	}
+
+	claim := bytes.Clone(save[:persistHeader])
+	binary.LittleEndian.PutUint64(claim[persistHeader-8:], 1<<24)
+	var before, after runtime.MemStats
+	e, _ := New(d.Grammar, d.Env, Config{})
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := e.Load(bytes.NewReader(claim))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header claiming 2^24 states and carrying none loaded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("a %d-byte header claiming 2^24 states allocated %d bytes", len(claim), alloc)
 	}
 }

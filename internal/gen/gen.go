@@ -77,8 +77,8 @@ type Result struct {
 // Compile computes the closure of g's tree-parsing automaton over its
 // fixed operators (automaton.GenerateTables). For a fixed-cost grammar
 // that is the whole automaton, served by the `static` engine kind. For a
-// grammar with dynamic-cost rules it is the `hybrid` kind's offline half:
-// the blob keeps the FULL grammar's fingerprint, because its states are
+// grammar with dynamic-cost rules it is the `hybrid` kind's seed: the
+// blob keeps the FULL grammar's fingerprint, because its states are
 // genuine full-grammar states (contrast StripDynamic, which renumbers
 // rules and so produces tables of a different grammar).
 //

@@ -45,11 +45,11 @@ type Labeling interface {
 // interchangeable implementations the paper compares — dp.Labeler
 // (dynamic programming at selection time), automaton.Static (offline
 // burg-style automaton, its tables generated in-process or loaded from a
-// blob) and core.Engine (the paper's on-demand automaton) — plus
-// core.Hybrid, which serves the static tables of the fixed operators and
-// builds the dynamic ones on demand. New engine kinds implement this
-// interface and register a constructor with the API layer; nothing else
-// in the pipeline needs to know about them.
+// blob) and core.Engine (the paper's on-demand automaton, which also
+// serves the hybrid kind when seeded with the fixed operators' closure).
+// A new engine implements this interface and gets a case in the API
+// layer's NewSelector; nothing else in the pipeline needs to know about
+// it.
 //
 // The stats methods describe the engine's automaton, when it has one:
 // states materialized, transition entries tabulated or memoized, and the
@@ -57,9 +57,8 @@ type Labeling interface {
 //
 // Concurrency: every built-in Labeler is safe for concurrent Label calls
 // on distinct forests — dp.Labeler keeps all working state per call,
-// automaton.Static is immutable after construction, and core.Engine and
-// core.Hybrid synchronize their construct slow path internally (see
-// package core).
+// automaton.Static is immutable after construction, and core.Engine
+// synchronizes its construct slow path internally (see package core).
 type Labeler interface {
 	// Label assigns a labeling to every node of f.
 	Label(f *ir.Forest) Labeling

@@ -1,7 +1,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // TestRegistryLazyConstruction: entries materialize exactly once, on
@@ -127,8 +130,9 @@ r: k (1) "mov %0 -> %d"
 }
 
 // TestRegistryPersistence: SaveAll writes one automaton file per capable
-// machine; a fresh registry over the same directory restores the tables
-// at construction, so the restored selector labels with zero misses.
+// (on-demand) machine; a fresh registry over the same directory restores
+// the tables at construction, so the restored selector labels with zero
+// misses.
 func TestRegistryPersistence(t *testing.T) {
 	dir := t.TempDir()
 	m, err := repro.LoadMachine("jit64")
@@ -146,11 +150,29 @@ func TestRegistryPersistence(t *testing.T) {
 	if err := warm.Add("jit64", repro.KindOnDemand, repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// A DP machine rides along: SaveAll must skip it, not fail.
+	// A DP and a hybrid machine ride along: SaveAll must skip them, not
+	// fail. The hybrid rebuilds from its table source instead.
 	if err := warm.Add("demo", repro.KindDP, repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := warm.Warm("demo"); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Add("x86", repro.KindHybrid, repro.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	xm, xsel, err := warm.Get("x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xsel.SupportsPersistence() {
+		t.Error("hybrid selectors must not support automaton persistence")
+	}
+	xf, err := xm.ParseTree("RET(ADD(REG[1], CNST[2]))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xsel.Compile(context.Background(), xf); err != nil {
 		t.Fatal(err)
 	}
 	_, sel, err := warm.Get("jit64")
@@ -169,6 +191,9 @@ func TestRegistryPersistence(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "demo.automaton")); !os.IsNotExist(err) {
 		t.Fatalf("DP machine must not persist an automaton: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x86.automaton")); !os.IsNotExist(err) {
+		t.Fatalf("hybrid machine must not persist an automaton: %v", err)
 	}
 
 	cold := repro.NewRegistry()
@@ -201,40 +226,109 @@ func TestRegistryPersistence(t *testing.T) {
 
 	// A corrupt file does not break the machine: it is quarantined
 	// (renamed to .bad, logged) and construction falls back to cold
-	// in-process tables.
-	if err := os.WriteFile(filepath.Join(dir, "mips.automaton"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	// in-process tables that select exactly like DP. The inputs: garbage,
+	// and a real x86 save with one rule id set to -2 or to -1 on a finite
+	// cost — well framed, so only the per-state check catches them.
+	x86Save := savedAutomaton(t, "x86")
+	for _, c := range []struct {
+		name, machine string
+		data          []byte
+	}{
+		{"garbage", "mips", []byte("garbage")},
+		{"rule -2", "x86", withFirstRule(x86Save, -2)},
+		{"rule -1 on a finite cost", "x86", withFirstRule(x86Save, -1)},
+	} {
+		qdir := t.TempDir()
+		path := filepath.Join(qdir, c.machine+".automaton")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := repro.NewRegistry()
+		reg.SetAutomatonDir(qdir)
+		if err := reg.Add(c.machine, repro.KindOnDemand, repro.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		var logged []string
+		reg.SetLogger(func(format string, args ...any) {
+			logged = append(logged, fmt.Sprintf(format, args...))
+		})
+		m, sel, err := reg.Get(c.machine)
+		if err != nil {
+			t.Fatalf("%s: corrupt automaton file must fall back to cold construction, got %v", c.name, err)
+		}
+		if _, err := os.Stat(path + ".bad"); err != nil {
+			t.Errorf("%s: corrupt file must be quarantined to %s.bad: %v", c.name, filepath.Base(path), err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: corrupt file must be moved aside, still present: %v", c.name, err)
+		}
+		if len(logged) == 0 {
+			t.Errorf("%s: quarantine must be logged", c.name)
+		}
+		for _, st := range reg.Status() {
+			if st.Err != "" {
+				t.Errorf("%s: quarantine recovery must not leave a sticky error: %s", c.name, st.Err)
+			}
+		}
+		assertCorpusMatchesDP(t, c.name, m, sel)
 	}
-	if err := cold.Add("mips", repro.KindOnDemand, repro.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	var logged []string
-	cold.SetLogger(func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	})
-	mm, msel, err := cold.Get("mips")
+}
+
+// savedAutomaton returns the save of an on-demand selector for machine
+// warmed on its whole corpus.
+func savedAutomaton(t *testing.T, machine string) []byte {
+	t.Helper()
+	m, err := repro.LoadMachine(machine)
 	if err != nil {
-		t.Fatalf("corrupt automaton file must fall back to cold construction, got %v", err)
+		t.Fatal(err)
 	}
-	mf, err := mm.ParseTree("RET(ADD(REG[1], CNST[2]))")
+	sel, err := m.NewSelector(repro.KindOnDemand, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := msel.Compile(context.Background(), mf); err != nil {
-		t.Fatalf("cold-fallback selector must compile: %v", err)
+	for _, u := range workload.MustCompileAll(m.Grammar) {
+		if _, err := sel.CompileUnit(context.Background(), u.Unit); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "mips.automaton.bad")); err != nil {
-		t.Errorf("corrupt file must be quarantined to mips.automaton.bad: %v", err)
+	var buf bytes.Buffer
+	if err := sel.SaveAutomaton(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "mips.automaton")); !os.IsNotExist(err) {
-		t.Errorf("corrupt file must be moved aside, still present: %v", err)
+	return buf.Bytes()
+}
+
+// withFirstRule returns a copy of a saved automaton whose first finite
+// state entry records rule instead of its own. The save's layout: a
+// 6-byte magic, the grammar fingerprint, the nonterminal and state
+// counts (8 bytes each), then one (delta, rule) pair of 8-byte words per
+// state and nonterminal; an infinite delta marks an underivable entry.
+func withFirstRule(save []byte, rule int32) []byte {
+	out := bytes.Clone(save)
+	at := 6 + 3*8
+	for repro.Cost(int32(binary.LittleEndian.Uint32(out[at:]))) >= repro.Inf {
+		at += 16
 	}
-	if len(logged) == 0 {
-		t.Error("quarantine must be logged")
+	binary.LittleEndian.PutUint64(out[at+8:], uint64(uint32(rule)))
+	return out
+}
+
+// assertCorpusMatchesDP compiles m's corpus with sel and with the dp
+// oracle and fails on any difference in error, cost or assembly.
+func assertCorpusMatchesDP(t *testing.T, what string, m *repro.Machine, sel *repro.Selector) {
+	t.Helper()
+	oracle, err := m.NewSelector(repro.KindDP, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, st := range cold.Status() {
-		if st.Machine == "mips" && st.Err != "" {
-			t.Errorf("quarantine recovery must not leave a sticky error: %s", st.Err)
+	ctx := context.Background()
+	for _, u := range workload.MustCompileAll(m.Grammar) {
+		for i, f := range u.Forests() {
+			want, wantErr := oracle.Compile(ctx, f)
+			got, err := sel.Compile(ctx, f)
+			if (err == nil) != (wantErr == nil) || err == nil && (got.Cost != want.Cost || got.Asm != want.Asm) {
+				t.Fatalf("%s: %s forest %d: %v disagrees with dp (%v)", what, u.Program.Name, i, err, wantErr)
+			}
 		}
 	}
 }

@@ -395,7 +395,7 @@ func TestCraftedBlobExpansionBounded(t *testing.T) {
 
 		// One corpus pass: states born under traffic get ids past the
 		// claimed ones, which must not size the on-demand engine's dense
-		// grids (the hybrid's fallthrough) by the square of the seed.
+		// grids by the square of the seed.
 		oracle, err := c.m.NewSelector(repro.KindDP, repro.Options{})
 		if err != nil {
 			t.Fatal(err)
