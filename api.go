@@ -7,8 +7,8 @@
 //     (flexible, supports dynamic costs, slow per node);
 //   - KindStatic: a burg-style offline automaton (fast per node, no
 //     dynamic costs, tables built ahead of time — in-process, or by
-//     cmd/iselgen and loaded from a blob or compiled-in Go source, with
-//     zero construction cost under traffic);
+//     cmd/iselgen and loaded from a blob, with zero construction cost
+//     under traffic);
 //   - KindOnDemand: the paper's contribution — the automaton is built
 //     lazily at selection time, giving (warm) static-automaton speed
 //     *and* dynamic costs;

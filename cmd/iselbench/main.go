@@ -138,7 +138,7 @@ func run(exp, gname, svMachines string, ablations bool, workers []int, passes in
 		{"SV", func() error {
 			if replicas > 0 {
 				// Distributed replay: N replicas behind the router, warm
-				// via the blob exchange, zero-failed-request + exact fleet
+				// before traffic, zero-failed-request + exact fleet
 				// accounting asserted (see internal/bench/cluster.go).
 				nClients := 0
 				for _, c := range clients {

@@ -1,18 +1,15 @@
 // Command iselgen is the ahead-of-time table compiler: it computes the
 // tree-parsing automaton of a grammar offline (internal/gen) and writes
-// it as an `.isel` blob — loadable through Options.PreloadPath and by
+// it as an `.isel` blob, loadable through Options.PreloadPath and by
 // `iselserver -preload` for machines that are fully warm before their
-// first request — or as generated Go source that embeds the blob and
-// registers it at init time.
+// first request.
 //
 // Usage:
 //
 //	iselgen -machine x86 -out x86.isel
 //	iselgen -machine x86 -fixed -out x86.isel
-//	iselgen -machine demo -fixed -go -pkg precompiled -out demo_fixed_gen.go
 //	iselgen -grammar mydesc.gr -out mydesc.isel
 //	iselgen -machine jit64 -fixed -stats
-//	iselgen -machine demo -fixed -go -pkg precompiled -out demo_fixed_gen.go -check
 //
 // Dynamic-cost rules cannot be tabulated offline (the limitation the
 // paper's on-demand engine lifts), so the closure covers the grammar's
@@ -29,20 +26,13 @@
 // closure is pruned by -max-states the report carries the truncation
 // diagnostics instead and iselgen exits nonzero — a pruned table set is
 // never written.
-//
-// -check verifies that -out is byte-for-byte up to date instead of
-// writing it (exit status 2 when stale): the CI hook that keeps committed
-// generated tables honest. Output is deterministic for a given grammar,
-// so -check is meaningful.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/automaton"
 	"repro/internal/gen"
@@ -54,16 +44,12 @@ func main() {
 	machine := flag.String("machine", "", "built-in machine description to compile (x86, mips, sparc, alpha, jit64, demo)")
 	grammarFile := flag.String("grammar", "", "burg-style grammar source file to compile (alternative to -machine)")
 	fixed := flag.Bool("fixed", false, "strip dynamic-cost rules first and compile the fixed-cost subset (static engine) instead of the full grammar's fixed operators (hybrid engine)")
-	out := flag.String("out", "", "output path (.isel blob, or Go source with -go)")
-	goSrc := flag.Bool("go", false, "emit generated Go source embedding the blob instead of the raw blob")
-	pkg := flag.String("pkg", "precompiled", "package name for -go output")
-	varName := flag.String("var", "", "variable name for -go output (derived from the grammar name when empty)")
+	out := flag.String("out", "", "output path of the .isel blob")
 	stats := flag.Bool("stats", false, "print the closure report (states, transitions, table bytes, generation time)")
-	check := flag.Bool("check", false, "verify -out is up to date instead of writing it (exit 2 when stale)")
 	maxStates := flag.Int("max-states", 0, "closure state bound (0 = generator default); a pruned closure fails with diagnostics")
 	flag.Parse()
 
-	if err := run(*machine, *grammarFile, *out, *pkg, *varName, *fixed, *goSrc, *stats, *check, *maxStates); err != nil {
+	if err := run(*machine, *grammarFile, *out, *fixed, *stats, *maxStates); err != nil {
 		fmt.Fprintln(os.Stderr, "iselgen:", err)
 		var trunc *automaton.TruncatedError
 		if errors.As(err, &trunc) {
@@ -74,16 +60,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  work items pending %d\n", trunc.PendingWork)
 			fmt.Fprintln(os.Stderr, "  a pruned table set is never written; raise -max-states or fix the grammar's chain-rule structure")
 		}
-		if errors.Is(err, errStale) {
-			os.Exit(2)
-		}
 		os.Exit(1)
 	}
 }
 
-var errStale = errors.New("stale")
-
-func run(machine, grammarFile, out, pkg, varName string, fixed, goSrc, stats, check bool, maxStates int) error {
+func run(machine, grammarFile, out string, fixed, stats bool, maxStates int) error {
 	g, err := loadGrammar(machine, grammarFile, fixed)
 	if err != nil {
 		return err
@@ -101,31 +82,10 @@ func run(machine, grammarFile, out, pkg, varName string, fixed, goSrc, stats, ch
 		}
 		return fmt.Errorf("no -out path (and no -stats): nothing to do; refusing to write a binary blob to stdout")
 	}
-
-	payload := res.Blob
-	if goSrc {
-		if varName == "" {
-			varName = defaultVarName(g.Name)
-		}
-		if payload, err = gen.GoSource(pkg, varName, res); err != nil {
-			return err
-		}
-	}
-	if check {
-		prev, err := os.ReadFile(out)
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", errStale, out, err)
-		}
-		if !bytes.Equal(prev, payload) {
-			return fmt.Errorf("%w: %s is out of date for grammar %s; rerun iselgen to regenerate", errStale, out, g.Name)
-		}
-		fmt.Printf("iselgen: %s is up to date (%d bytes)\n", out, len(payload))
-		return nil
-	}
-	if err := os.WriteFile(out, payload, 0o644); err != nil {
+	if err := os.WriteFile(out, res.Blob, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("iselgen: wrote %s (%d bytes) for grammar %s\n", out, len(payload), g.Name)
+	fmt.Printf("iselgen: wrote %s (%d bytes) for grammar %s\n", out, len(res.Blob), g.Name)
 	return nil
 }
 
@@ -166,26 +126,4 @@ func printStats(s gen.Stats) {
 		s.TableBytes, s.ExpandedTableBytes)
 	fmt.Printf("  blob bytes %d\n", s.BlobBytes)
 	fmt.Printf("  generation time %s\n", s.GenTime)
-}
-
-// defaultVarName turns a grammar name into a Go identifier:
-// "demo.fixed" -> "demoFixedTables".
-func defaultVarName(name string) string {
-	var b strings.Builder
-	up := false
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9' && b.Len() > 0:
-			if up {
-				b.WriteString(strings.ToUpper(string(r)))
-				up = false
-			} else {
-				b.WriteRune(r)
-			}
-		default:
-			up = true
-		}
-	}
-	b.WriteString("Tables")
-	return b.String()
 }

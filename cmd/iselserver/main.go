@@ -105,11 +105,10 @@ func main() {
 	preload := flag.String("preload", "", "directory of iselgen .isel blobs: machines with a <machine>.isel file are served from those tables (static, or hybrid for a grammar with dynamic-cost rules)")
 	maxTableBytes := flag.Int("max-table-bytes", 0, "byte budget for summed resident table bytes, evicting the least recently used machine when exceeded (0 = unlimited)")
 	shed := flag.Bool("shed", false, "shed load when the work queue is full (429 + Retry-After) instead of blocking the submitter")
-	role := flag.String("role", "standalone", "serving role: standalone, replica (fleet member with blob exchange), or router (fleet front end)")
+	role := flag.String("role", "standalone", "serving role: standalone, replica (fleet member serving its ring-owned machines warm), or router (fleet front end)")
 	peers := flag.String("peers", "", "comma-separated replica base URLs (the fleet's static membership; required for -role replica|router)")
 	self := flag.String("self", "", "this replica's base URL, exactly as it appears in -peers (required for -role replica)")
 	replication := flag.Int("replication", 2, "ring owners per machine (clamped to the fleet size)")
-	blobCache := flag.String("blob-cache", "", "replica blob-store directory for exchanged .isel artifacts (required for -role replica)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: profiling is opt-in)")
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn, error")
 	flag.Parse()
@@ -126,9 +125,9 @@ func main() {
 		maxStates: *maxStates, maxTableBytes: *maxTableBytes,
 		timeout: *timeout, shed: *shed,
 		role: *role, peers: splitList(*peers), self: *self,
-		replication: *replication, blobCache: *blobCache,
-		pprof: *pprofOn,
-		log:   telemetry.NewLogger(os.Stdout, lv),
+		replication: *replication,
+		pprof:       *pprofOn,
+		log:         telemetry.NewLogger(os.Stdout, lv),
 	}
 	switch cfg.role {
 	case "standalone":
@@ -152,9 +151,9 @@ type serveConfig struct {
 	timeout                                  time.Duration
 	shed                                     bool
 
-	role, self, blobCache string
-	peers                 []string
-	replication           int
+	role, self  string
+	peers       []string
+	replication int
 
 	pprof bool
 	log   *telemetry.Logger
@@ -190,20 +189,15 @@ func splitList(s string) []string {
 
 func (cfg serveConfig) machineList() []string { return splitList(cfg.machines) }
 
-// runReplica boots one fleet member: the full standalone serving stack
-// plus the cluster's blob exchange — owned machines are made warm (local
-// or peer blob, else compiled here and published) before the listener
-// opens; see internal/cluster.
+// runReplica boots one fleet member: the full standalone serving stack,
+// with every ring-owned machine made warm before the listener opens — from
+// its -preload blob, else from tables computed here; see internal/cluster.
 func runReplica(cfg serveConfig) error {
-	if cfg.blobCache == "" {
-		return fmt.Errorf("-role replica requires -blob-cache")
-	}
 	rep, err := cluster.NewReplica(cluster.ReplicaConfig{
 		Self:         cfg.self,
 		Peers:        cfg.peers,
 		Machines:     cfg.machineList(),
 		Replication:  cfg.replication,
-		StoreDir:     cfg.blobCache,
 		PreloadDir:   cfg.preload,
 		FallbackKind: repro.Kind(cfg.kind),
 		MaxStates:    cfg.maxStates,

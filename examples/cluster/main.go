@@ -3,10 +3,11 @@
 //
 // The walk-through shows the cluster tier's three claims end to end:
 //
-//  1. Warm via the blob exchange: the fleet pays table generation once
-//     per machine. Replicas boot serially; each machine's first ring
-//     owner AOT-compiles its `.isel` blob and publishes it, every later
-//     owner fetches it instead of compiling (watch the boot log).
+//  1. Warm at boot from local tables: every ring owner of a machine
+//     computes that machine's fixed-operator closure itself while it
+//     boots (well under a millisecond per machine), so each shard is
+//     warm on all its owners before the first request, and no replica
+//     asks another for anything (the shard map shows the warm owners).
 //  2. The router fronts the fleet: /compile is proxied to the target
 //     machine's ring owners, /readyz vouches for every shard, /stats
 //     aggregates the fleet (per-client counters still sum exactly to
@@ -29,8 +30,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -60,14 +59,8 @@ func main() {
 	machines := []string{"x86", "jit64", "mips"}
 	const replicas, replication = 3, 2
 
-	storeRoot, err := os.MkdirTemp("", "isel-cluster-example")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(storeRoot)
-
-	// Open every listener first (answering 503), then boot replicas into
-	// them serially — the deployment order that makes the exchange visible.
+	// Open every listener first (answering 503), so every peer URL is
+	// known, then boot a replica into each.
 	fmt.Println("== booting the fleet ==")
 	var handlers []*booting
 	var servers []*httptest.Server
@@ -86,7 +79,6 @@ func main() {
 			Peers:       peers,
 			Machines:    machines,
 			Replication: replication,
-			StoreDir:    filepath.Join(storeRoot, fmt.Sprintf("replica%d", i)),
 			Server:      server.Config{Workers: 2},
 			Logf: func(format string, args ...any) {
 				fmt.Printf("  replica%d: %s\n", i, fmt.Sprintf(format, args...))

@@ -74,22 +74,17 @@ func reseal(blob []byte) []byte {
 // for every target. Each must yield an error or an engine that compiles
 // the target's whole corpus without panicking. A well-formed blob can
 // carry wrong transitions, so accepted inputs are not held to DP; the
-// seeds are: the two committed precompiled blobs and freshly compiled x86
-// and x86.fixed blobs must load and match the dp oracle's cost and
-// assembly on every corpus forest.
+// seeds are: each target's blob from gen.Compile must load and match the
+// dp oracle's cost and assembly on every corpus forest.
 func FuzzISELDecode(f *testing.F) {
 	targets := iselTargets(f)
 	var seeds [][]byte
 	for _, tg := range targets {
-		if blob, ok := gen.Lookup(tg.m.Grammar.Fingerprint()); ok {
-			seeds = append(seeds, blob) // committed: demo.fixed, jit64.fixed
-		} else {
-			res, err := gen.Compile(tg.m.Grammar, gen.Config{})
-			if err != nil {
-				f.Fatal(err)
-			}
-			seeds = append(seeds, res.Blob)
+		res, err := gen.Compile(tg.m.Grammar, gen.Config{})
+		if err != nil {
+			f.Fatal(err)
 		}
+		seeds = append(seeds, res.Blob)
 	}
 	dir := f.TempDir()
 	ctx := context.Background()

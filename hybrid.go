@@ -18,11 +18,10 @@ import (
 // the start.
 //
 // Tables resolve exactly like KindStatic's: Options.PreloadPath (a
-// `.isel` blob written by iselgen for the full grammar), then the
-// process-global preload store, and finally the fixed-operator closure
-// computed in-process. The blob must carry the FULL grammar's
-// fingerprint: stripped-grammar blobs are a different grammar (rules
-// renumbered) and are rejected by the fingerprint check.
+// `.isel` blob written by iselgen for the full grammar) when set, else
+// the fixed-operator closure computed in-process. The blob must carry
+// the FULL grammar's fingerprint: stripped-grammar blobs are a different
+// grammar (rules renumbered) and are rejected by the fingerprint check.
 //
 // Construction fails with an error matching ErrNoFixedClosure when every
 // leaf operator carries dynamic rules — such a grammar has no fixed

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -46,8 +45,7 @@ func (b *bootingHandler) swapIn(h http.Handler) { b.v.Store(boxedHandler{h}) }
 
 // testFleet is a booted in-process fleet for the integration tests: n
 // listeners opened first (answering 503), replicas booted serially into
-// them (so warmth flows through the exchange exactly as in deployment),
-// then the router in front.
+// them, then the router in front.
 type testFleet struct {
 	peers    []string
 	servers  []*httptest.Server
@@ -55,38 +53,11 @@ type testFleet struct {
 	replicas []*Replica
 	router   *Router
 	routerS  *httptest.Server
-
-	mu  sync.Mutex
-	log []string
-}
-
-func (f *testFleet) logf(i int) func(string, ...any) {
-	return func(format string, args ...any) {
-		f.mu.Lock()
-		f.log = append(f.log, fmt.Sprintf("replica%d: ", i)+fmt.Sprintf(format, args...))
-		f.mu.Unlock()
-	}
-}
-
-func (f *testFleet) logLines() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.log...)
-}
-
-func (f *testFleet) countLog(substr string) int {
-	n := 0
-	for _, line := range f.logLines() {
-		if strings.Contains(line, substr) {
-			n++
-		}
-	}
-	return n
 }
 
 // bootFleet opens n listeners, boots n replicas over machines with the
 // given replication factor, and fronts them with the router.
-func bootFleet(t *testing.T, machines []string, n, replication int) *testFleet {
+func bootFleet(t testing.TB, machines []string, n, replication int) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	t.Cleanup(func() {
@@ -116,9 +87,7 @@ func bootFleet(t *testing.T, machines []string, n, replication int) *testFleet {
 			Peers:       f.peers,
 			Machines:    machines,
 			Replication: replication,
-			StoreDir:    filepath.Join(t.TempDir(), fmt.Sprintf("replica%d", i)),
 			Server:      server.Config{Workers: 2},
-			Logf:        f.logf(i),
 		})
 		if err != nil {
 			t.Fatalf("booting replica %d: %v", i, err)
@@ -175,72 +144,156 @@ func (f *testFleet) fleetStats(t *testing.T) *FleetStats {
 	return &fs
 }
 
-// The warm-state distribution plane end to end: with two replicas both
-// owning both machines, serial boot must AOT-compile each machine exactly
-// once fleet-wide — the second owner warm-starts from the first over the
-// blob exchange — and both stores must converge on the same
-// fingerprint-named artifact.
-func TestReplicaBootWarmViaExchange(t *testing.T) {
-	machines := []string{"demo", "jit64"}
+// Replicas boot from local tables only: two replicas owning both
+// machines at rf=2 make no peer call before the first request (a no-op
+// PeerSlow probe, which fires on every outbound peer call, never fires),
+// and every owner serves each machine hybrid from a nonempty closure.
+func TestReplicaBootMakesNoPeerCalls(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	defer faultinject.Arm(faultinject.PeerSlow, faultinject.Fault{})()
+	machines := []string{"x86", "jit64"}
 	f := bootFleet(t, machines, 2, 2)
 
-	if got := f.countLog("AOT-compiled here"); got != len(machines) {
-		t.Fatalf("fleet paid %d AOT compilations for %d machines:\n%s",
-			got, len(machines), strings.Join(f.logLines(), "\n"))
+	if got := faultinject.Fired(faultinject.PeerSlow); got != 0 {
+		t.Fatalf("replicas made %d peer calls while booting, want 0", got)
 	}
-	warm := f.countLog("warm-started from peer") + f.countLog("preloaded from a peer")
-	if warm < len(machines) {
-		t.Fatalf("second owner warm-started %d machines over the exchange, want %d:\n%s",
-			warm, len(machines), strings.Join(f.logLines(), "\n"))
-	}
-	for _, m := range machines {
-		var fps []string
-		for i, rep := range f.replicas {
-			path, hdr, ok := rep.Store().Lookup(m)
-			if !ok {
-				t.Fatalf("replica %d store has no artifact for %s", i, m)
-			}
-			fps = append(fps, fmt.Sprintf("%016x", hdr.Fingerprint))
-			if base := filepath.Base(path); !strings.Contains(base, fps[len(fps)-1]) {
-				t.Fatalf("replica %d stores %s under %q, not its fingerprint", i, m, base)
-			}
+	for i, rep := range f.replicas {
+		if len(rep.Owned()) != len(machines) {
+			t.Fatalf("replica %d owns %v, want every machine at rf=2", i, rep.Owned())
 		}
-		if fps[0] != fps[1] {
-			t.Fatalf("stores diverge for %s: fingerprints %v", m, fps)
-		}
-	}
-	// Both owners serve warm: the router's shard view must agree.
-	for _, sh := range f.fleetStats(t).Shards {
-		if len(sh.WarmOwners) != 2 {
-			t.Fatalf("shard %s warm on %v, want both owners", sh.Machine, sh.WarmOwners)
+		for _, st := range rep.Registry().Status() {
+			if st.Kind != repro.KindHybrid || !st.Constructed || st.Err != "" || st.Warmth.States == 0 {
+				t.Fatalf("replica %d serves %s as %s (constructed=%v err=%q states=%d), want warm hybrid",
+					i, st.Machine, st.Kind, st.Constructed, st.Err, st.Warmth.States)
+			}
 		}
 	}
 }
 
-// Rung 2 of the warm-state ladder: a <machine>.isel dropped by iselgen in
-// PreloadDir is adopted into the store, and the replica never compiles.
-func TestReplicaPreloadDirSeed(t *testing.T) {
-	m, err := repro.LoadMachine("jit64")
-	if err != nil {
-		t.Fatal(err)
-	}
+// writeBlob compiles m's tables into dir/<name>.isel, applying mutate to
+// the bytes first when it is non-nil.
+func writeBlob(t *testing.T, dir, name string, m *repro.Machine, mutate func([]byte)) {
+	t.Helper()
 	res, err := gen.Compile(m.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preload := t.TempDir()
-	if err := os.WriteFile(filepath.Join(preload, "jit64.isel"), res.Blob, 0o644); err != nil {
+	if mutate != nil {
+		mutate(res.Blob)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".isel"), res.Blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
+func loadMachine(t *testing.T, name string) *repro.Machine {
+	t.Helper()
+	m, err := repro.LoadMachine(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// A blob is validated end to end by the path a replica boots it through:
+// ResolveBlobRecipe elects the engine from the header's fingerprint, and
+// constructing that engine decodes the body (checksum, structure) and
+// runs the table validator. A truncated blob, one with a flipped body
+// byte, one generated for another machine and one whose tables hold a
+// transition past the last state are each refused; good blobs serve.
+func TestValidateBlob(t *testing.T) {
+	dir := t.TempDir()
+	serve := func(name string, blob []byte) error {
+		path := filepath.Join(dir, name+".isel")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rc, err := ResolveBlobRecipe(name, path)
+		if err != nil {
+			return err
+		}
+		_, err = rc.M.NewSelector(rc.Kind, rc.Opt)
+		return err
+	}
+	compile := func(m *repro.Machine) []byte {
+		res, err := gen.Compile(m.Grammar, gen.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Blob
+	}
+
+	blob := compile(loadMachine(t, "demo"))
+	if err := serve("demo", blob); err != nil {
+		t.Fatalf("good blob rejected: %v", err)
+	}
+	if err := serve("demo", blob[:len(blob)-3]); err == nil {
+		t.Fatal("truncated blob accepted")
+	}
+	flipped := append([]byte(nil), blob...)
+	flipped[len(flipped)/2] ^= 0xff
+	if err := serve("demo", flipped); err == nil {
+		t.Fatal("bit-flipped blob accepted")
+	}
+	if err := serve("jit64", blob); err == nil || !strings.Contains(err.Error(), "matches neither machine") {
+		t.Fatalf("blob for another machine: err = %v, want a fingerprint rejection", err)
+	}
+
+	// x86's tables re-encoded with one transition cell pointing past the
+	// last state: framing, checksum and fingerprint all valid, so only
+	// table validation can tell.
+	x86 := loadMachine(t, "x86")
+	res, err := gen.Compile(x86.Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serve("x86", res.Blob); err != nil {
+		t.Fatalf("good x86 blob rejected: %v", err)
+	}
+	ts := res.Tables
+	for op := range ts.T2 {
+		if len(ts.T2[op]) > 0 {
+			ts.T2[op][0] = int32(ts.NumStates() + 5)
+			break
+		}
+	}
+	bad, err := gen.EncodeBytes(x86.Grammar, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serve("x86", bad); err == nil || !strings.Contains(err.Error(), "transition references state") {
+		t.Fatalf("blob with an out-of-range transition: err = %v, want the table validator's rejection", err)
+	}
+}
+
+// A <machine>.isel that iselgen wrote into PreloadDir is what the owner
+// serves, through Options.PreloadPath: the fixed-subset blob elects the
+// static engine and the full-grammar blob the hybrid, each passing
+// gen.Decode (a no-op GenLoad probe counts the loads). A blob that cannot
+// serve does not cost the owner its warmth: one with a corrupt body is
+// quarantined to .bad by the registry, one generated for another machine
+// is logged and skipped, and both machines serve hybrid from tables
+// computed here.
+func TestReplicaPreloadDirSeed(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	preload := t.TempDir()
+	fixed, err := loadMachine(t, "jit64").FixedMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeBlob(t, preload, "jit64", fixed, nil)
+	writeBlob(t, preload, "x86", loadMachine(t, "x86"), nil)
+	writeBlob(t, preload, "mips", loadMachine(t, "mips"), func(b []byte) { b[len(b)/2] ^= 0xff })
+	writeBlob(t, preload, "alpha", loadMachine(t, "jit64"), nil)
+
+	defer faultinject.Arm(faultinject.GenLoad, faultinject.Fault{})()
 	var log []string
-	self := "http://127.0.0.1:1" // never dialed: single owner, nothing to fetch
+	self := "http://127.0.0.1:1" // never dialed: the replica asks no peer anything
 	rep, err := NewReplica(ReplicaConfig{
 		Self:        self,
 		Peers:       []string{self},
-		Machines:    []string{"jit64"},
+		Machines:    []string{"jit64", "x86", "mips", "alpha"},
 		Replication: 1,
-		StoreDir:    filepath.Join(t.TempDir(), "store"),
 		PreloadDir:  preload,
 		Server:      server.Config{Workers: 1},
 		Logf:        func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) },
@@ -249,13 +302,59 @@ func TestReplicaPreloadDirSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Shutdown()
-	if _, hdr, ok := rep.Store().Lookup("jit64"); !ok || hdr.Fingerprint == 0 {
-		t.Fatal("preload-dir artifact not adopted into the store")
+	if got := faultinject.Fired(faultinject.GenLoad); got != 3 {
+		t.Fatalf("boot decoded %d blobs, want the jit64, x86 and mips ones", got)
 	}
-	for _, line := range log {
-		if strings.Contains(line, "AOT-compiled here") {
-			t.Fatalf("replica recompiled despite a valid preload artifact:\n%s", strings.Join(log, "\n"))
+	want := map[string]repro.Kind{"jit64": repro.KindStatic, "x86": repro.KindHybrid, "mips": repro.KindHybrid, "alpha": repro.KindHybrid}
+	for _, st := range rep.Registry().Status() {
+		if st.Kind != want[st.Machine] || !st.Constructed || st.Err != "" || st.Warmth.States == 0 {
+			t.Fatalf("%s served as %s (constructed=%v err=%q states=%d), want warm %s",
+				st.Machine, st.Kind, st.Constructed, st.Err, st.Warmth.States, want[st.Machine])
 		}
+	}
+	if _, err := os.Stat(filepath.Join(preload, "mips.isel.bad")); err != nil {
+		t.Fatalf("corrupt mips blob not quarantined: %v\n%s", err, strings.Join(log, "\n"))
+	}
+	if !strings.Contains(strings.Join(log, "\n"), "alpha: preload skipped") {
+		t.Fatalf("jit64's blob under alpha.isel was not logged as skipped:\n%s", strings.Join(log, "\n"))
+	}
+}
+
+// A /compile body one byte over server.MaxCompileBodyBytes is answered
+// 413 by a standalone handler and by the router, which answers without
+// proxying it, so without a retry; a body of exactly the bound compiles.
+func TestCompileBodyBound(t *testing.T) {
+	req, _ := json.Marshal(server.CompileRequest{Client: "c", Trees: "RET(ADD(REG[1], CNST[2]))"})
+	exact := append(req, bytes.Repeat([]byte(" "), server.MaxCompileBodyBytes-len(req))...)
+	over := append(append([]byte(nil), exact...), ' ')
+
+	reg := repro.NewRegistry()
+	if err := reg.Add("jit64", repro.KindOnDemand, repro.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Config{Workers: 1})
+	t.Cleanup(srv.Shutdown)
+	standalone := httptest.NewServer(server.NewHandler(srv))
+	t.Cleanup(standalone.Close)
+	f := bootFleet(t, []string{"jit64"}, 1, 1)
+
+	for _, base := range []string{standalone.URL, f.routerS.URL} {
+		for _, c := range []struct {
+			body []byte
+			want int
+		}{{over, http.StatusRequestEntityTooLarge}, {exact, http.StatusOK}} {
+			resp, err := http.Post(base+"/compile?machine=jit64", "application/json", bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("%s: %d-byte body answered %d, want %d", base, len(c.body), resp.StatusCode, c.want)
+			}
+		}
+	}
+	if fs := f.fleetStats(t); fs.Routing.Retries != 0 || fs.Routing.Proxied != 1 {
+		t.Fatalf("routing stats %+v: want the over-bound body answered unproxied, with no retry", fs.Routing)
 	}
 }
 

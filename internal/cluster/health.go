@@ -21,8 +21,7 @@ import (
 // a recovered peer comes back without waiting for traffic to re-try it.
 //
 // Liveness never changes ownership (the Ring is immutable); it only
-// changes which owner the router tries first and whether a sync bothers
-// asking a peer for blobs.
+// changes which owner the router tries first.
 type Membership struct {
 	peers  []string
 	client *http.Client
@@ -167,15 +166,19 @@ func (m *Membership) Do(req *http.Request) (*http.Response, error) {
 	return m.client.Do(req)
 }
 
-// readAllLimited reads a bounded body (blob transfers and scraped stats
-// are both far below the cap; a corrupt length cannot balloon memory).
+// maxPeerResponseBytes bounds one peer response body: a relayed compile
+// answer or a scraped /stats, both far below it.
+const maxPeerResponseBytes = 1 << 28
+
+// readAllLimited reads a peer response body under maxPeerResponseBytes,
+// so a runaway peer cannot balloon memory.
 func readAllLimited(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxTransferBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r, maxPeerResponseBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(data) > maxTransferBytes {
-		return nil, fmt.Errorf("cluster: transfer exceeds %d bytes", maxTransferBytes)
+	if len(data) > maxPeerResponseBytes {
+		return nil, fmt.Errorf("cluster: peer response exceeds %d bytes", maxPeerResponseBytes)
 	}
 	return data, nil
 }
@@ -183,4 +186,10 @@ func readAllLimited(r io.Reader) ([]byte, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }

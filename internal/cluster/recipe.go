@@ -12,10 +12,9 @@ import (
 // Recipe is how one machine should be served as of the last look at its
 // artifacts: the loaded machine, its engine kind and options, and a
 // human-readable note on what was resolved. cmd/iselserver resolves one
-// at boot and again on SIGHUP; a replica resolves one per owned machine
-// at boot and again on every blob-exchange preload — all through the
-// same election below, so a blob always picks the same engine no matter
-// which surface delivered it.
+// at boot and again on SIGHUP, and a replica one per machine at boot,
+// both through the election below, so a blob picks the same engine on
+// either.
 type Recipe struct {
 	M      *repro.Machine
 	Kind   repro.Kind
@@ -78,8 +77,7 @@ func ResolveBlobRecipe(name, path string) (Recipe, error) {
 
 // electMachine matches a blob's fingerprint against machine m's full
 // grammar and its fixed-cost subset, and returns the machine the blob's
-// tables belong to, named like m — the one election behind both
-// ResolveBlobRecipe and ValidateBlob.
+// tables belong to, named like m.
 func electMachine(m *repro.Machine, hdr *gen.Header) (*repro.Machine, error) {
 	if m.Grammar.Fingerprint() == hdr.Fingerprint {
 		return m, nil

@@ -1,14 +1,16 @@
 // Package cluster is the distributed serving tier: a consistent-hash
-// router fronting N iselserver replicas, with `.isel` blobs as the
-// warm-state distribution plane.
+// router fronting N iselserver replicas, each of which serves the
+// machines the ring assigns it warm from its own tables.
 //
 // The paper's amortization argument is per process: every state an
 // on-demand automaton constructs makes the next unit cheaper, so tables
-// pay off inside one long-lived engine. The cluster extends the same
-// economics across a fleet — a table set computed once (ahead of time by
-// iselgen, or published by whichever replica built it first) is shipped
-// as a content-addressed `.isel` blob to every peer that serves the
-// machine, so the fleet pays generation once, not once per process.
+// pay off inside one long-lived engine. The cluster keeps that
+// economics per machine: the ring sends each machine's traffic to the
+// same few owners, so their engines stay warm. An owner gets its
+// starting tables locally, from an iselgen `.isel` blob in its preload
+// directory or from the fixed-operator closure computed at boot, which
+// for the built-in grammars takes under a millisecond. Replicas never
+// ship tables to each other.
 //
 // The pieces:
 //
@@ -16,17 +18,13 @@
 //     replicas, with a configurable replication factor for hot machines.
 //     Router and replicas build the ring from the same static peer list,
 //     so both sides agree on ownership without any coordination service.
-//   - BlobStore + Exchange (blob.go): the replica-side blob surface —
-//     GET /blobs/{machine} serves the fingerprint-named artifact with
-//     If-None-Match content negotiation, POST /preload accepts one,
-//     validates it end to end and hot-swaps the machine onto it; corrupt
-//     transfers quarantine to `.bad` exactly like PR 8's artifact loads.
 //   - Membership (health.go): static peer list plus active health probing
 //     and passive failure marking, shared by router and replicas.
-//   - Replica (replica.go): assembles registry + server + exchange for
-//     one fleet member; at boot every owned machine is made warm — local
-//     blob, else fetched from a peer, else AOT-compiled and published —
-//     before the first client request can arrive.
+//   - Recipe (recipe.go): how one machine is served, resolved from its
+//     `.isel` blob when there is one; shared with standalone iselserver.
+//   - Replica (replica.go): assembles registry + server for one fleet
+//     member; at boot every owned machine is made warm before the first
+//     client request can arrive.
 //   - Router (router.go): proxies /compile to the machine's owners with
 //     retry-on-next-replica failover, and aggregates /stats and /readyz
 //     across the fleet.

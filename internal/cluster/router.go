@@ -44,8 +44,9 @@ type RouterConfig struct {
 
 // Router is the fleet front end: it owns no tables and compiles nothing.
 // POST /compile is proxied to the target machine's ring owners with
-// retry-on-next-replica failover (the request body is buffered so a retry
-// replays it bit-identically); GET /stats scrapes and aggregates every
+// retry-on-next-replica failover (the request body, at most
+// server.MaxCompileBodyBytes, is buffered so a retry replays it
+// bit-identically); GET /stats scrapes and aggregates every
 // replica; GET /readyz vouches for the fleet's shards, not for a process.
 type Router struct {
 	cfg     RouterConfig
@@ -159,9 +160,8 @@ func (rt *Router) compile(w http.ResponseWriter, r *http.Request) {
 	if machine == "" {
 		machine = rt.cfg.Machines[0]
 	}
-	body, err := readLimited(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading request: %v", err)
+	body, ok := server.ReadCompileBody(w, r)
+	if !ok {
 		return
 	}
 	// One request id for the request's whole fleet journey: adopted from

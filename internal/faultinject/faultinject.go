@@ -44,9 +44,9 @@ type Point string
 
 // The wired-in points. GenLoad fires inside internal/gen.Decode, before
 // any blob bytes are parsed — arming it makes every table-blob load
-// (preload path, compiled-in preload store, swap re-read, cluster
-// transfer) fail, truncate-style. Tables computed in-process take no
-// blob and never fire it.
+// (Options.PreloadPath at construction and at a swap's re-read) fail,
+// truncate-style. Tables computed in-process take no blob and never fire
+// it.
 // DynCost is fired by harness-side wrappers around grammar dynamic cost
 // functions (see internal/bench's swap scenario): arming it injects
 // panics or stalls into the middle of a labeling pass.
@@ -55,7 +55,7 @@ type Point string
 // dying process does — the cluster failover tests assert the router
 // retries each such failure on the next replica with zero
 // client-visible errors. PeerSlow fires in the cluster's peer client
-// before every outbound peer call (proxied compile, blob fetch, health
+// before every outbound peer call (proxied compile, stats scrape, health
 // probe): a Delay fault simulates a slow peer, an Err a partitioned one.
 const (
 	GenLoad      Point = "gen.load"

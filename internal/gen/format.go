@@ -17,14 +17,12 @@ import (
 
 // The `.isel` wire format, version 2 ("ISEL2\n"). Everything after the
 // magic is little-endian and fully deterministic, so the same grammar
-// always serializes to the same bytes (the golden-file guarantee
-// cmd/iselgen's committed outputs rely on). The table sections are
+// always serializes to the same bytes. The table sections are
 // varint/delta-encoded: state vectors, representer maps and transition
 // tables are runs of small, strongly correlated integers, so each run is
 // written as zigzag varints of the difference from the previous entry.
-// That is what makes `.isel` blobs cheap enough to be the cluster's
-// warm-state distribution plane — typically 2-4x smaller on the wire
-// than fixed-width entries.
+// That makes `.isel` blobs typically 2-4x smaller than fixed-width
+// entries.
 //
 //	magic   "ISEL2\n"
 //	u64     grammar fingerprint (grammar.Grammar.Fingerprint; name + normal-form dump)
@@ -292,8 +290,7 @@ func readHeader(br *bufio.Reader) (*Header, []int, error) {
 
 // ReadHeader reads just the routing prefix of a blob: the front ends use
 // it to match a blob file against a machine's grammar (full vs stripped
-// fingerprint) before paying for a decode, and the blob-exchange surface
-// uses its fingerprint as the content-negotiation ETag.
+// fingerprint) before paying for a decode.
 func ReadHeader(r io.Reader) (*Header, error) {
 	h, _, err := readHeader(bufio.NewReader(r))
 	return h, err
@@ -321,8 +318,8 @@ func ReadFile(path string) ([]byte, error) {
 func Decode(g *grammar.Grammar, data []byte) (*automaton.TableSet, error) {
 	// Fault-injection seam: inert (one atomic load) unless a robustness
 	// test armed it to simulate a corrupt or truncated blob at load time.
-	// Decode is the one gate every blob load passes — preload, hot-swap
-	// re-read, the compiled-in preload store, cluster transfer.
+	// Decode is the one gate every blob load passes — preload and
+	// hot-swap re-read.
 	if err := faultinject.Fire(faultinject.GenLoad); err != nil {
 		return nil, fmt.Errorf("gen: reading blob: %w", err)
 	}

@@ -4,14 +4,10 @@
 // tree-parsing automaton — the exhaustive fixpoint over the fixed
 // operators' leaf/unary/binary transitions, closed over Chase
 // representer classes (automaton.GenerateTables) — before any tree is
-// ever labeled, and serializes the result two ways:
-//
-//   - a compact versioned binary blob (the `.isel` format; Encode/Decode)
-//     that a serving process loads at Registry construction, so a machine
-//     is fully warm before its first request, and
-//   - generated Go source (GoSource) embedding the same blob and
-//     registering it in the process-global preload store at init time,
-//     for tables compiled into the binary itself.
+// ever labeled, and serializes the result as a compact versioned binary
+// blob (the `.isel` format; Encode/Decode). A serving process loads it
+// through Options.PreloadPath, so a machine is fully warm before its
+// first request.
 //
 // cmd/iselgen is the front end. Loading is Decode followed by the engine
 // constructor's validation: the `static` engine kind serves the tables of

@@ -126,7 +126,8 @@ func TestExpandedTableBytesAccounting(t *testing.T) {
 }
 
 // TestEncodeDeterministic: the same grammar must serialize to the same
-// bytes every time — the property the committed golden files rely on.
+// bytes every time, so a regenerated `.isel` changes only when its
+// grammar does.
 func TestEncodeDeterministic(t *testing.T) {
 	g := fixedGrammar(t, "x86")
 	var blobs [][]byte
@@ -139,17 +140,6 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatal("two compilations of one grammar produced different blobs")
-	}
-	src1, err := GoSource("p", "v", mustResult(t, g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src2, err := GoSource("p", "v", mustResult(t, g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(src1, src2) {
-		t.Fatal("GoSource output is not deterministic")
 	}
 }
 
@@ -281,9 +271,8 @@ func TestLoadRejectsBodyCorruption(t *testing.T) {
 	}
 }
 
-// TestHeaderAndRegister: ReadHeader routes blobs without decoding, and
-// the preload store rejects duplicate fingerprints.
-func TestHeaderAndRegister(t *testing.T) {
+// TestReadHeader: ReadHeader routes blobs without decoding.
+func TestReadHeader(t *testing.T) {
 	g := fixedGrammar(t, "demo")
 	blob := mustResult(t, g).Blob
 	h, err := ReadHeader(bytes.NewReader(blob))
@@ -292,14 +281,5 @@ func TestHeaderAndRegister(t *testing.T) {
 	}
 	if h.Grammar != g.Name || h.Fingerprint != g.Fingerprint() || h.States == 0 {
 		t.Fatalf("bad header %+v", h)
-	}
-	if _, err := Register(blob); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := Lookup(h.Fingerprint); !ok || !bytes.Equal(got, blob) {
-		t.Fatal("registered blob not found by fingerprint")
-	}
-	if _, err := Register(blob); err == nil {
-		t.Fatal("Register accepted a duplicate fingerprint")
 	}
 }

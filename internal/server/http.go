@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -24,6 +26,11 @@ const (
 	// TraceHeader is the response summary of the batch's slowest job.
 	TraceHeader = "X-Isel-Trace"
 )
+
+// MaxCompileBodyBytes bounds a POST /compile body, at the compile handler
+// and at the router that buffers each body to replay it on failover. Both
+// answer 413 past it.
+const MaxCompileBodyBytes = 1 << 20
 
 // The HTTP/JSON protocol of cmd/iselserver. One handler fronts one
 // Server, which since the v2 API serves every machine of a
@@ -47,11 +54,12 @@ const (
 // Requests are cancellable end to end: each job runs under the request's
 // context (plus Config.RequestTimeout), so a client that disconnects — or
 // times out — stops paying for queued and in-flight work. Status codes:
-// 400 for malformed requests, 404 for unregistered machines, 500 for a
-// registered machine whose engine failed to construct, 422 for forests
-// with no derivation, 429 (+ Retry-After) when Config.ShedOnFull sheds a
-// saturated queue, 503 for shutdown or an exhausted state budget
-// (Options.MaxStates), 504 for jobs that exceeded the request timeout.
+// 400 for malformed requests, 413 for bodies over MaxCompileBodyBytes,
+// 404 for unregistered machines, 500 for a registered machine whose
+// engine failed to construct, 422 for forests with no derivation, 429
+// (+ Retry-After) when Config.ShedOnFull sheds a saturated queue, 503 for
+// shutdown or an exhausted state budget (Options.MaxStates), 504 for jobs
+// that exceeded the request timeout.
 // POST /swap answers 409 while another swap of the same machine is
 // mid-cutover (and for AddSelector machines, which have no rebuild
 // recipe), 500 when the new version failed to construct — the old version
@@ -187,6 +195,23 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// ReadCompileBody reads r's whole body, at most MaxCompileBodyBytes of
+// it. On failure it has already answered, 413 past the bound and 400
+// otherwise, and returns false.
+func ReadCompileBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxCompileBodyBytes))
+	if err == nil {
+		return body, true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "reading request body: %v", err)
+	return nil, false
+}
+
 // compileErrorCode maps a failed job's error to its HTTP status.
 func compileErrorCode(err error) int {
 	switch {
@@ -210,8 +235,12 @@ func (h *Handler) compile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "replica failing: %v", err)
 		return
 	}
+	body, ok := ReadCompileBody(w, r)
+	if !ok {
+		return
+	}
 	var req CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

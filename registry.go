@@ -792,7 +792,7 @@ type MachineStatus struct {
 	// resolved them have not finished.
 	Draining int
 	// Fingerprint is the machine's grammar fingerprint (the identity
-	// .isel blobs and the blob exchange are content-addressed by), once
+	// .isel blobs are matched by), once
 	// the machine description has been resolved; 0 while cold with a
 	// lazy-load recipe. GET /version reports it as the "what exactly is
 	// deployed here" answer.

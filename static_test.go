@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -22,11 +21,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/server"
 	"repro/internal/workload"
-
-	// Registers the committed ahead-of-time tables for demo.fixed and
-	// jit64.fixed, so this binary also exercises the compiled-in preload
-	// path of the table-backed engines.
-	_ "repro/internal/gen/precompiled"
 )
 
 // writeBlob compiles m's grammar ahead of time and writes the `.isel`
@@ -44,9 +38,9 @@ func writeBlob(t *testing.T, m *repro.Machine, path string) {
 
 // TestOfflineRoundTrip pins the one table path: for every machine's
 // fixed-cost subset, KindStatic built from each table source — the
-// closure computed in-process, a PreloadPath blob, and (demo, jit64) the
-// compiled-in preload store — is one engine: identical NumStates,
-// NumTransitions and MemoryBytes, identical labels and Compile output.
+// closure computed in-process and a PreloadPath blob — is one engine:
+// identical NumStates, NumTransitions and MemoryBytes, identical labels
+// and Compile output.
 func TestOfflineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range repro.Machines() {
@@ -54,31 +48,16 @@ func TestOfflineRoundTrip(t *testing.T) {
 			fixed := mustFixed(t, name)
 			path := filepath.Join(dir, name+".isel")
 			writeBlob(t, fixed, path)
-			// The same grammar under another name (stripping a fixed-cost
-			// grammar copies it unchanged but for the ".fixed" suffix) has
-			// another fingerprint, so the preload store misses it and the
-			// closure is computed in-process.
-			renamed, err := fixed.Grammar.StripDynamic()
-			if err != nil {
-				t.Fatal(err)
-			}
-			type source struct {
+			sources := []struct {
 				what string
-				m    *repro.Machine
 				opt  repro.Options
-			}
-			sources := []source{
-				{"in-process", &repro.Machine{Name: fixed.Name, Grammar: renamed}, repro.Options{}},
-				{"blob", fixed, repro.Options{PreloadPath: path}},
-			}
-			if _, ok := gen.Lookup(fixed.Grammar.Fingerprint()); ok {
-				sources = append(sources, source{"preload store", fixed, repro.Options{}})
-			} else if name == "demo" || name == "jit64" {
-				t.Fatalf("precompiled %s tables not registered", fixed.Name)
+			}{
+				{"in-process", repro.Options{}},
+				{"blob", repro.Options{PreloadPath: path}},
 			}
 			sels := make([]*repro.Selector, len(sources))
 			for i, src := range sources {
-				sel, err := src.m.NewSelector(repro.KindStatic, src.opt)
+				sel, err := fixed.NewSelector(repro.KindStatic, src.opt)
 				if err != nil {
 					t.Fatalf("%s: %v", src.what, err)
 				}
@@ -110,8 +89,10 @@ func TestOfflineRoundTrip(t *testing.T) {
 }
 
 // TestOfflineRejectsDynamicAndWrongBlob: the static kind refuses
-// dynamic-cost grammars, blobs generated for another grammar, and blobs
-// of the retired `.isel` version 1.
+// dynamic-cost grammars, and the table-backed kinds refuse, through
+// Options.PreloadPath, a blob generated for another grammar, a truncated
+// blob, one with a flipped body byte, one whose tables hold a transition
+// past the last state, and one of the retired `.isel` version 1.
 func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {
@@ -121,18 +102,58 @@ func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 		t.Fatal("static selector constructed on a grammar with dynamic rules")
 	}
 	fixed := mustFixed(t, "x86")
-	path := filepath.Join(t.TempDir(), "other.isel")
-	writeBlob(t, mustFixed(t, "jit64"), path)
-	if _, err := fixed.NewSelector(repro.KindStatic, repro.Options{PreloadPath: path}); err == nil {
-		t.Fatal("static selector accepted tables generated for a different grammar")
-	}
-
-	// The payload of a good blob, framed as version 1 with a valid
-	// checksum: only the version is wrong.
 	res, err := gen.Compile(fixed.Grammar, gen.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := gen.Compile(mustFixed(t, "jit64").Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), res.Blob...)
+	flipped[len(flipped)/2] ^= 0xff
+	// x86's hybrid seed re-encoded with one transition cell past the last
+	// state: framing, checksum and fingerprint are all valid, so only the
+	// table validator can tell.
+	seed, err := gen.Compile(m.Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := seed.Tables
+	for op := range ts.T2 {
+		if len(ts.T2[op]) > 0 {
+			ts.T2[op][0] = int32(ts.NumStates() + 5)
+			break
+		}
+	}
+	shifted, err := gen.EncodeBytes(m.Grammar, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "bad.isel")
+	for _, c := range []struct {
+		what string
+		m    *repro.Machine
+		kind repro.Kind
+		blob []byte
+		want string // in the error
+	}{
+		{"another grammar's blob", fixed, repro.KindStatic, other.Blob, "fingerprint"},
+		{"truncated blob", fixed, repro.KindStatic, res.Blob[:len(res.Blob)-3], ""},
+		{"flipped body byte", fixed, repro.KindStatic, flipped, ""},
+		{"out-of-range transition", m, repro.KindHybrid, shifted, "transition references state"},
+	} {
+		if err := os.WriteFile(path, c.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.m.NewSelector(c.kind, repro.Options{PreloadPath: path}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want a rejection mentioning %q", c.what, err, c.want)
+		}
+	}
+
+	// The payload of a good blob, framed as version 1 with a valid
+	// checksum: only the version is wrong.
 	v1 := append([]byte("ISEL1\n"), res.Blob[len(gen.MagicV2):len(res.Blob)-8]...)
 	h := fnv.New64a()
 	h.Write(v1)
@@ -142,30 +163,6 @@ func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 	}
 	if _, err := fixed.NewSelector(repro.KindStatic, repro.Options{PreloadPath: path}); !errors.Is(err, gen.ErrUnsupportedVersion) {
 		t.Fatalf("version-1 blob: err = %v, want gen.ErrUnsupportedVersion", err)
-	}
-}
-
-// TestOfflinePreloadRegistered: with the precompiled package imported,
-// demo.fixed and jit64.fixed construct from the compiled-in blobs — no
-// PreloadPath, no closure computation.
-func TestOfflinePreloadRegistered(t *testing.T) {
-	for _, name := range []string{"demo", "jit64"} {
-		fixed := mustFixed(t, name)
-		blob, ok := gen.Lookup(fixed.Grammar.Fingerprint())
-		if !ok {
-			t.Fatalf("precompiled %s tables not registered", fixed.Name)
-		}
-		h, err := gen.ReadHeader(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, err := fixed.NewSelector(repro.KindStatic, repro.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sel.States() != h.States {
-			t.Fatalf("%s: selector has %d states, the compiled-in blob %d", fixed.Name, sel.States(), h.States)
-		}
 	}
 }
 

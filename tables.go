@@ -8,13 +8,11 @@ import (
 )
 
 // tableSet resolves the ahead-of-time tables the table-backed kinds
-// (KindStatic, KindHybrid) serve, in order: Options.PreloadPath (a `.isel`
-// blob written by iselgen — the instant-warm serving path behind
-// `iselserver -preload`), then the process-global preload store
-// (generated Go source compiled into the binary), and finally the
-// closure computed here. Whatever the source, the engine constructor runs
-// the result through the one validator, automaton.ValidateTables, before
-// serving it.
+// (KindStatic, KindHybrid) serve, from one of two sources:
+// Options.PreloadPath (a `.isel` blob written by iselgen — the serving
+// path behind `iselserver -preload`) when set, else the closure computed
+// here. Whatever the source, the engine constructor runs the result
+// through the one validator, automaton.ValidateTables, before serving it.
 func tableSet(m *Machine, opt Options) (*automaton.TableSet, error) {
 	g := m.Grammar
 	if opt.PreloadPath != "" {
@@ -25,13 +23,6 @@ func tableSet(m *Machine, opt Options) (*automaton.TableSet, error) {
 		ts, err := gen.Decode(g, blob)
 		if err != nil {
 			return nil, fmt.Errorf("repro: machine %s: loading %s: %w", m.Name, opt.PreloadPath, err)
-		}
-		return ts, nil
-	}
-	if blob, ok := gen.Lookup(g.Fingerprint()); ok {
-		ts, err := gen.Decode(g, blob)
-		if err != nil {
-			return nil, fmt.Errorf("repro: machine %s: preloaded tables: %w", m.Name, err)
 		}
 		return ts, nil
 	}
