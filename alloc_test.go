@@ -4,7 +4,9 @@
 // allocates exactly its *Output result: label, reduce and emit allocate
 // nothing, because labelings, reducer scratch, dynamic-cost buffers and
 // emitters are all pooled and the transition tables are flat id arrays.
-// The same holds with the serving tier's per-call options attached.
+// The same holds with the serving tier's per-call options attached. The
+// cold side has a guard too: a fresh emitter, which every emitter-pool
+// miss and cold session gets, allocates in proportion to what it visits.
 //
 // The guards run in the -race CI job too (exercising the pooled paths
 // under the detector), but the strict counts are only asserted in normal
@@ -14,10 +16,12 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/emit"
 	"repro/internal/ir"
 	"repro/internal/md"
 	"repro/internal/reduce"
@@ -242,4 +246,60 @@ func TestWarmLabelReleaseAllocFree(t *testing.T) {
 		}
 	})
 	assertZeroAllocs(t, "warm LabelStates+Release (dynamic x86, whole corpus)", allocs)
+}
+
+// freshEmitBudget bounds what a fresh emitter allocates to emit one
+// corpus forest. Its storage grows with the reducer's visits, so even the
+// largest forest needs a few tens of KB.
+const freshEmitBudget = 128 << 10
+
+// TestFreshEmitterAllocBudget: on every corpus machine, emit.New plus one
+// Cover of the largest corpus forest allocates at most freshEmitBudget
+// bytes. The labeling and the reducer's scratch are made before the
+// measurement, so the TotalAlloc delta is the emitter's own.
+func TestFreshEmitterAllocBudget(t *testing.T) {
+	for _, name := range corpusMachines {
+		m, err := repro.LoadMachine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var largest *ir.Forest
+		for _, c := range workload.MustCompileAll(m.Grammar) {
+			for _, f := range c.Forests() {
+				if largest == nil || len(f.Nodes) > len(largest.Nodes) {
+					largest = f
+				}
+			}
+		}
+		sel, err := m.NewSelector(repro.KindDP, repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := sel.Label(largest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := reduce.New(m.Grammar, m.Env, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rd.Cover(largest, lab, nil); err != nil { // fill the reducer's scratch pool
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		em := emit.New(m.Grammar)
+		_, err = rd.Cover(largest, lab, em.Visitor())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: fresh emitter over a %d-node forest (%d instructions) allocated %d B",
+			name, len(largest.Nodes), em.Instructions(), got)
+		if got > freshEmitBudget {
+			t.Errorf("%s: a fresh emitter allocated %d B for a %d-node forest, want at most %d",
+				name, got, len(largest.Nodes), freshEmitBudget)
+		}
+	}
 }

@@ -24,19 +24,21 @@
 //
 // # Allocation discipline
 //
-// A warm Emitter (one that has been Reset after emitting forests at least
-// as large) allocates nothing per node: operand and rule bookkeeping live
-// in flat slices indexed by (node, nonterminal), operand text is built in
-// a per-emitter byte arena whose views are handed around as unsafe
-// zero-copy strings valid until the next Reset, virtual-register names
-// come from a grown-once table, and the assembly accumulates in a reused
-// byte buffer. The only storage that leaves the emitter is the Asm()
-// string, which is interned through the shared Interner (or plain-copied
-// without one) — never a view of recycled memory, so returned assembly
-// stays valid forever.
+// A fresh Emitter allocates in proportion to the visits the reducer
+// makes: each visited (node, nonterminal) appends one slot, chained to its
+// node's previous slot from a per-node int32 head, so nothing is sized by
+// nodes × nonterminals. A warm Emitter (Reset after emitting forests at
+// least as large) allocates nothing: slots, heads, the operand arena,
+// register names and the assembly buffer keep their capacity, and Reset
+// clears only what the last forest used. Operand text lives in the arena
+// as unsafe zero-copy strings valid until the next Reset. The only
+// storage that leaves the emitter is the Asm() string, interned through
+// the shared Interner (or plain-copied without one) — never a view of
+// recycled memory, so returned assembly stays valid forever.
 package emit
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -50,15 +52,12 @@ import (
 // Reset recycles it for the next. Emitters are not safe for concurrent
 // use — pool them (see Selector in the root package).
 type Emitter struct {
-	g     *grammar.Grammar
-	numNT int
-
-	// operands[n.Index*numNT+nt] is the operand text the (node,
-	// nonterminal) result can be referenced by; applied[...] the rule
-	// reduced there (nil = not visited, the presence marker). Flat slices,
-	// grown to the largest forest seen and cleared by Reset.
-	operands []string
-	applied  []*grammar.Rule
+	// slots holds one entry per visited (node, nonterminal), in visit
+	// order. heads[n.Index] is 1 + the index of node n's newest slot (0:
+	// not visited), and each slot's prev continues that node's chain,
+	// newest first, so the latest visit of a pair wins.
+	slots []slot
+	heads []int32
 
 	// arena backs within-call operand text (expanded value templates, leaf
 	// payload renderings) as zero-copy views; tmp is the template-expansion
@@ -83,9 +82,19 @@ type Emitter struct {
 	instrs  int
 }
 
-// New creates an emitter for g.
+// slot is one visited (node, nonterminal): the rule reduced there and the
+// operand text its result is referenced by.
+type slot struct {
+	nt      grammar.NT
+	prev    int32 // 1 + index of the node's previous slot; 0 ends the chain
+	rule    *grammar.Rule
+	operand string
+}
+
+// New creates an emitter for g's rules. Nothing is sized by g: storage
+// grows with the first forest's visits.
 func New(g *grammar.Grammar) *Emitter {
-	e := &Emitter{g: g, numNT: g.NumNonterms()}
+	e := &Emitter{}
 	e.visit = e.Visit
 	return e
 }
@@ -106,66 +115,48 @@ func (e *Emitter) Visitor() reduce.Visitor { return e.visit }
 func (e *Emitter) Reset() {
 	e.asm = e.asm[:0]
 	e.arena = e.arena[:0]
-	clear(e.operands)
-	clear(e.applied)
+	// Heads past len stay zero: only heads[:len] is ever written.
+	clear(e.heads)
+	e.heads = e.heads[:0]
+	// Clearing the used slots drops the forest's strings with it.
+	clear(e.slots)
+	e.slots = e.slots[:0]
 	e.nextReg = 0
 	e.instrs = 0
 }
 
-// key returns the flat (node, nonterminal) slot index. Callers rely on
-// ensure having sized the slices: Visit grows them for its node up front,
-// which covers every slot the visit can touch — kid indexes are strictly
-// smaller in the forest's topological child-before-parent order.
-func (e *Emitter) key(n *ir.Node, nt grammar.NT) int {
-	return n.Index*e.numNT + int(nt)
-}
-
-// ensure grows the bookkeeping slices to cover node index idx. Growth only
-// happens when a larger forest than ever before arrives; a warm emitter
-// never reallocates here.
-func (e *Emitter) ensure(idx int) {
-	need := (idx + 1) * e.numNT
-	if need <= len(e.operands) {
-		return
-	}
-	grown := make([]string, need+4*e.numNT)
-	copy(grown, e.operands)
-	e.operands = grown
-	grownR := make([]*grammar.Rule, len(grown))
-	copy(grownR, e.applied)
-	e.applied = grownR
-}
-
 // Visit is the reduce.Visitor that drives emission.
 func (e *Emitter) Visit(n *ir.Node, nt grammar.NT, r *grammar.Rule) {
-	e.ensure(n.Index)
-	key := e.key(n, nt)
-	e.applied[key] = r
+	var op string
 	switch {
 	case r.Template == "":
 		// Pass-through: chain rules forward the RHS nonterminal's operand;
 		// base rules without templates forward their first kid (or render
 		// the leaf payload).
 		if r.IsChain {
-			e.operands[key] = e.operandOf(n, r.ChainRHS)
+			op = e.operandOf(n, r.ChainRHS)
 		} else if len(n.Kids) > 0 {
-			e.operands[key] = e.operandOf(n.Kids[0], r.Kids[0])
+			op = e.operandOf(n.Kids[0], r.Kids[0])
 		} else {
-			e.operands[key] = e.leafText(n)
+			op = e.leafText(n)
 		}
 	case strings.HasPrefix(r.Template, "="):
 		e.expandTmp(r.Template[1:], n, r, "")
-		e.operands[key] = e.internArena(e.tmp)
+		op = e.internArena(e.tmp)
 	default:
-		dst := e.regName(e.nextReg)
+		op = e.regName(e.nextReg)
 		e.nextReg++
-		e.expandTmp(r.Template, n, r, dst)
+		e.expandTmp(r.Template, n, r, op)
 		e.asm = append(e.asm, '\t')
 		e.asm = append(e.asm, e.tmp...)
 		e.asm = append(e.asm, '\n')
 		e.instrs++
-		e.operands[key] = dst
 	}
+	if n.Index >= len(e.heads) {
+		e.heads = slices.Grow(e.heads, n.Index+1-len(e.heads))[:n.Index+1]
+	}
+	e.slots = append(e.slots, slot{nt: nt, prev: e.heads[n.Index], rule: r, operand: op})
+	e.heads[n.Index] = int32(len(e.slots))
 }
 
 // expandTmp substitutes template escapes into e.tmp.
@@ -241,23 +232,42 @@ func (e *Emitter) pathOperand(n *ir.Node, r *grammar.Rule, path []int) string {
 		n = n.Kids[ki]
 		// Follow chain rules applied at the kid down to a base rule so a
 		// further path step has kids to descend into.
-		kr := e.applied[e.key(n, nt)]
-		for kr != nil && kr.IsChain {
-			nt = kr.ChainRHS
-			kr = e.applied[e.key(n, nt)]
+		s := e.find(n, nt)
+		for s != nil && s.rule.IsChain {
+			nt = s.rule.ChainRHS
+			s = e.find(n, nt)
 		}
 		if step == len(path)-1 {
 			return e.operandOf(n, nt)
 		}
-		r = kr
+		r = nil
+		if s != nil {
+			r = s.rule
+		}
 	}
 	return "?"
 }
 
+// find returns node n's newest slot for nt, or nil when (n, nt) has not
+// been visited since the last Reset. A node's chain is one to three slots
+// long on the corpus.
+func (e *Emitter) find(n *ir.Node, nt grammar.NT) *slot {
+	if n.Index >= len(e.heads) {
+		return nil
+	}
+	for i := e.heads[n.Index]; i != 0; {
+		s := &e.slots[i-1]
+		if s.nt == nt {
+			return s
+		}
+		i = s.prev
+	}
+	return nil
+}
+
 func (e *Emitter) operandOf(n *ir.Node, nt grammar.NT) string {
-	key := e.key(n, nt)
-	if e.applied[key] != nil {
-		return e.operands[key]
+	if s := e.find(n, nt); s != nil {
+		return s.operand
 	}
 	// A kid whose reduction carried no template at all: render the leaf.
 	return e.leafText(n)

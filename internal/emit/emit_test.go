@@ -174,3 +174,36 @@ func TestSharedSubtreeEmittedOnce(t *testing.T) {
 		t.Errorf("instrs = %d, want 3", instrs)
 	}
 }
+
+// TestResetForgetsEarlierForests: the emitter takes visits in any node
+// order, and a kid the current forest has not visited renders as its
+// leaf, even where an earlier forest visited the same node index.
+func TestResetForgetsEarlierForests(t *testing.T) {
+	g := grammar.MustParse(`
+%term K(0) P(2)
+%start r
+k: K = 1 (0) "=%c"
+r: P(k, k) = 2 (1) "lea %0(%1), %d"
+`)
+	l, _ := dp.New(g, nil, nil)
+	rd, _ := reduce.New(g, nil, nil)
+	em := New(g)
+	a := ir.MustParseTree(g, "P(K[3], K[4])")
+	if _, err := rd.Cover(a, l.Label(a), em.Visit); err != nil {
+		t.Fatal(err)
+	}
+	em.Reset()
+	b, err := ir.ParseTrees(g, "P(K[5], K[6]); P(K[7], K[8])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := l.Label(b)
+	// The later root first, so the earlier one's kids fall inside the heads
+	// that visit grew.
+	for _, root := range []*ir.Node{b.Roots[1], b.Roots[0]} {
+		em.Visit(root, g.Start, &g.Rules[lab.RuleAt(root, g.Start)])
+	}
+	if got, want := em.Asm(), "\tlea 7(8), r0\n\tlea 5(6), r1\n"; got != want {
+		t.Errorf("asm = %q, want %q", got, want)
+	}
+}

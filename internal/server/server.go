@@ -132,9 +132,15 @@ func (f *Future) resolve(out *repro.Output, err error) bool {
 	if !f.resolved.CompareAndSwap(false, true) {
 		return false
 	}
+	f.publish(out, err)
+	return true
+}
+
+// publish stores the result and wakes every waiter. Only the caller that
+// won the resolved CAS calls it.
+func (f *Future) publish(out *repro.Output, err error) {
 	f.out, f.err = out, err
 	close(f.done)
-	return true
 }
 
 // isResolved reports whether the future has already resolved (cheap
@@ -321,7 +327,9 @@ func (s *Server) runJob(j job, jm *metrics.Counters) {
 		s.clientCounters(j.client).Add(jm)
 		s.global.Add(jm)
 		s.finishTrace(&j, j.fut, err)
-		won := j.fut.resolve(out, err)
+		// Win the CAS, count the job, then publish, so a Stats read
+		// after Wait sees the job.
+		won := j.fut.resolved.CompareAndSwap(false, true)
 		switch {
 		case !won:
 			// The cancellation hook resolved first: the context ended while
@@ -336,6 +344,9 @@ func (s *Server) runJob(j job, jm *metrics.Counters) {
 		default:
 			s.jobsDone.Add(1)
 			s.nodesDone.Add(int64(j.forest.NumNodes()))
+		}
+		if won {
+			j.fut.publish(out, err)
 		}
 	}()
 	out, err = j.sel.Compile(j.ctx, j.forest, repro.WithCounters(jm), repro.WithTrace(j.trace))

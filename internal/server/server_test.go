@@ -592,6 +592,38 @@ func TestServerEngineKinds(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobBeforeWaitReturns: a worker counts a job before its
+// future resolves, so Stats read straight after Wait includes it. One
+// client, one job at a time, so the count must equal the jobs waited for.
+func TestStatsCountJobBeforeWaitReturns(t *testing.T) {
+	m, err := repro.LoadMachine("jit64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := repro.NewRegistry()
+	if err := reg.Add("jit64", repro.KindOnDemand, repro.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Config{Workers: 2})
+	defer srv.Shutdown()
+	f, err := m.ParseTree("ADD(REG[1], CNST[2])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3000; i++ {
+		fut, err := srv.Submit(bg, "t", "jit64", f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Stats().Jobs; got != i {
+			t.Fatalf("after %d waited jobs Stats().Jobs = %d", i, got)
+		}
+	}
+}
+
 // TestHTTPHandler drives the HTTP/JSON protocol end to end: tree and MinC
 // compiles against two machines from one process, per-machine stats, and
 // error paths including the state-budget 503.
