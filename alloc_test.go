@@ -303,3 +303,62 @@ func TestFreshEmitterAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadMachineAllocBudget: parsing a machine description allocates
+// what the Grammar keeps and little else — no fmt on the success path, no
+// heap token per lookahead, no growth of the rule list. The budgets sit
+// well above the measured counts (x86 860, the others 328–407) and well
+// below a parser that makes garbage per token or per rule (x86 3,130,
+// the others 1,143–1,373).
+func TestLoadMachineAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget float64
+	}{
+		{"x86", 2000}, {"mips", 900}, {"sparc", 900}, {"alpha", 900}, {"jit64", 900},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := md.Load(c.name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("md.Load(%q): %.0f allocs", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("md.Load(%q) allocated %.0f times, want at most %.0f", c.name, allocs, c.budget)
+		}
+	}
+}
+
+// coldLabelBudget bounds what a fresh x86 on-demand engine allocates to
+// label the corpus once: the states it is born with, the transition
+// tables they fill, and the labelings, but no per-construction garbage.
+const coldLabelBudget = 320 << 10
+
+// TestColdLabelAllocBudget: a fresh x86 engine's first corpus pass, every
+// state and transition constructed on a miss, allocates at most
+// coldLabelBudget bytes by TotalAlloc. Construction computes into the
+// labeling call's scratch and the state table copies vectors only when a
+// state is born, so a miss that finds its state allocates nothing.
+func TestColdLabelAllocBudget(t *testing.T) {
+	d := md.MustLoad("x86")
+	var fs []*ir.Forest
+	for _, c := range workload.MustCompileAll(d.Grammar) {
+		fs = append(fs, c.Forests()...)
+	}
+	e, err := core.New(d.Grammar, d.Env, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, f := range fs {
+		e.ReleaseLabeling(e.LabelStates(f))
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cold x86 corpus pass: %d states, %d transitions, %d B allocated",
+		e.NumStates(), e.NumTransitions(), got)
+	if got > coldLabelBudget {
+		t.Errorf("a fresh x86 engine allocated %d B to label the corpus once, want at most %d", got, coldLabelBudget)
+	}
+}

@@ -77,6 +77,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/emit"
+	"repro/internal/freelist"
 	"repro/internal/frontend"
 	"repro/internal/grammar"
 	"repro/internal/ir"
@@ -231,7 +232,7 @@ type Options struct {
 var ErrStateBudget = core.ErrStateBudget
 
 // Selector is an instruction selector: a labeling engine plus the shared
-// reducer and a pool of emitters. Selectors persist across Compile calls —
+// reducer and a free list of emitters. Selectors persist across Compile calls —
 // for KindOnDemand that is the point: the automaton warms up over a
 // compilation session. Selectors are safe for concurrent use (see the
 // package documentation for the contract).
@@ -243,10 +244,10 @@ type Selector struct {
 	rd  *reduce.Reducer
 	// emitters recycles emit.Emitter instances across Compile calls.
 	// Outputs are interned or copied out before an emitter returns to the
-	// pool, so per-call isolation is preserved.
-	emitters sync.Pool
+	// list, so per-call isolation is preserved.
+	emitters freelist.List[emit.Emitter]
 	// intern canonicalizes emitted assembly text across the selector's
-	// pooled emitters: a warm Compile of previously seen code returns the
+	// recycled emitters: a warm Compile of previously seen code returns the
 	// retained string instead of allocating a fresh copy — the last piece
 	// of the zero-allocs-per-node warm Compile contract.
 	intern *emit.Interner
@@ -283,9 +284,10 @@ func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 	// All emitters of one selector share its interner, so repeated
 	// compiles of the same functions return the same Asm string without a
 	// per-call copy.
-	s.emitters.New = func() any {
-		e := emit.New(m.Grammar)
-		e.SetInterner(s.intern)
+	g, intern := m.Grammar, s.intern
+	s.emitters.New = func() *emit.Emitter {
+		e := emit.New(g)
+		e.SetInterner(intern)
 		return e
 	}
 	return s, nil
@@ -420,7 +422,7 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg CompileOption) (*
 		return nil, err
 	}
 	defer s.releaseLabeling(lab)
-	em := s.emitters.Get().(*emit.Emitter)
+	em := s.emitters.Get()
 	defer s.emitters.Put(em)
 	em.Reset()
 	// StageReduce includes the emission visitor callbacks the reducer
@@ -455,7 +457,7 @@ func (s *Selector) labelChecked(f *Forest, m *Counters, workers int) (lab reduce
 }
 
 // releaseLabeling hands a labeling that Compile obtained internally back
-// to the engine's pool, when the engine recycles labelings; for other
+// to the engine's free list, when the engine recycles labelings; for other
 // engines the GC reclaims it. Labelings returned to API callers (Label)
 // are never released here — they are caller-owned.
 func (s *Selector) releaseLabeling(lab reduce.Labeling) {

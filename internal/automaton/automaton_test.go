@@ -217,6 +217,46 @@ func TestTableInterning(t *testing.T) {
 	}
 }
 
+// TestTableInternCopiesAtBirth: a born state owns copies of its vectors,
+// so the caller may reuse them as scratch, and interning vectors that
+// already have a state — what every repeated construction does — finds it
+// without allocating.
+func TestTableInternCopiesAtBirth(t *testing.T) {
+	g := fixedDemo(t)
+	tbl := NewTable(g)
+	n := g.NumNonterms()
+	delta := make([]grammar.Cost, n)
+	rule := make([]int32, n)
+	var born []*State
+	for v := 0; v < 40; v++ { // enough states to grow the index twice
+		for i := range delta {
+			delta[i] = grammar.Cost(v + i)
+			rule[i] = int32(i)
+		}
+		s, created := tbl.Intern(delta, rule, nil)
+		if !created {
+			t.Fatalf("vector %d did not create a state", v)
+		}
+		born = append(born, s)
+	}
+	for v, s := range born {
+		if s.Delta[0] != grammar.Cost(v) || &s.Delta[0] == &delta[0] || &s.Rule[0] == &rule[0] {
+			t.Fatalf("state %d aliases or lost the caller's vectors", v)
+		}
+	}
+	for i := range delta {
+		delta[i] = grammar.Cost(7 + i)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if s, created := tbl.Intern(delta, rule, nil); created || s != born[7] {
+			t.Fatal("re-interning an existing vector did not find its state")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("interning an existing vector allocated %.1f times, want 0", allocs)
+	}
+}
+
 func TestStateDerives(t *testing.T) {
 	s := &State{Delta: []grammar.Cost{0, grammar.Inf}, Rule: []int32{1, -1}}
 	if !s.Derives(0) || s.Derives(1) {

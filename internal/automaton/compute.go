@@ -7,9 +7,12 @@ import (
 )
 
 // Compute constructs the state for a node with operator op whose children
-// are in states kids. It runs the same dynamic-programming step as the
-// iburg-style labeler — all base rules of op, then chain closure — but over
-// the children's *relative* costs, and normalizes the result.
+// are in states kids, writing its cost-normalized vectors into delta and
+// rule, which must have one entry per nonterminal of g. It runs the same
+// dynamic-programming step as the iburg-style labeler — all base rules of
+// op, then chain closure — but over the children's *relative* costs, and
+// normalizes the result. The vectors are the caller's (scratch, usually):
+// Table.Intern copies them only when they describe a new state.
 //
 // dynVals supplies the evaluated costs of op's dynamic rules, aligned with
 // g.DynRules(op); it must be non-nil exactly when the operator has dynamic
@@ -23,11 +26,8 @@ import (
 // as with absolute costs. This is the classical BURS state identity that
 // both our engines and burg rely on.
 func Compute(g *grammar.Grammar, op grammar.OpID, kids []*State, dynVals []grammar.Cost,
-	deltaCap grammar.Cost, m *metrics.Counters) (delta []grammar.Cost, rule []int32) {
+	deltaCap grammar.Cost, m *metrics.Counters, delta []grammar.Cost, rule []int32) {
 
-	numNT := g.NumNonterms()
-	delta = make([]grammar.Cost, numNT)
-	rule = make([]int32, numNT)
 	for nt := range delta {
 		delta[nt] = grammar.Inf
 		rule[nt] = -1
@@ -58,7 +58,6 @@ func Compute(g *grammar.Grammar, op grammar.OpID, kids []*State, dynVals []gramm
 	}
 	dp.CloseChains(g, delta, rule, m)
 	Normalize(delta, rule, deltaCap)
-	return delta, rule
 }
 
 // Normalize rebases a cost row to relative costs: the minimum becomes 0,

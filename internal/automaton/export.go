@@ -15,8 +15,11 @@ import (
 // core.NewSeeded for the hybrid kind, turn it into a labeling engine
 // without re-running any closure work).
 //
-// A TableSet handed to either constructor is owned by the engine
-// afterwards and must not be mutated.
+// Neither constructor keeps Deltas or Rules: ValidateTables copies every
+// state's vectors into the engine's state table. NewStaticFromTables
+// keeps Leaf, Mu, T1 and T2 as its transition tables, so those must not
+// be mutated afterwards; core.NewSeeded copies what it needs and keeps
+// nothing.
 type TableSet struct {
 	// NumNT is the grammar's nonterminal count; state vectors are rows of
 	// this width.
@@ -116,8 +119,8 @@ func ValidateState(g *grammar.Grammar, delta []grammar.Cost, rule []int32) error
 // no leaf state, no classes and no transitions — its states are built on
 // demand. A set with no states fails with ErrNoFixedClosure.
 //
-// The state vectors are adopted, not copied: the returned table's states
-// alias ts.Deltas and ts.Rules, which must not be mutated afterwards.
+// The state vectors are copied into the returned table, one copy per
+// state: the table never aliases ts.Deltas or ts.Rules.
 func ValidateTables(g *grammar.Grammar, ts *TableSet) (*Table, error) {
 	numNT := g.NumNonterms()
 	numOps := g.NumOps()
@@ -139,10 +142,8 @@ func ValidateTables(g *grammar.Grammar, ts *TableSet) (*Table, error) {
 
 	table := NewTable(g)
 	for s := 0; s < numStates; s++ {
-		// Full slice expressions: interning retains the vectors, and a
-		// later append to one must never spill into its neighbor.
-		delta := ts.Deltas[s*numNT : (s+1)*numNT : (s+1)*numNT]
-		rule := ts.Rules[s*numNT : (s+1)*numNT : (s+1)*numNT]
+		delta := ts.Deltas[s*numNT : (s+1)*numNT]
+		rule := ts.Rules[s*numNT : (s+1)*numNT]
 		if err := ValidateState(g, delta, rule); err != nil {
 			return nil, fmt.Errorf("automaton: state %d: %w", s, err)
 		}
@@ -220,7 +221,8 @@ func ValidateTables(g *grammar.Grammar, ts *TableSet) (*Table, error) {
 // table size. The automaton labels through the compressed tables until
 // Expand.
 //
-// The automaton takes ownership of ts.
+// The automaton keeps ts.Leaf, ts.Mu, ts.T1 and ts.T2, which must not be
+// mutated afterwards; the state vectors are copied.
 func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 	if err := errDynamic(g); err != nil {
 		return nil, err
@@ -229,7 +231,7 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Static{
+	return &Static{
 		g:      g,
 		table:  table,
 		states: table.States(),
@@ -238,9 +240,7 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 		nreps:  ts.NReps,
 		t1:     ts.T1,
 		t2:     ts.T2,
-	}
-	a.labels.New = func() any { return &Labeling{} }
-	return a, nil
+	}, nil
 }
 
 // ExpandBytes reports what expanding a table set of the given state count

@@ -24,42 +24,46 @@ func (a *Static) LabelStatesParallel(f *ir.Forest, workers int, m *metrics.Count
 	if m == nil {
 		m = a.m
 	}
-	lab := a.labels.Get().(*Labeling)
+	lab := a.labels.Get()
 	ids := lab.Reuse(len(f.Nodes))
 	lv := staticLevels.Get().(*reduce.Levels)
 	lv.Partition(f)
 	if a.dir1 != nil {
 		stride := len(a.states)
-		lv.Run(workers, func(idx int32) {
-			m.CountNode()
-			m.CountProbe(false)
-			n := f.Nodes[idx]
-			op := n.Op
-			switch len(n.Kids) {
-			case 0:
-				ids[idx] = a.leaf[op]
-			case 1:
-				ids[idx] = a.dir1[op][ids[n.Kids[0].Index]]
-			default:
-				ids[idx] = a.dir2[op][int(ids[n.Kids[0].Index])*stride+int(ids[n.Kids[1].Index])]
+		lv.Run(workers, func(part []int32) {
+			for _, idx := range part {
+				m.CountNode()
+				m.CountProbe(false)
+				n := f.Nodes[idx]
+				op := n.Op
+				switch len(n.Kids) {
+				case 0:
+					ids[idx] = a.leaf[op]
+				case 1:
+					ids[idx] = a.dir1[op][ids[n.Kids[0].Index]]
+				default:
+					ids[idx] = a.dir2[op][int(ids[n.Kids[0].Index])*stride+int(ids[n.Kids[1].Index])]
+				}
 			}
 		})
 	} else {
-		lv.Run(workers, func(idx int32) {
-			m.CountNode()
-			m.CountProbe(false)
-			n := f.Nodes[idx]
-			op := n.Op
-			switch len(n.Kids) {
-			case 0:
-				ids[idx] = a.leaf[op]
-			case 1:
-				rep := a.mu[op][0][ids[n.Kids[0].Index]]
-				ids[idx] = a.t1[op][rep]
-			default:
-				r0 := a.mu[op][0][ids[n.Kids[0].Index]]
-				r1 := a.mu[op][1][ids[n.Kids[1].Index]]
-				ids[idx] = a.t2[op][r0*a.nreps[op][1]+r1]
+		lv.Run(workers, func(part []int32) {
+			for _, idx := range part {
+				m.CountNode()
+				m.CountProbe(false)
+				n := f.Nodes[idx]
+				op := n.Op
+				switch len(n.Kids) {
+				case 0:
+					ids[idx] = a.leaf[op]
+				case 1:
+					rep := a.mu[op][0][ids[n.Kids[0].Index]]
+					ids[idx] = a.t1[op][rep]
+				default:
+					r0 := a.mu[op][0][ids[n.Kids[0].Index]]
+					r1 := a.mu[op][1][ids[n.Kids[1].Index]]
+					ids[idx] = a.t2[op][r0*a.nreps[op][1]+r1]
+				}
 			}
 		})
 	}

@@ -12,12 +12,14 @@
 package automaton
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/grammar"
 	"repro/internal/ir"
@@ -85,6 +87,12 @@ func (s *State) MemoryBytes() int {
 // map to one *State, so state identity is pointer identity and transition
 // tables can be keyed by small dense ids.
 //
+// Interning hashes the candidate vectors in place, looks the hash up in
+// an index of state ids, and compares vectors only on a hash match. The
+// vectors are copied when, and only when, a state is born: a lookup that
+// finds its state allocates nothing, so constructors can compute into
+// reusable scratch.
+//
 // Table is safe for concurrent use: interning (the construct slow path of
 // the on-demand engine) serializes on an internal mutex, while the read
 // side — Len, Get, States, MemoryBytes — is lock-free. The state list is
@@ -96,24 +104,28 @@ type Table struct {
 	// max bounds the number of interned states when > 0 (see SetBudget);
 	// InternBudget refuses growth past it with ErrStateBudget.
 	max int
-	mu  sync.Mutex // guards index and appends to the state list
+	mu  sync.Mutex // guards the index and appends to the state list
 
-	// index maps hash-consing keys to states; touched only under mu.
-	index map[string]*State
+	// index maps a vector hash to the newest state with that hash, and
+	// chain[id] to the next older one (-1 ends the chain). Both are
+	// touched only under mu.
+	index map[uint64]int32
+	chain []int32
 	// states is the published (append-only) state list. Growth happens
 	// under mu via append on a shared backing array: readers holding an
 	// older header never index past their snapshot's length, and new
 	// headers are released with an atomic store.
 	states atomic.Pointer[[]*State]
-	// bytes tracks the footprint of states plus index entries, accumulated
-	// at intern time so MemoryBytes is O(1) and allocation-free — stats
-	// polling (the server's GET /stats) hits it on every request.
+	// bytes is the table's calibrated per-state charge (see intern),
+	// accumulated at intern time so MemoryBytes is O(1) and
+	// allocation-free — stats polling (the server's GET /stats) hits it on
+	// every request.
 	bytes atomic.Int64
 }
 
 // NewTable creates an empty state table for g.
 func NewTable(g *grammar.Grammar) *Table {
-	t := &Table{g: g, index: map[string]*State{}}
+	t := &Table{g: g, index: make(map[uint64]int32)}
 	empty := []*State(nil)
 	t.states.Store(&empty)
 	return t
@@ -139,8 +151,9 @@ func (t *Table) States() []*State { return *t.states.Load() }
 func (t *Table) SetBudget(max int) { t.max = max }
 
 // Intern returns the unique state with the given vectors, creating it if
-// needed; created reports whether a new state was added. Intern takes
-// ownership of the slices when it creates a state.
+// needed; created reports whether a new state was added. Intern copies
+// the vectors when it creates a state and never retains the caller's
+// slices, so they may be scratch reused across calls.
 func (t *Table) Intern(delta []grammar.Cost, rule []int32, m *metrics.Counters) (s *State, created bool) {
 	s, created, _ = t.intern(delta, rule, m, 0)
 	return s, created
@@ -156,37 +169,72 @@ func (t *Table) InternBudget(delta []grammar.Cost, rule []int32, m *metrics.Coun
 }
 
 func (t *Table) intern(delta []grammar.Cost, rule []int32, m *metrics.Counters, max int) (*State, bool, error) {
-	key := stateKey(delta, rule)
+	h := vecHash(delta, rule)
 	t.mu.Lock()
-	if s, ok := t.index[key]; ok {
-		t.mu.Unlock()
-		return s, false, nil
-	}
 	cur := *t.states.Load()
+	newest, ok := t.index[h]
+	if ok {
+		for id := newest; id >= 0; id = t.chain[id] {
+			if s := cur[id]; slices.Equal(s.Delta, delta) && slices.Equal(s.Rule, rule) {
+				t.mu.Unlock()
+				return s, false, nil
+			}
+		}
+	} else {
+		newest = -1
+	}
 	if max > 0 && len(cur) >= max {
 		t.mu.Unlock()
 		return nil, false, fmt.Errorf("%w: %d states materialized, budget %d", ErrStateBudget, len(cur), max)
 	}
-	s := &State{ID: int32(len(cur)), Delta: delta, Rule: rule}
+	s := &State{ID: int32(len(cur)), Delta: slices.Clone(delta), Rule: slices.Clone(rule)}
 	next := append(cur, s)
+	t.chain = append(t.chain, newest)
+	t.index[h] = s.ID
 	t.states.Store(&next)
-	t.index[key] = s
-	t.bytes.Add(int64(s.MemoryBytes() + len(key) + 16)) // state + index entry
+	// Charged at 8 bytes per nonterminal plus 16 beyond the state itself:
+	// the per-state figure every table-size report (E1/E8 table bytes, PF
+	// table-bytes, the registry's byte budget) is calibrated on. The
+	// charge is kept so those reports stay comparable, not because the
+	// index allocates those bytes.
+	t.bytes.Add(int64(s.MemoryBytes() + 8*len(delta) + 16))
 	t.mu.Unlock()
 	m.CountState()
 	return s, true, nil
 }
 
-// MemoryBytes estimates the total footprint of all states plus the index.
-// The figure is maintained at intern time, so the call is O(1) and safe to
-// poll concurrently with interning.
+// MemoryBytes estimates the footprint of all states: each state's own
+// bytes plus a fixed per-state charge that keeps table-size reports
+// comparable across versions (see intern). The figure is maintained at
+// intern time, so the call is O(1) and safe to poll concurrently with
+// interning.
 func (t *Table) MemoryBytes() int { return int(t.bytes.Load()) }
+
+// vecSeed keys the vector hash; states are never hashed across processes.
+var vecSeed = maphash.MakeSeed()
+
+// vecHash hashes a state's vectors over their bytes, in place. Rules are
+// hashed with the costs: two labelings with equal costs but different
+// optimal rules must be different states because the reducer reads rules
+// out of states.
+func vecHash(delta []grammar.Cost, rule []int32) uint64 {
+	var h maphash.Hash
+	h.SetSeed(vecSeed)
+	h.Write(int32Bytes(delta))
+	h.Write(int32Bytes(rule))
+	return h.Sum64()
+}
+
+// int32Bytes views a slice of 32-bit values as its bytes, without a copy.
+func int32Bytes[T ~int32](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
 
 // Labeling is the per-node state assignment an automaton labeler produces:
 // a dense vector of state ids plus the state-table snapshot that resolves
 // them. Keeping ids instead of pointers halves the per-node footprint and
 // lets engines reuse one labeling's buffers across calls — labelers hand
-// labelings out of internal pools (see reduce.LabelingRecycler).
+// labelings out of internal free lists (see reduce.LabelingRecycler).
 //
 // Ownership: a labeling returned by an engine belongs to the caller until
 // it is released back via the engine's ReleaseLabeling, after which it
@@ -230,18 +278,3 @@ func (l *Labeling) StateAt(n *ir.Node) *State { return l.states[l.IDs[n.Index]] 
 
 // StateIDAt returns the state id assigned to n.
 func (l *Labeling) StateIDAt(n *ir.Node) int32 { return l.IDs[n.Index] }
-
-// stateKey builds the hash-consing key. Rules are part of the key: two
-// labelings with equal costs but different optimal rules must be different
-// states because the reducer reads rules out of states.
-func stateKey(delta []grammar.Cost, rule []int32) string {
-	buf := make([]byte, 0, 8*len(delta))
-	var tmp [4]byte
-	for i := range delta {
-		binary.LittleEndian.PutUint32(tmp[:], uint32(delta[i]))
-		buf = append(buf, tmp[:]...)
-		binary.LittleEndian.PutUint32(tmp[:], uint32(rule[i]))
-		buf = append(buf, tmp[:]...)
-	}
-	return string(buf)
-}

@@ -2,8 +2,8 @@ package automaton
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/metrics"
@@ -29,7 +29,7 @@ type Static struct {
 	table  *Table
 	states []*State // table snapshot, frozen at generation time
 	m      *metrics.Counters
-	labels sync.Pool // *Labeling, recycled across LabelStates calls
+	labels freelist.List[Labeling] // recycled across LabelStates calls
 
 	leaf []int32 // [op] -> state id for arity-0 ops; -1 otherwise
 
@@ -246,6 +246,10 @@ type generator struct {
 	trans []map[uint64]int32
 	queue []workItem
 	nTr   int
+	// delta and rule are Compute's scratch; the table copies a state's
+	// vectors when it is born.
+	delta []grammar.Cost
+	rule  []int32
 }
 
 func newGenerator(g *grammar.Grammar, cfg StaticConfig) *generator {
@@ -256,6 +260,8 @@ func newGenerator(g *grammar.Grammar, cfg StaticConfig) *generator {
 		leaf:  make([]int32, g.NumOps()),
 		reps:  make([][2]*repSpace, g.NumOps()),
 		trans: make([]map[uint64]int32, g.NumOps()),
+		delta: make([]grammar.Cost, g.NumNonterms()),
+		rule:  make([]int32, g.NumNonterms()),
 	}
 	for op := 0; op < g.NumOps(); op++ {
 		gen.leaf[op] = -1
@@ -336,8 +342,8 @@ func (gen *generator) run() error {
 		if gen.g.Ops[op].Arity != 0 || gen.g.HasDynRules(grammar.OpID(op)) {
 			continue
 		}
-		delta, rule := Compute(gen.g, grammar.OpID(op), nil, nil, gen.cfg.DeltaCap, gen.cfg.Metrics)
-		s, created := gen.table.Intern(delta, rule, gen.cfg.Metrics)
+		Compute(gen.g, grammar.OpID(op), nil, nil, gen.cfg.DeltaCap, gen.cfg.Metrics, gen.delta, gen.rule)
+		s, created := gen.table.Intern(gen.delta, gen.rule, gen.cfg.Metrics)
 		gen.leaf[op] = s.ID
 		if created {
 			gen.addState(s)
@@ -408,8 +414,8 @@ func (gen *generator) transition(op grammar.OpID, rep0, rep1 int32) error {
 	} else {
 		kids = []*State{gen.reps[op][0].sample[rep0], gen.reps[op][1].sample[rep1]}
 	}
-	delta, rule := Compute(g, op, kids, nil, gen.cfg.DeltaCap, gen.cfg.Metrics)
-	s, created := gen.table.Intern(delta, rule, gen.cfg.Metrics)
+	Compute(g, op, kids, nil, gen.cfg.DeltaCap, gen.cfg.Metrics, gen.delta, gen.rule)
+	s, created := gen.table.Intern(gen.delta, gen.rule, gen.cfg.Metrics)
 	gen.trans[op][key] = s.ID
 	gen.nTr++
 	gen.cfg.Metrics.CountTransition()
@@ -538,8 +544,8 @@ func (a *Static) MemoryBytes() int {
 // LabelStates assigns a state to every node of f by pure table lookup: the
 // offline automaton's fast path. Events are recorded against the counters
 // configured at generation (StaticConfig.Metrics) or via SetMetrics.
-// The labeling comes from an internal pool; callers that want its buffers
-// recycled hand it back with ReleaseLabeling when done.
+// The labeling comes from the automaton's free list; callers that want its
+// buffers recycled hand it back with ReleaseLabeling when done.
 func (a *Static) LabelStates(f *ir.Forest) *Labeling {
 	return a.LabelStatesMetered(f, nil)
 }
@@ -553,7 +559,7 @@ func (a *Static) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *Labeling
 	if m == nil {
 		m = a.m
 	}
-	lab := a.labels.Get().(*Labeling)
+	lab := a.labels.Get()
 	ids := lab.Reuse(len(f.Nodes))
 	if a.dir1 != nil {
 		// Expanded direct tables: one flat load per node, no projections.
@@ -598,8 +604,8 @@ func (a *Static) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *Labeling
 }
 
 // ReleaseLabeling implements reduce.LabelingRecycler: it returns a
-// labeling obtained from this automaton to the pool. The labeling must
-// not be used afterwards.
+// labeling obtained from this automaton to its free list. The labeling
+// must not be used afterwards.
 func (a *Static) ReleaseLabeling(lab reduce.Labeling) {
 	if l, ok := lab.(*Labeling); ok && l != nil {
 		a.labels.Put(l)

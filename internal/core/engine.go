@@ -42,13 +42,13 @@
 //
 // NewSeeded is the hybrid kind: the same engine, started from an
 // ahead-of-time closure (automaton.GenerateTables, or a `.isel` blob)
-// instead of empty. It adopts the table set's states with their ids and
-// writes the fixed operators' expanded transitions straight into the
-// dense tables above, so fixed-operator traffic hits from the first
-// request while dynamic operators construct on demand as usual. The
-// closure is a fixpoint over the fixed operators, so a seeded grid never
-// misses on seeded children; children born on demand (under a dynamic
-// subtree) extend the grids like any other miss.
+// instead of empty. It interns copies of the table set's states with
+// their ids and writes the fixed operators' expanded transitions
+// straight into the dense tables above, so fixed-operator traffic hits
+// from the first request while dynamic operators construct on demand as
+// usual. The closure is a fixpoint over the fixed operators, so a seeded
+// grid never misses on seeded children; children born on demand (under a
+// dynamic subtree) extend the grids like any other miss.
 //
 // # Concurrency
 //
@@ -75,18 +75,24 @@
 //     words and []int32 id slots, linear probing, a lock-free hit path
 //     with no interface conversions or boxed values, misses serialized on
 //     the operator's mutex. Keys — child state ids plus the packed
-//     dynamic-cost signature — are built in pooled scratch and copied into
-//     the table only when a miss actually inserts them. Growth rehashes
-//     into a double-size table published through the operator's atomic
-//     pointer once fully populated.
-//   - Per-call scratch (dynamic-cost values and signature bytes) comes
-//     from a sync.Pool instead of engine fields, so concurrent labelers
-//     never share buffers; the return to the pool is deferred, so a
-//     panicking user dynamic-cost function cannot leak a buffer (the
-//     panic itself propagates to the caller's containment boundary — the
-//     compilation server recovers it per job). Labelings are pooled the
-//     same way and flow back via ReleaseLabeling, which is what makes the
-//     warm path allocation-free end to end.
+//     dynamic-cost signature — are built in the call's scratch and copied
+//     into the table only when a miss actually inserts them. Growth
+//     rehashes into a double-size table published through the operator's
+//     atomic pointer once fully populated.
+//   - Per-call scratch (dynamic-cost values, probe key words and the
+//     construction vectors Compute fills) comes from a free list owned by
+//     the engine (internal/freelist), so concurrent labelers never share
+//     buffers. A labeling call takes one scratch at its first hash-path
+//     node or miss and returns it at the end — never a lock or a list
+//     item per node; LabelNode, which labels one node, takes its own, and
+//     level-parallel labeling takes one per goroutine's share of a level. A
+//     panicking user dynamic-cost function loses that call's scratch to
+//     the GC, which is harmless (the panic itself propagates to the
+//     caller's containment boundary — the compilation server recovers it
+//     per job). Labelings come from a second free list and flow back via
+//     ReleaseLabeling, which is what makes the warm path allocation-free
+//     end to end. The lists are plain fields, not sync.Pools, so a
+//     dropped engine and everything it recycles die at the next GC.
 //
 // Label, LabelNode and Save may be called concurrently; SetMetrics and
 // Load must be serialized against labeling (Load additionally requires a
@@ -102,6 +108,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/automaton"
+	"repro/internal/freelist"
 	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/metrics"
@@ -187,17 +194,22 @@ type Engine struct {
 	dyn []atomic.Pointer[openTab] // [op]
 
 	transitions atomic.Int64
-	scratch     sync.Pool // *dynScratch
-	labels      sync.Pool // *automaton.Labeling
+	scratch     freelist.List[scratch]
+	labels      freelist.List[automaton.Labeling]
 }
 
-// dynScratch holds the per-call buffers of the dynamic-cost evaluation;
-// pooled so concurrent labelers never share them. key is the packed
-// open-addressing probe key: word 0 is l<<32|r, the remaining words pack
-// the signature costs two per word (low half first).
-type dynScratch struct {
-	dyn []grammar.Cost
-	key []uint64
+// scratch holds the per-call buffers of the slow paths, taken from the
+// engine's free list at most once per labeling call so concurrent
+// labelers never share them. dyn and key serve the dynamic-cost
+// evaluation: key is the packed open-addressing probe key, whose word 0 is
+// l<<32|r and whose remaining words pack the signature costs two per word
+// (low half first). delta and rule are the construction vectors Compute
+// fills; the state table copies them only when a state is born.
+type scratch struct {
+	dyn   []grammar.Cost
+	key   []uint64
+	delta []grammar.Cost
+	rule  []int32
 }
 
 // New creates an empty on-demand automaton for g. env binds the grammar's
@@ -231,25 +243,28 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 		e.leaf[op].Store(-1) // 0 is a valid state id; -1 means "no transition yet"
 		e.hashed[op] = cfg.ForceHash || g.HasDynRules(grammar.OpID(op))
 	}
-	e.scratch.New = func() any { return &dynScratch{} }
-	e.labels.New = func() any { return &automaton.Labeling{} }
+	numNT := g.NumNonterms()
+	e.scratch.New = func() *scratch {
+		return &scratch{delta: make([]grammar.Cost, numNT), rule: make([]int32, numNT)}
+	}
 	return e, nil
 }
 
 // NewSeeded creates an on-demand automaton for g that starts from the
 // closure ts instead of empty (see the package documentation): it
-// validates ts with automaton.ValidateTables, adopts its states with
-// their ids, stores the fixed leaf states, and writes each fixed
-// operator's expanded transitions into the dense tables — or, when
-// expansion would exceed automaton.ExpandMaxBytes, seeds the states only
-// and lets the dense tables warm under traffic. A table set with no
-// states fails with automaton.ErrNoFixedClosure.
+// validates ts with automaton.ValidateTables, which copies its states
+// into the engine's state table with their ids, stores the fixed leaf
+// states, and writes each fixed operator's expanded transitions into the
+// dense tables — or, when expansion would exceed automaton.ExpandMaxBytes,
+// seeds the states only and lets the dense tables warm under traffic. A
+// table set with no states fails with automaton.ErrNoFixedClosure.
 //
 // Seeding is not subject to Config.MaxStates, which bounds on-demand
 // growth past the seeds: a budget below the seeded state count leaves no
 // headroom, and the first construction fails with ErrStateBudget.
 // NumTransitions starts at the table set's compressed transition count.
-// The engine takes ownership of ts.
+// The engine keeps nothing of ts: states are copied and transitions are
+// expanded into the engine's own tables.
 func NewSeeded(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ts *automaton.TableSet) (*Engine, error) {
 	e, err := New(g, env, cfg)
 	if err != nil {
@@ -318,8 +333,8 @@ func (e *Engine) unlockAll() {
 
 // LabelStates assigns a state to every node of f (topological order, so
 // DAGs are covered), constructing missing states and transitions on
-// demand. The labeling comes from an internal pool: hand it back with
-// ReleaseLabeling when done to keep the warm path allocation-free, or
+// demand. The labeling comes from the engine's free list: hand it back
+// with ReleaseLabeling when done to keep the warm path allocation-free, or
 // keep it and let the GC have it eventually.
 func (e *Engine) LabelStates(f *ir.Forest) *automaton.Labeling {
 	return e.LabelStatesMetered(f, nil)
@@ -334,18 +349,21 @@ func (e *Engine) LabelStates(f *ir.Forest) *automaton.Labeling {
 //
 // The loop hand-inlines labelNode's dense hit path: on the warm fixed
 // majority a node costs one table load and no call. Hash-path operators
-// and misses stay out of line.
+// and misses stay out of line, and share one scratch, taken at the first
+// of them and returned at the end. A panic (a user dynamic-cost function,
+// or the state budget) leaves the scratch and the labeling to the GC.
 func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automaton.Labeling {
 	if m == nil {
 		m = e.m
 	}
-	lab := e.labels.Get().(*automaton.Labeling)
+	lab := e.labels.Get()
 	ids := lab.Reuse(len(f.Nodes))
+	var sc *scratch
 	for i, n := range f.Nodes {
 		m.CountNode()
 		op := n.Op
 		if e.hashed[op] {
-			ids[i] = e.labelHashed(op, n, ids, m)
+			ids[i] = e.labelHashed(op, n, ids, m, e.takeScratch(&sc))
 			continue
 		}
 		var id int32
@@ -358,19 +376,31 @@ func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automato
 			id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
 		}
 		if id < 0 {
-			id = e.miss(op, n, ids, m)
+			id = e.miss(op, n, ids, m, e.takeScratch(&sc))
 		} else {
 			m.CountProbe(false)
 		}
 		ids[i] = id
 	}
+	if sc != nil {
+		e.scratch.Put(sc)
+	}
 	lab.Bind(e.table)
 	return lab
 }
 
+// takeScratch returns *sc, first taking one from the free list if the
+// call holds none yet.
+func (e *Engine) takeScratch(sc **scratch) *scratch {
+	if *sc == nil {
+		*sc = e.scratch.Get()
+	}
+	return *sc
+}
+
 // ReleaseLabeling implements reduce.LabelingRecycler: it returns a
-// labeling obtained from LabelStates to the pool so the next call reuses
-// its buffers. The labeling must not be used afterwards.
+// labeling obtained from LabelStates to the engine's free list so the
+// next call reuses its buffers. The labeling must not be used afterwards.
 func (e *Engine) ReleaseLabeling(lab reduce.Labeling) {
 	if l, ok := lab.(*automaton.Labeling); ok && l != nil {
 		e.labels.Put(l)
@@ -391,49 +421,55 @@ func (e *Engine) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling
 // incremental clients (the JIT scenario) can interleave labeling with
 // other per-node work; resolve ids through Table().Get.
 func (e *Engine) LabelNode(n *ir.Node, ids []int32) int32 {
-	return e.labelNode(n, ids, e.m)
+	var sc *scratch
+	id := e.labelNode(n, ids, e.m, &sc)
+	if sc != nil {
+		e.scratch.Put(sc)
+	}
+	return id
 }
 
 // labelHashed labels one node through op's hash table: keyed by the
 // evaluated dynamic-cost signature for an operator with dynamic rules, by
 // the child ids alone otherwise (ForceHash, or a child id past the dense
-// bound). It is the one helper holding pooled scratch, and its single
-// defer keeps the callers free of deferred-call overhead.
-func (e *Engine) labelHashed(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
-	sc := e.scratch.Get().(*dynScratch)
-	// Deferred so a panicking user cost function cannot leak the pooled
-	// buffers; see the package concurrency notes.
-	defer e.scratch.Put(sc)
+// bound). sc is the calling labeler's scratch.
+func (e *Engine) labelHashed(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc *scratch) int32 {
+	var dynVals []grammar.Cost
 	if e.g.HasDynRules(op) {
 		e.evalDyn(n, ids, sc, m)
-		return e.lookupHash(op, n, ids, sc.key, sc.dyn, m)
+		dynVals = sc.dyn
+	} else {
+		sc.key = append(sc.key[:0], packLR(n, ids))
 	}
-	sc.key = append(sc.key[:0], packLR(n, ids))
-	return e.lookupHash(op, n, ids, sc.key, nil, m)
+	return e.lookupHash(op, n, ids, dynVals, m, sc)
 }
 
 // labelNode labels one node, counting events into m: the body of
-// LabelStatesMetered's loop, for callers labeling one node at a time.
-func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters) int32 {
+// LabelStatesMetered's loop, for callers labeling one node at a time. A
+// node that needs the slow paths uses *sc, first taking it from the free
+// list if the caller holds none yet; the caller returns it.
+func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters, sc **scratch) int32 {
 	m.CountNode()
 	op := n.Op
-	if e.hashed[op] {
-		return e.labelHashed(op, n, ids, m)
-	}
 	var id int32
-	switch len(n.Kids) {
-	case 0:
-		id = e.leaf[op].Load()
-	case 1:
-		id = e.hitUn(op, ids[n.Kids[0].Index])
-	default:
-		id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
+	if !e.hashed[op] {
+		switch len(n.Kids) {
+		case 0:
+			id = e.leaf[op].Load()
+		case 1:
+			id = e.hitUn(op, ids[n.Kids[0].Index])
+		default:
+			id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
+		}
+		if id >= 0 {
+			m.CountProbe(false)
+			return id
+		}
 	}
-	if id < 0 {
-		return e.miss(op, n, ids, m)
+	if e.hashed[op] {
+		return e.labelHashed(op, n, ids, m, e.takeScratch(sc))
 	}
-	m.CountProbe(false)
-	return id
+	return e.miss(op, n, ids, m, e.takeScratch(sc))
 }
 
 // hitUn returns the dense unary transition of op from child state kid, or
@@ -458,8 +494,8 @@ func (e *Engine) hitBin(op grammar.OpID, l, r int32) int32 {
 // miss is the dense slow path of a fixed operator: construct under the
 // operator's mutex, re-checking first because another goroutine may have
 // won the race. A child id past the dense bound takes the hash path
-// instead.
-func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters) int32 {
+// instead. sc is the calling labeler's scratch.
+func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc *scratch) int32 {
 	var kids [2]*automaton.State
 	var id int32
 	switch len(n.Kids) {
@@ -470,7 +506,7 @@ func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Count
 	case 1:
 		kid := ids[n.Kids[0].Index]
 		if kid >= e.denseIDs {
-			return e.labelHashed(op, n, ids, m)
+			return e.labelHashed(op, n, ids, m, sc)
 		}
 		e.mus[op].Lock()
 		defer e.mus[op].Unlock()
@@ -479,7 +515,7 @@ func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Count
 	default:
 		l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
 		if l >= e.denseIDs || r >= e.denseIDs {
-			return e.labelHashed(op, n, ids, m)
+			return e.labelHashed(op, n, ids, m, sc)
 		}
 		e.mus[op].Lock()
 		defer e.mus[op].Unlock()
@@ -491,7 +527,7 @@ func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Count
 		return id
 	}
 	m.CountProbe(true)
-	s := e.construct(op, kids[:len(n.Kids)], nil, m)
+	s := e.construct(op, kids[:len(n.Kids)], nil, m, sc)
 	switch len(n.Kids) {
 	case 0:
 		e.leaf[op].Store(s.ID)
@@ -605,10 +641,11 @@ func (e *Engine) keyWords(op grammar.OpID) int {
 }
 
 // lookupHash handles operators with dynamic rules (and the ForceHash
-// ablation): one open-addressing probe keyed by the packed key words. key
-// aliases pooled scratch — the hit path never copies it; the miss path
-// copies it into the table on insertion.
-func (e *Engine) lookupHash(op grammar.OpID, n *ir.Node, ids []int32, key []uint64, dynVals []grammar.Cost, m *metrics.Counters) int32 {
+// ablation): one open-addressing probe keyed by the packed key words in
+// sc.key — the hit path never copies them; the miss path copies them into
+// the table on insertion.
+func (e *Engine) lookupHash(op grammar.OpID, n *ir.Node, ids []int32, dynVals []grammar.Cost, m *metrics.Counters, sc *scratch) int32 {
+	key := sc.key
 	h := hashKey(key)
 	if t := e.dyn[op].Load(); t != nil {
 		if id, ok := t.get(key, h); ok {
@@ -630,7 +667,7 @@ func (e *Engine) lookupHash(op grammar.OpID, n *ir.Node, ids []int32, key []uint
 	for ki := range n.Kids {
 		kids = append(kids, e.table.Get(ids[n.Kids[ki].Index]))
 	}
-	s := e.construct(op, kids, dynVals, m)
+	s := e.construct(op, kids, dynVals, m, sc)
 	e.insertDynLocked(op, key, h, s.ID)
 	e.addTransition(m)
 	return s.ID
@@ -665,7 +702,7 @@ func (e *Engine) insertDynLocked(op grammar.OpID, key []uint64, h uint64, id int
 // functions inspect the matched pattern's shape, so calling them on
 // non-matching nodes would be wrong — and skipping them also keeps the
 // fast path's dynamic-evaluation count low.
-func (e *Engine) evalDyn(n *ir.Node, ids []int32, sc *dynScratch, m *metrics.Counters) {
+func (e *Engine) evalDyn(n *ir.Node, ids []int32, sc *scratch, m *metrics.Counters) {
 	rules := e.g.DynRules(n.Op)
 	// One snapshot resolves every kid id: kid states were interned before
 	// their ids were published, and the state list is append-only.
@@ -702,7 +739,8 @@ func (e *Engine) evalDyn(n *ir.Node, ids []int32, sc *dynScratch, m *metrics.Cou
 	}
 }
 
-// construct is the slow path: run the DP step once and intern the result.
+// construct is the slow path: run the DP step once, into sc's vectors, and
+// intern the result, which copies the vectors only if the state is new.
 // Callers hold the operator's slow-path mutex, so concurrent misses of the
 // same transition construct once; the state table additionally dedups by
 // content (which also keeps states interned from different operators'
@@ -711,12 +749,13 @@ func (e *Engine) evalDyn(n *ir.Node, ids []int32, sc *dynScratch, m *metrics.Cou
 // When Config.MaxStates is set and interning would exceed it, construct
 // panics with the ErrStateBudget-wrapping error. A panic is the only way
 // out of the Label fast path (the reduce.Labeler interface is error-free
-// by design — the warm path cannot fail); every lock and pooled buffer on
-// the way up is released by defers, and the API layer (Selector.Compile)
-// recovers the typed error and returns it to the caller.
-func (e *Engine) construct(op grammar.OpID, kids []*automaton.State, dynVals []grammar.Cost, m *metrics.Counters) *automaton.State {
-	delta, rule := automaton.Compute(e.g, op, kids, dynVals, e.deltaCap, m)
-	s, _, err := e.table.InternBudget(delta, rule, m)
+// by design — the warm path cannot fail); every lock on the way up is
+// released by defers, the call's scratch and labeling go to the GC, and
+// the API layer (Selector.Compile) recovers the typed error and returns
+// it to the caller.
+func (e *Engine) construct(op grammar.OpID, kids []*automaton.State, dynVals []grammar.Cost, m *metrics.Counters, sc *scratch) *automaton.State {
+	automaton.Compute(e.g, op, kids, dynVals, e.deltaCap, m, sc.delta, sc.rule)
+	s, _, err := e.table.InternBudget(sc.delta, sc.rule, m)
 	if err != nil {
 		panic(err)
 	}

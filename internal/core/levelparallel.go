@@ -25,7 +25,10 @@ var levelsPool = sync.Pool{New: func() any { return new(reduce.Levels) }}
 //
 // The parallel path trades the warm zero-allocation guarantee for
 // latency: partition scratch is pooled but the per-level goroutines
-// allocate. Labelings are pooled as usual — release with ReleaseLabeling.
+// allocate. Each goroutine's share of a level takes at most one scratch
+// from the engine's free list, at its first node that misses or takes the
+// hash path, and returns it when the share is done. Labelings come from
+// the engine's free list as usual — release with ReleaseLabeling.
 func (e *Engine) LabelStatesParallel(f *ir.Forest, workers int, m *metrics.Counters) *automaton.Labeling {
 	if workers <= 1 || len(f.Nodes) < reduce.MinParallelSpan {
 		return e.LabelStatesMetered(f, m)
@@ -33,12 +36,18 @@ func (e *Engine) LabelStatesParallel(f *ir.Forest, workers int, m *metrics.Count
 	if m == nil {
 		m = e.m
 	}
-	lab := e.labels.Get().(*automaton.Labeling)
+	lab := e.labels.Get()
 	ids := lab.Reuse(len(f.Nodes))
 	lv := levelsPool.Get().(*reduce.Levels)
 	lv.Partition(f)
-	lv.Run(workers, func(idx int32) {
-		ids[idx] = e.labelNode(f.Nodes[idx], ids, m)
+	lv.Run(workers, func(part []int32) {
+		var sc *scratch
+		for _, idx := range part {
+			ids[idx] = e.labelNode(f.Nodes[idx], ids, m, &sc)
+		}
+		if sc != nil {
+			e.scratch.Put(sc)
+		}
 	})
 	levelsPool.Put(lv)
 	lab.Bind(e.table)

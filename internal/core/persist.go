@@ -175,9 +175,10 @@ func (e *Engine) Load(r io.Reader) error {
 	// byID grows as states are read: the header's claim sizes nothing, so
 	// a short file claiming millions of states fails at EOF cheaply.
 	var byID []*automaton.State
+	// One pair of vectors serves every state: interning copies them.
+	delta := make([]grammar.Cost, numNT)
+	rule := make([]int32, numNT)
 	for i := uint64(0); i < nStates; i++ {
-		delta := make([]grammar.Cost, numNT)
-		rule := make([]int32, numNT)
 		for nt := 0; nt < int(numNT); nt++ {
 			d, err := get()
 			if err != nil {

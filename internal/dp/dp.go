@@ -12,8 +12,8 @@ package dp
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/metrics"
@@ -28,7 +28,7 @@ type Labeler struct {
 	g       *grammar.Grammar
 	dyn     []grammar.DynFunc // indexed by rule index; nil for fixed-cost rules
 	m       *metrics.Counters
-	results sync.Pool // *Result, recycled across Label calls
+	results freelist.List[Result] // recycled across Label calls
 }
 
 // New creates a labeler for g. env supplies the dynamic-cost functions the
@@ -39,9 +39,7 @@ func New(g *grammar.Grammar, env grammar.DynEnv, m *metrics.Counters) (*Labeler,
 	if err != nil {
 		return nil, err
 	}
-	l := &Labeler{g: g, dyn: dyn, m: m}
-	l.results.New = func() any { return &Result{} }
-	return l, nil
+	return &Labeler{g: g, dyn: dyn, m: m}, nil
 }
 
 // Grammar returns the grammar the labeler runs.
@@ -58,7 +56,7 @@ type Result struct {
 	// (-1 if impossible).
 	Rules [][]int32
 	// Backing arrays, reused when the Result is recycled through the
-	// labeler's pool.
+	// labeler's free list.
 	costBack []grammar.Cost
 	ruleBack []int32
 }
@@ -131,9 +129,9 @@ func (l *Labeler) LabelResultMetered(f *ir.Forest, m *metrics.Counters) *Result 
 		m = l.m
 	}
 	numNT := l.g.NumNonterms()
-	// Pooled backing arrays keep warm-path allocation count at zero; the
+	// Recycled backing arrays keep warm-path allocation count at zero; the
 	// Result flows back through ReleaseLabeling (or to the GC).
-	res := l.results.Get().(*Result)
+	res := l.results.Get()
 	res.g = l.g
 	res.reuse(len(f.Nodes), numNT)
 	for i, n := range f.Nodes {
@@ -143,8 +141,8 @@ func (l *Labeler) LabelResultMetered(f *ir.Forest, m *metrics.Counters) *Result 
 }
 
 // ReleaseLabeling implements reduce.LabelingRecycler: it returns a Result
-// obtained from this labeler to the pool. The Result (including its Costs
-// and Rules rows) must not be used afterwards.
+// obtained from this labeler to its free list. The Result (including its
+// Costs and Rules rows) must not be used afterwards.
 func (l *Labeler) ReleaseLabeling(lab reduce.Labeling) {
 	if r, ok := lab.(*Result); ok && r != nil {
 		l.results.Put(r)

@@ -252,31 +252,61 @@ func (g *Grammar) RuleName(i int) string {
 }
 
 // buildIndexes (re)computes the derived lookup structures. It must be
-// called whenever Rules, Ops, or Nonterms change.
+// called whenever Rules, Ops, or Nonterms change. Name maps already set
+// are kept: the parser builds them as it reads the source. Each per-op and
+// per-nonterminal rule list is a window of one shared backing array.
 func (g *Grammar) buildIndexes() {
-	g.opsByName = make(map[string]OpID, len(g.Ops))
+	if g.opsByName == nil {
+		g.opsByName = make(map[string]OpID, len(g.Ops))
+		for i := range g.Ops {
+			g.opsByName[g.Ops[i].Name] = OpID(i)
+		}
+	}
 	for i := range g.Ops {
 		g.Ops[i].ID = OpID(i)
-		g.opsByName[g.Ops[i].Name] = OpID(i)
 	}
-	g.ntsByName = make(map[string]NT, len(g.Nonterms))
+	if g.ntsByName == nil {
+		g.ntsByName = make(map[string]NT, len(g.Nonterms))
+		for i := range g.Nonterms {
+			g.ntsByName[g.Nonterms[i].Name] = NT(i)
+		}
+	}
 	for i := range g.Nonterms {
 		g.Nonterms[i].ID = NT(i)
-		g.ntsByName[g.Nonterms[i].Name] = NT(i)
 	}
-	g.baseByOp = make([][]int32, len(g.Ops))
-	g.dynByOp = make([][]int32, len(g.Ops))
-	g.dynPos = make([]int32, len(g.Rules))
-	g.chains = nil
-	g.chainsByRHS = make([][]int32, len(g.Nonterms))
+	// Count each list's length, then carve the lists from one array per
+	// index and fill them in rule order.
+	baseN := make([]int, len(g.Ops))
+	dynN := make([]int, len(g.Ops))
+	rhsN := make([]int, len(g.Nonterms))
+	nChains, nDyn := 0, 0
 	g.maxExternalID = 0
 	for i := range g.Rules {
 		r := &g.Rules[i]
 		r.Index = i
-		g.dynPos[i] = -1
 		if r.ID > g.maxExternalID {
 			g.maxExternalID = r.ID
 		}
+		switch {
+		case r.IsChain:
+			nChains++
+			rhsN[r.ChainRHS]++
+		case r.IsDynamic():
+			nDyn++
+			dynN[r.Op]++
+			fallthrough
+		default:
+			baseN[r.Op]++
+		}
+	}
+	g.chains = make([]int32, 0, nChains)
+	g.baseByOp = carve(baseN, len(g.Rules)-nChains)
+	g.dynByOp = carve(dynN, nDyn)
+	g.chainsByRHS = carve(rhsN, nChains)
+	g.dynPos = make([]int32, len(g.Rules))
+	for i := range g.Rules {
+		r := &g.Rules[i]
+		g.dynPos[i] = -1
 		if r.IsChain {
 			g.chains = append(g.chains, int32(i))
 			g.chainsByRHS[r.ChainRHS] = append(g.chainsByRHS[r.ChainRHS], int32(i))
@@ -288,4 +318,18 @@ func (g *Grammar) buildIndexes() {
 			g.dynByOp[r.Op] = append(g.dynByOp[r.Op], int32(i))
 		}
 	}
+}
+
+// carve returns one empty list per entry of counts, each with capacity
+// for exactly its count, windows of one array of total entries.
+func carve(counts []int, total int) [][]int32 {
+	back := make([]int32, total)
+	lists := make([][]int32, len(counts))
+	for i, n := range counts {
+		if n > 0 {
+			lists[i] = back[:0:n]
+			back = back[n:]
+		}
+	}
+	return lists
 }

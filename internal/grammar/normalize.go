@@ -1,17 +1,25 @@
 package grammar
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // finish converts the parsed raw grammar into a validated, normal-form
 // Grammar: it assigns rule numbers, introduces helper nonterminals for
 // multi-node patterns, builds lookup indexes, and validates the result.
+//
+// Everything is sized before it is filled: the rules (one per operator
+// node, plus the chain rules) and their kid nonterminals, which share one
+// backing array. The operator and nonterminal name maps built on the way
+// become the grammar's name indexes.
 func (raw *rawGrammar) finish() (*Grammar, error) {
-	g := &Grammar{Name: raw.name}
-	g.Ops = append(g.Ops, raw.terms...)
+	g := &Grammar{Name: raw.name, Ops: raw.terms, opsByName: raw.opIDs}
 
 	// Collect author-written nonterminals: rule left-hand sides first (in
 	// order of appearance), then pattern leaves that are not terms.
 	ntID := map[string]NT{}
+	g.ntsByName = ntID
 	addNT := func(name string, helper bool) NT {
 		if id, ok := ntID[name]; ok {
 			return id
@@ -22,7 +30,7 @@ func (raw *rawGrammar) finish() (*Grammar, error) {
 		return id
 	}
 	for _, r := range raw.rules {
-		if raw.isTerm(r.lhs) {
+		if _, isOp := raw.opIDs[r.lhs]; isOp {
 			return nil, fmt.Errorf("grammar:%d: rule left-hand side %q is an operator", r.line, r.lhs)
 		}
 		addNT(r.lhs, false)
@@ -73,7 +81,21 @@ func (raw *rawGrammar) finish() (*Grammar, error) {
 		}
 	}
 
-	// Normalize: split multi-node patterns bottom-up into helper rules.
+	// Normalize: split multi-node patterns bottom-up into helper rules,
+	// one rule per operator node.
+	chains := 0
+	for _, r := range raw.rules {
+		if !r.pat.IsOp {
+			chains++
+		}
+	}
+	g.Rules = make([]Rule, 0, chains+raw.opNodes)
+	kidNTs := make([]NT, raw.opKids)
+	newKids := func(n int) []NT {
+		kids := kidNTs[:n:n]
+		kidNTs = kidNTs[n:]
+		return kids
+	}
 	for _, r := range raw.rules {
 		lhs := ntID[r.lhs]
 		if !r.pat.IsOp {
@@ -98,44 +120,31 @@ func (raw *rawGrammar) finish() (*Grammar, error) {
 				return ""
 			}
 			part++
-			return string(rune('a' + part - 1))
+			return partLetter(part)
 		}
-		var lower func(p *PatNode) (NT, error)
-		lower = func(p *PatNode) (NT, error) {
+		var lower func(p *PatNode) NT
+		lower = func(p *PatNode) NT {
 			if !p.IsOp {
-				return ntID[p.Name], nil
+				return ntID[p.Name]
 			}
-			op, _ := findOp(g.Ops, p.Name)
-			kids := make([]NT, len(p.Kids))
+			kids := newKids(len(p.Kids))
 			for i, k := range p.Kids {
-				nt, err := lower(k)
-				if err != nil {
-					return NoNT, err
-				}
-				kids[i] = nt
+				kids[i] = lower(k)
 			}
 			pn := partName()
-			helper := addNT(fmt.Sprintf("%s.%d%s", r.lhs, r.id, pn), true)
+			helper := addNT(r.lhs+"."+strconv.Itoa(r.id)+pn, true)
 			g.Rules = append(g.Rules, Rule{
-				ID: r.id, Part: pn, LHS: helper, Op: op, Kids: kids,
-				Src: fmt.Sprintf("%s: %s", g.Nonterms[helper].Name, p),
+				ID: r.id, Part: pn, LHS: helper, Op: raw.opIDs[p.Name], Kids: kids,
+				Src: ruleText(g.Nonterms[helper].Name, p),
 			})
-			return helper, nil
+			return helper
 		}
-		op, ok := findOp(g.Ops, r.pat.Name)
-		if !ok {
-			return nil, fmt.Errorf("grammar:%d: unknown operator %q", r.line, r.pat.Name)
-		}
-		kids := make([]NT, len(r.pat.Kids))
+		kids := newKids(len(r.pat.Kids))
 		for i, k := range r.pat.Kids {
-			nt, err := lower(k)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = nt
+			kids[i] = lower(k)
 		}
 		g.Rules = append(g.Rules, Rule{
-			ID: r.id, Part: partName(), LHS: lhs, Op: op, Kids: kids,
+			ID: r.id, Part: partName(), LHS: lhs, Op: raw.opIDs[r.pat.Name], Kids: kids,
 			Cost: r.cost, DynCost: r.dyn, Template: r.template, Src: r.src,
 		})
 	}
@@ -173,13 +182,14 @@ func countOpNodes(p *PatNode) int {
 	return n
 }
 
-func findOp(ops []Op, name string) (OpID, bool) {
-	for i := range ops {
-		if ops[i].Name == name {
-			return OpID(i), true
-		}
+// partLetter names the part-th (1-based) rule split from one pattern:
+// "a", "b", ...
+func partLetter(part int) string {
+	const letters = "abcdefghijklmnopqrstuvwxyz"
+	if part <= len(letters) {
+		return letters[part-1 : part]
 	}
-	return NoOp, false
+	return string(rune('a' + part - 1))
 }
 
 // Validate checks structural invariants of a normal-form grammar:

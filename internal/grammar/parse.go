@@ -29,8 +29,12 @@ import (
 // of "(dyn name)" marks a dynamic-cost rule; the name is bound to a Go
 // function via DynEnv at engine-construction time. Multi-node patterns are
 // split into normal form automatically (see Normalize).
+//
+// On success, parsing allocates only what the Grammar keeps: tokens are
+// values whose text is a substring of src, and rule source texts are
+// rendered once each into exactly sized strings.
 func Parse(src string) (*Grammar, error) {
-	p := &parser{lex: newLexer(src)}
+	p := &parser{lex: lexer{src: src, line: 1}}
 	raw, err := p.parse()
 	if err != nil {
 		return nil, err
@@ -62,16 +66,51 @@ func (p *PatNode) String() string {
 	if !p.IsOp || len(p.Kids) == 0 {
 		return p.Name
 	}
-	var b strings.Builder
+	return ruleText("", p)
+}
+
+// textLen is the length of p's String.
+func (p *PatNode) textLen() int {
+	n := len(p.Name)
+	if p.IsOp && len(p.Kids) > 0 {
+		n += 2 * len(p.Kids) // "(" + ")" + ", " between kids
+		for _, k := range p.Kids {
+			n += k.textLen()
+		}
+	}
+	return n
+}
+
+// writeTo appends p's String to b.
+func (p *PatNode) writeTo(b *strings.Builder) {
 	b.WriteString(p.Name)
+	if !p.IsOp || len(p.Kids) == 0 {
+		return
+	}
 	b.WriteByte('(')
 	for i, k := range p.Kids {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(k.String())
+		k.writeTo(b)
 	}
 	b.WriteByte(')')
+}
+
+// ruleText renders the source text of the rule lhs: p ("lhs: p"), or p
+// alone when lhs is empty, in one exactly sized allocation.
+func ruleText(lhs string, p *PatNode) string {
+	var b strings.Builder
+	n := p.textLen()
+	if lhs != "" {
+		n += len(lhs) + 2
+	}
+	b.Grow(n)
+	if lhs != "" {
+		b.WriteString(lhs)
+		b.WriteString(": ")
+	}
+	p.writeTo(&b)
 	return b.String()
 }
 
@@ -92,7 +131,13 @@ type rawGrammar struct {
 	name  string
 	start string
 	terms []Op
+	// opIDs maps a term's name to its index in terms.
+	opIDs map[string]OpID
 	rules []rawRule
+	// opNodes and opKids count the operator nodes of all patterns and
+	// their children: normalization makes one rule per operator node, and
+	// those rules' Kids hold opKids nonterminals in all.
+	opNodes, opKids int
 }
 
 // ---------------------------------------------------------------------------
@@ -121,8 +166,6 @@ type lexer struct {
 	line  int
 	depth int // parenthesis nesting; newlines inside parens are skipped
 }
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
 func (l *lexer) next() token {
 	for l.pos < len(l.src) {
@@ -159,8 +202,9 @@ func (l *lexer) next() token {
 			return token{tPunct, ")", l.line}
 		case c == ',' || c == ':' || c == '=' || c == '%':
 			l.pos++
-			return token{tPunct, string(c), l.line}
+			return token{tPunct, l.src[l.pos-1 : l.pos], l.line}
 		default:
+			// No rule accepts any other byte: the parser reports it.
 			return token{tPunct, string(c), l.line}
 		}
 	}
@@ -218,28 +262,26 @@ func isIdentPart(c byte) bool {
 // Parser
 
 type parser struct {
-	lex    *lexer
-	tok    token
-	peeked *token
+	lex lexer
+	// peeked is the token peek read ahead, valid when hasPeek is set.
+	peeked  token
+	hasPeek bool
 }
 
 func (p *parser) next() token {
-	if p.peeked != nil {
-		t := *p.peeked
-		p.peeked = nil
-		p.tok = t
-		return t
+	if p.hasPeek {
+		p.hasPeek = false
+		return p.peeked
 	}
-	p.tok = p.lex.next()
-	return p.tok
+	return p.lex.next()
 }
 
 func (p *parser) peek() token {
-	if p.peeked == nil {
-		t := p.lex.next()
-		p.peeked = &t
+	if !p.hasPeek {
+		p.peeked = p.lex.next()
+		p.hasPeek = true
 	}
-	return *p.peeked
+	return p.peeked
 }
 
 func (p *parser) errf(line int, format string, args ...any) error {
@@ -247,7 +289,7 @@ func (p *parser) errf(line int, format string, args ...any) error {
 }
 
 func (p *parser) parse() (*rawGrammar, error) {
-	raw := &rawGrammar{name: "grammar"}
+	raw := &rawGrammar{name: "grammar", opIDs: map[string]OpID{}}
 	for {
 		t := p.next()
 		switch {
@@ -310,11 +352,10 @@ func (p *parser) parseDirective(raw *rawGrammar) error {
 					return p.errf(c.line, "%%term %s: expected ')'", n.text)
 				}
 			}
-			for _, op := range raw.terms {
-				if op.Name == n.text {
-					return p.errf(n.line, "duplicate %%term %s", n.text)
-				}
+			if _, dup := raw.opIDs[n.text]; dup {
+				return p.errf(n.line, "duplicate %%term %s", n.text)
 			}
+			raw.opIDs[n.text] = OpID(len(raw.terms))
 			raw.terms = append(raw.terms, Op{Name: n.text, Arity: arity})
 		}
 	default:
@@ -383,7 +424,7 @@ func (p *parser) parseRule(raw *rawGrammar, lhs token) error {
 		p.next()
 		r.template = t.text
 	}
-	r.src = fmt.Sprintf("%s: %s", r.lhs, r.pat)
+	r.src = ruleText(r.lhs, r.pat)
 	raw.rules = append(raw.rules, r)
 	return p.endLine()
 }
@@ -393,11 +434,19 @@ func (p *parser) parsePattern(raw *rawGrammar) (*PatNode, error) {
 	if t.kind != tIdent {
 		return nil, p.errf(t.line, "expected pattern, got %q", t.text)
 	}
-	n := &PatNode{Name: t.text, IsOp: raw.isTerm(t.text)}
-	// Only operators of arity > 0 take argument lists; after a nonterminal
-	// or leaf-operator pattern a '(' belongs to the cost specification.
-	if q := p.peek(); n.IsOp && raw.arity(t.text) > 0 && q.kind == tPunct && q.text == "(" {
+	op, isOp := raw.opIDs[t.text]
+	n := &PatNode{Name: t.text, IsOp: isOp}
+	if !isOp {
+		return n, nil
+	}
+	arity := raw.terms[op].Arity
+	raw.opNodes++
+	raw.opKids += arity
+	// Only operators of arity > 0 take argument lists; after a leaf
+	// operator a '(' belongs to the cost specification.
+	if q := p.peek(); arity > 0 && q.kind == tPunct && q.text == "(" {
 		p.next()
+		n.Kids = make([]*PatNode, 0, arity)
 		for {
 			kid, err := p.parsePattern(raw)
 			if err != nil {
@@ -414,29 +463,9 @@ func (p *parser) parsePattern(raw *rawGrammar) (*PatNode, error) {
 			return nil, p.errf(q.line, "expected ',' or ')' in pattern, got %q", q.text)
 		}
 	}
-	if n.IsOp {
-		if a := raw.arity(t.text); a != len(n.Kids) {
-			return nil, p.errf(t.line, "operator %s has arity %d but pattern gives %d children",
-				t.text, a, len(n.Kids))
-		}
+	if arity != len(n.Kids) {
+		return nil, p.errf(t.line, "operator %s has arity %d but pattern gives %d children",
+			t.text, arity, len(n.Kids))
 	}
 	return n, nil
-}
-
-func (raw *rawGrammar) isTerm(name string) bool {
-	for _, op := range raw.terms {
-		if op.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-func (raw *rawGrammar) arity(name string) int {
-	for _, op := range raw.terms {
-		if op.Name == name {
-			return op.Arity
-		}
-	}
-	return -1
 }

@@ -85,20 +85,22 @@ func (lv *Levels) Level(l int) []int32 {
 	return lv.order[lv.offs[l]:lv.offs[l+1]]
 }
 
-// Run invokes label(idx) for every node index of the last Partition,
-// level by level: each level completes — with a barrier — before the next
-// starts, so by the time label sees a node, it has already run on all the
-// node's children. Within one level, wide levels fan out across up to
-// workers goroutines (each given at least MinParallelSpan/2 nodes);
-// narrow levels run inline on the calling goroutine. label must therefore
-// tolerate concurrent invocation on distinct indexes of one level —
-// writes to disjoint elements of a shared ids array are fine, and the
-// WaitGroup barrier publishes them to the next level.
+// Run invokes label(part) on parts of the node indexes of the last
+// Partition that together cover every node once, level by level: each
+// level completes — with a barrier — before the next starts, so by the
+// time label sees a node, it has already run on all the node's children.
+// Wide levels are split across up to workers goroutines, one part each
+// (at least MinParallelSpan/2 nodes); a narrow level is one part, labeled
+// inline on the calling goroutine. A labeler takes its per-call scratch
+// once per part, never per node. label must tolerate concurrent
+// invocation on the disjoint parts of one level — writes to disjoint
+// elements of a shared ids array are fine, and the WaitGroup barrier
+// publishes them to the next level.
 //
 // A panic inside label (the on-demand engine's state-budget abort
 // surfaces as one) is re-raised on the calling goroutine after the
 // level's barrier, preserving the sequential path's panic contract.
-func (lv *Levels) Run(workers int, label func(idx int32)) {
+func (lv *Levels) Run(workers int, label func(part []int32)) {
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -111,9 +113,7 @@ func (lv *Levels) Run(workers int, label func(idx int32)) {
 			w = most
 		}
 		if w <= 1 {
-			for _, idx := range level {
-				label(idx)
-			}
+			label(level)
 			continue
 		}
 		chunk := (len(level) + w - 1) / w
@@ -135,9 +135,7 @@ func (lv *Levels) Run(workers int, label func(idx int32)) {
 						mu.Unlock()
 					}
 				}()
-				for _, idx := range part {
-					label(idx)
-				}
+				label(part)
 			}()
 		}
 		wg.Wait()

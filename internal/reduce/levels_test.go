@@ -60,15 +60,17 @@ func TestLevelsRunOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		done := make([]atomic.Bool, len(f.Nodes))
 		var total atomic.Int64
-		lv.Run(workers, func(idx int32) {
-			n := f.Nodes[idx]
-			for _, k := range n.Kids {
-				if !done[k.Index].Load() {
-					t.Errorf("workers=%d: node %d ran before its kid %d", workers, idx, k.Index)
+		lv.Run(workers, func(part []int32) {
+			for _, idx := range part {
+				n := f.Nodes[idx]
+				for _, k := range n.Kids {
+					if !done[k.Index].Load() {
+						t.Errorf("workers=%d: node %d ran before its kid %d", workers, idx, k.Index)
+					}
 				}
+				done[idx].Store(true)
+				total.Add(1)
 			}
-			done[idx].Store(true)
-			total.Add(1)
 		})
 		if int(total.Load()) != len(f.Nodes) {
 			t.Errorf("workers=%d: label ran %d times, want %d", workers, total.Load(), len(f.Nodes))
@@ -91,9 +93,11 @@ func TestLevelsRunPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want the label panic", r)
 		}
 	}()
-	lv.Run(4, func(idx int32) {
-		if int(idx) == len(f.Nodes)/2 {
-			panic("boom")
+	lv.Run(4, func(part []int32) {
+		for _, idx := range part {
+			if int(idx) == len(f.Nodes)/2 {
+				panic("boom")
+			}
 		}
 	})
 	t.Fatal("Run returned instead of panicking")

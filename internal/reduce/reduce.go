@@ -14,15 +14,15 @@
 // The walk is iterative — an explicit enter/exit work stack instead of
 // recursion, so arbitrarily deep trees cannot overflow the goroutine
 // stack — and its per-call state (the stack plus a bitset indexed by
-// node×nonterminal that replaces the old map[int64]bool) is pooled, so a
-// warm Cover performs no allocation.
+// node×nonterminal that replaces the old map[int64]bool) is recycled
+// through the reducer's free list, so a warm Cover performs no allocation.
 package reduce
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/metrics"
@@ -102,8 +102,8 @@ type ParallelLabeler interface {
 
 // LabelingRecycler is the optional engine capability behind the
 // allocation-free warm path: engines that implement it hand labelings out
-// of an internal pool, and ReleaseLabeling returns one so the next Label
-// call can reuse its buffers.
+// of an internal free list, and ReleaseLabeling returns one so the next
+// Label call can reuse its buffers.
 //
 // Ownership contract: a labeling obtained from Label/LabelMetered belongs
 // to the caller. Calling ReleaseLabeling transfers it back — the caller
@@ -121,12 +121,13 @@ type LabelingRecycler interface {
 type Visitor func(n *ir.Node, nt grammar.NT, r *grammar.Rule)
 
 // Reducer walks derivations. One Reducer may cover from many goroutines
-// concurrently: all per-call state is pooled, never shared.
+// concurrently: each call takes its own scratch from the reducer's free
+// list, so none is shared.
 type Reducer struct {
 	g       *grammar.Grammar
 	dyn     []grammar.DynFunc
 	m       *metrics.Counters
-	scratch sync.Pool // *coverScratch
+	scratch freelist.List[coverScratch]
 }
 
 // New creates a reducer. env is needed only to account the true cost of
@@ -136,9 +137,7 @@ func New(g *grammar.Grammar, env grammar.DynEnv, m *metrics.Counters) (*Reducer,
 	if err != nil {
 		return nil, err
 	}
-	rd := &Reducer{g: g, dyn: dyn, m: m}
-	rd.scratch.New = func() any { return &coverScratch{} }
-	return rd, nil
+	return &Reducer{g: g, dyn: dyn, m: m}, nil
 }
 
 // coverFrame is one entry of the explicit reduction stack. ri < 0 marks an
@@ -151,7 +150,7 @@ type coverFrame struct {
 	ri int32
 }
 
-// coverScratch is the pooled per-Cover state: the work stack and the
+// coverScratch is the recycled per-Cover state: the work stack and the
 // visited bitset, indexed by node×nonterminal.
 type coverScratch struct {
 	stack []coverFrame
@@ -161,7 +160,7 @@ type coverScratch struct {
 // getScratch returns a scratch whose bitset covers node indices below
 // bound, cleared and ready to use.
 func (rd *Reducer) getScratch(bound int) *coverScratch {
-	sc := rd.scratch.Get().(*coverScratch)
+	sc := rd.scratch.Get()
 	words := (bound*rd.g.NumNonterms() + 63) / 64
 	if cap(sc.seen) < words {
 		sc.seen = make([]uint64, words)
@@ -244,7 +243,7 @@ func (rd *Reducer) reduce(ctx context.Context, root *ir.Node, goal grammar.NT, l
 	numNT := rd.g.NumNonterms()
 	done := ctx.Done() // nil for background contexts: no polling at all
 	stack := append(sc.stack[:0], coverFrame{n: root, nt: goal, ri: -1})
-	defer func() { sc.stack = stack[:0] }() // keep grown capacity pooled
+	defer func() { sc.stack = stack[:0] }() // keep grown capacity for the next call
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
