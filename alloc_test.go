@@ -306,16 +306,18 @@ func TestFreshEmitterAllocBudget(t *testing.T) {
 
 // TestLoadMachineAllocBudget: parsing a machine description allocates
 // what the Grammar keeps and little else — no fmt on the success path, no
-// heap token per lookahead, no growth of the rule list. The budgets sit
-// well above the measured counts (x86 860, the others 328–407) and well
-// below a parser that makes garbage per token or per rule (x86 3,130,
-// the others 1,143–1,373).
+// heap token per lookahead, no growth of the rule list, no allocation per
+// pattern node. The budgets sit as far above the measured counts (x86
+// 346, the others 145–187) as they did when each pattern node was its own
+// allocation (x86 860 under 2,000, the others 328–407 under 900), and well
+// below a parser that makes garbage per token or per rule (x86 3,130, the
+// others 1,143–1,373).
 func TestLoadMachineAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		budget float64
 	}{
-		{"x86", 2000}, {"mips", 900}, {"sparc", 900}, {"alpha", 900}, {"jit64", 900},
+		{"x86", 805}, {"mips", 415}, {"sparc", 415}, {"alpha", 415}, {"jit64", 415},
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, err := md.Load(c.name); err != nil {
@@ -330,15 +332,18 @@ func TestLoadMachineAllocBudget(t *testing.T) {
 }
 
 // coldLabelBudget bounds what a fresh x86 on-demand engine allocates to
-// label the corpus once: the states it is born with, the transition
-// tables they fill, and the labelings, but no per-construction garbage.
-const coldLabelBudget = 320 << 10
+// label the corpus once: the states it is born with, their class matrix,
+// the class grids and hash tables they fill, and the labelings, but no
+// per-construction garbage. The pass allocates about 104 KB (228 KB when
+// transitions were keyed by child state id).
+const coldLabelBudget = 144 << 10
 
 // TestColdLabelAllocBudget: a fresh x86 engine's first corpus pass, every
 // state and transition constructed on a miss, allocates at most
 // coldLabelBudget bytes by TotalAlloc. Construction computes into the
-// labeling call's scratch and the state table copies vectors only when a
-// state is born, so a miss that finds its state allocates nothing.
+// labeling call's scratch, the state table copies vectors only when a
+// state is born, and tables grow by class rather than by state, so a miss
+// that finds its state or its class allocates nothing.
 func TestColdLabelAllocBudget(t *testing.T) {
 	d := md.MustLoad("x86")
 	var fs []*ir.Forest

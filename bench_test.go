@@ -313,7 +313,7 @@ func BenchmarkE8MemoryStaticX86(b *testing.B) { benchStaticGen(b, "x86") }
 func BenchmarkE8MemoryOnDemandX86(b *testing.B) { benchOnDemandBuild(b, "x86") }
 
 // ---------------------------------------------------------------------------
-// Ablation — dense direct-lookup arrays vs all-hash transition storage
+// Ablation — class-grid direct lookup vs all-hash transition storage
 
 func benchForceHash(b *testing.B, force bool) {
 	d := md.MustLoad("x86")

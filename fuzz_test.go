@@ -7,10 +7,12 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/frontend"
 	"repro/internal/gen"
 	"repro/internal/ir"
 	"repro/internal/workload"
@@ -218,6 +220,69 @@ func FuzzAutomatonLoad(f *testing.F) {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("loading a %d-byte input and compiling the corpus did not finish in 10s", len(data))
+		}
+	})
+}
+
+// mincTarget is one machine FuzzMinC lowers accepted programs for, with
+// the on-demand selector under test and the DP oracle.
+type mincTarget struct {
+	m            *repro.Machine
+	onDemand, dp *repro.Selector
+}
+
+// FuzzMinC: arbitrary bytes through the MinC front end (frontend.Parse,
+// then frontend.Lower for x86 and jit64) must never panic, and every
+// function of an accepted program must compile under the on-demand engine
+// to DP's cost and assembly — or fail where DP fails. Lower turns a panic
+// in its builder into an error naming a grammar that cannot host MinC;
+// x86 and jit64 host it, so that error is a masked panic and fails too.
+// The on-demand selectors persist across inputs, so later inputs also
+// exercise warm and partly warm automata. Seeded with the corpus.
+func FuzzMinC(f *testing.F) {
+	for _, p := range workload.All() {
+		f.Add([]byte(p.Src))
+	}
+	var targets []mincTarget
+	for _, name := range []string{"x86", "jit64"} {
+		m, err := repro.LoadMachine(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tg := mincTarget{m: m}
+		if tg.onDemand, err = m.NewSelector(repro.KindOnDemand, repro.Options{}); err != nil {
+			f.Fatal(err)
+		}
+		if tg.dp, err = m.NewSelector(repro.KindDP, repro.Options{}); err != nil {
+			f.Fatal(err)
+		}
+		targets = append(targets, tg)
+	}
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, err := frontend.Parse(string(data))
+		if err != nil {
+			return // rejected with an error
+		}
+		for _, tg := range targets {
+			unit, err := frontend.Lower(prog, tg.m.Grammar)
+			if err != nil {
+				if strings.Contains(err.Error(), "cannot host MinC") {
+					t.Fatalf("%s: lowering panicked: %v", tg.m.Name, err)
+				}
+				continue
+			}
+			for _, fn := range unit.Funcs {
+				got, err := tg.onDemand.Compile(ctx, fn.Forest)
+				want, errD := tg.dp.Compile(ctx, fn.Forest)
+				if (err == nil) != (errD == nil) {
+					t.Fatalf("%s %s: ondemand err=%v, dp err=%v", tg.m.Name, fn.Name, err, errD)
+				}
+				if err == nil && (got.Cost != want.Cost || got.Asm != want.Asm) {
+					t.Fatalf("%s %s: ondemand cost %d != dp cost %d, or their assembly differs:\n%s\n--- dp:\n%s",
+						tg.m.Name, fn.Name, got.Cost, want.Cost, got.Asm, want.Asm)
+				}
+			}
 		}
 	})
 }

@@ -327,16 +327,19 @@ int h(int x) { if (x > 10) { return x - 1; } return x + 1; }
 	}
 }
 
-// fuzzArenas caches one hybrid+on-demand selector pair per dynamic-rule
-// mask, so the fuzzer's throughput is spent on forests, not on recompiling
-// 64 possible grammars.
+// fuzzArenas caches one dp, on-demand and hybrid selector triple per
+// dynamic-rule mask, so the fuzzer's throughput is spent on forests, not
+// on recompiling 64 possible grammars.
 var fuzzArenas sync.Map // uint8 -> *fuzzHybridArena
 
 type fuzzHybridArena struct {
 	m        *repro.Machine
-	hybrid   *repro.Selector
+	dp       *repro.Selector
 	onDemand *repro.Selector
-	err      error
+	hybrid   *repro.Selector // nil when hybridErr is set
+	// err is a failure to build the machine or the dp and on-demand
+	// selectors; hybridErr the hybrid's refusal.
+	err, hybridErr error
 }
 
 // fuzzHybridMachine builds a small grammar whose rules carry dynamic
@@ -383,21 +386,27 @@ func fuzzArenaFor(mask uint8) *fuzzHybridArena {
 	a := &fuzzHybridArena{}
 	a.m, a.err = fuzzHybridMachine(mask)
 	if a.err == nil {
-		a.hybrid, a.err = a.m.NewSelector(repro.KindHybrid, repro.Options{})
+		a.dp, a.err = a.m.NewSelector(repro.KindDP, repro.Options{})
 	}
 	if a.err == nil {
 		a.onDemand, a.err = a.m.NewSelector(repro.KindOnDemand, repro.Options{})
+	}
+	if a.err == nil {
+		a.hybrid, a.hybridErr = a.m.NewSelector(repro.KindHybrid, repro.Options{})
 	}
 	got, _ := fuzzArenas.LoadOrStore(mask, a)
 	return got.(*fuzzHybridArena)
 }
 
 // FuzzHybridBoundary: across seeded random grammars mixing fixed and
-// dynamic rules (mask) and seeded random forests, the hybrid engine's
-// labels and Compile output must equal the on-demand engine's node for node —
-// the silent-divergence check on the seeded/on-demand boundary. When every
-// leaf rule is dynamic the hybrid must refuse with the typed error, never
-// construct wrong.
+// dynamic rules (mask) and seeded random forests, the hybrid and the
+// on-demand engine must each label every node with DP's rules and
+// compile it to DP's cost and assembly — the silent-divergence check on
+// the seeded/on-demand boundary, against the oracle rather than each
+// other, since both read one representer projection and could agree while
+// both were wrong. When every leaf rule is dynamic the hybrid must refuse
+// with the typed error, never construct wrong; the on-demand engine is
+// still checked.
 func FuzzHybridBoundary(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(3))
 	f.Add(uint8(1), int64(7), uint8(4))  // dynamic leaf A
@@ -409,10 +418,11 @@ func FuzzHybridBoundary(f *testing.F) {
 		mask &= 63
 		a := fuzzArenaFor(mask)
 		if a.err != nil {
-			if mask&3 == 3 && errors.Is(a.err, repro.ErrNoFixedClosure) {
-				return // both leaves dynamic: the documented refusal
-			}
 			t.Fatalf("mask %06b: %v", mask, a.err)
+		}
+		if a.hybridErr != nil && !(mask&3 == 3 && errors.Is(a.hybridErr, repro.ErrNoFixedClosure)) {
+			// Only both leaves dynamic earns the documented refusal.
+			t.Fatalf("mask %06b: hybrid: %v", mask, a.hybridErr)
 		}
 		g := a.m.Grammar
 		cfg := ir.RandomConfig{
@@ -427,31 +437,35 @@ func FuzzHybridBoundary(f *testing.F) {
 		}
 		forest := ir.RandomForest(g, cfg)
 
-		labH, err := a.hybrid.Label(forest)
+		want, err := a.dp.Label(forest)
 		if err != nil {
-			t.Fatalf("mask %06b seed %d: hybrid label: %v", mask, seed, err)
+			t.Fatalf("mask %06b seed %d: dp label: %v", mask, seed, err)
 		}
-		labO, err := a.onDemand.Label(forest)
-		if err != nil {
-			t.Fatalf("mask %06b seed %d: on-demand label: %v", mask, seed, err)
-		}
-		for _, n := range forest.Nodes {
-			for nt := 0; nt < g.NumNonterms(); nt++ {
-				if labH.RuleAt(n, grammar.NT(nt)) != labO.RuleAt(n, grammar.NT(nt)) {
-					t.Fatalf("mask %06b seed %d node %d (%s) nt %d: hybrid rule %d != on-demand rule %d",
-						mask, seed, n.Index, g.OpName(n.Op), nt,
-						labH.RuleAt(n, grammar.NT(nt)), labO.RuleAt(n, grammar.NT(nt)))
+		outD, errD := a.dp.Compile(context.Background(), forest)
+		for _, sel := range []*repro.Selector{a.onDemand, a.hybrid} {
+			if sel == nil {
+				continue
+			}
+			lab, err := sel.Label(forest)
+			if err != nil {
+				t.Fatalf("mask %06b seed %d: %s label: %v", mask, seed, sel.Kind(), err)
+			}
+			for _, n := range forest.Nodes {
+				for nt := 0; nt < g.NumNonterms(); nt++ {
+					if got, dp := lab.RuleAt(n, grammar.NT(nt)), want.RuleAt(n, grammar.NT(nt)); got != dp {
+						t.Fatalf("mask %06b seed %d node %d (%s) nt %d: %s rule %d != dp rule %d",
+							mask, seed, n.Index, g.OpName(n.Op), nt, sel.Kind(), got, dp)
+					}
 				}
 			}
-		}
-		outH, errH := a.hybrid.Compile(context.Background(), forest)
-		outO, errO := a.onDemand.Compile(context.Background(), forest)
-		if (errH == nil) != (errO == nil) {
-			t.Fatalf("mask %06b seed %d: hybrid err=%v, on-demand err=%v", mask, seed, errH, errO)
-		}
-		if errH == nil && (outH.Cost != outO.Cost || outH.Asm != outO.Asm) {
-			t.Fatalf("mask %06b seed %d: hybrid cost %d != on-demand cost %d, or their assembly differs",
-				mask, seed, outH.Cost, outO.Cost)
+			out, err := sel.Compile(context.Background(), forest)
+			if (err == nil) != (errD == nil) {
+				t.Fatalf("mask %06b seed %d: %s err=%v, dp err=%v", mask, seed, sel.Kind(), err, errD)
+			}
+			if err == nil && (out.Cost != outD.Cost || out.Asm != outD.Asm) {
+				t.Fatalf("mask %06b seed %d: %s cost %d != dp cost %d, or their assembly differs",
+					mask, seed, sel.Kind(), out.Cost, outD.Cost)
+			}
 		}
 	})
 }

@@ -9,17 +9,20 @@ import (
 
 // TableSet is the flat form of a generated (offline) automaton: every
 // state's cost-normalized vectors plus the leaf/unary/binary transition
-// tables in Chase-compressed representer form. It is the unit of
-// exchange between the closure (GenerateTables; internal/gen serializes
-// it as an `.isel` blob) and the serving side (NewStaticFromTables, and
-// core.NewSeeded for the hybrid kind, turn it into a labeling engine
-// without re-running any closure work).
+// tables in Chase-compressed representer form — Mu projects each state
+// onto its class at each child position (see ClassSpace), and T1/T2 are
+// indexed by classes. It is the unit of exchange between the closure
+// (GenerateTables; internal/gen serializes it as an `.isel` blob) and the
+// serving side (NewStaticFromTables, and core.NewSeeded for the hybrid
+// kind, turn it into a labeling engine without re-running any closure
+// work). The on-demand engine keys its own tables the same way, so
+// seeding one is adoption rather than translation.
 //
 // Neither constructor keeps Deltas or Rules: ValidateTables copies every
 // state's vectors into the engine's state table. NewStaticFromTables
-// keeps Leaf, Mu, T1 and T2 as its transition tables, so those must not
-// be mutated afterwards; core.NewSeeded copies what it needs and keeps
-// nothing.
+// keeps Leaf, Mu, T1 and T2 as its transition tables, and core.NewSeeded
+// keeps T1 and T2 as its initial class grids (after checking that Mu is
+// its own projection), so those must not be mutated afterwards.
 type TableSet struct {
 	// NumNT is the grammar's nonterminal count; state vectors are rows of
 	// this width.
@@ -49,8 +52,8 @@ func (ts *TableSet) NumStates() int {
 	return len(ts.Deltas) / ts.NumNT
 }
 
-// TransitionEntries counts the tabulated transition cells (the figure
-// NumTransitions reports after a load).
+// TransitionEntries counts the tabulated transition cells, one per class
+// pair (the figure NumTransitions reports after a load).
 func (ts *TableSet) TransitionEntries() int {
 	n := 0
 	for op := range ts.T1 {
@@ -246,8 +249,8 @@ func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
 // ExpandBytes reports what expanding a table set of the given state count
 // for g adds to its footprint: 4·states per fixed unary operator and
 // 4·states² per fixed binary one. It returns 0 past ExpandMaxBytes, where
-// expansion is refused, so compact-plus-ExpandBytes is always the true
-// serving footprint.
+// expansion is refused, so compact-plus-ExpandBytes is always the static
+// kind's true serving footprint.
 func ExpandBytes(g *grammar.Grammar, states int) int {
 	if b := gridBytes(g, states); b <= ExpandMaxBytes {
 		return b
@@ -255,12 +258,14 @@ func ExpandBytes(g *grammar.Grammar, states int) int {
 	return 0
 }
 
-// ExpandMaxStates is the largest state count whose direct arrays for g
-// fit ExpandMaxBytes: the bound on the child state ids any direct
-// state-indexed table for g's fixed operators may be sized by. The
-// on-demand engine routes ids past it to its hash path.
-func ExpandMaxStates(g *grammar.Grammar) int {
-	// gridBytes grows with the state count and exceeds the bound at hi
+// MaxGridIndex is the largest n whose direct arrays over n indices for
+// g's fixed operators — 4·n bytes per unary operator, 4·n² per binary —
+// fit ExpandMaxBytes together. It bounds the state ids ExpandTables may
+// size its arrays by, and the representer classes the on-demand engine's
+// class grids may index (the engine routes classes past it to its hash
+// path).
+func MaxGridIndex(g *grammar.Grammar) int {
+	// gridBytes grows with the index count and exceeds the bound at hi
 	// (unless g has no fixed unary or binary operator at all).
 	lo, hi := 0, ExpandMaxBytes/4+1
 	for lo+1 < hi {
@@ -274,8 +279,8 @@ func ExpandMaxStates(g *grammar.Grammar) int {
 	return lo
 }
 
-// gridBytes is the size of direct arrays over states child states for
-// g's fixed operators: 4·states per unary operator, 4·states² per binary.
+// gridBytes is the size of direct arrays over states indices for g's
+// fixed operators: 4·states per unary operator, 4·states² per binary.
 func gridBytes(g *grammar.Grammar, states int) int {
 	b := 0
 	for op := range g.Ops {
@@ -295,9 +300,10 @@ func gridBytes(g *grammar.Grammar, states int) int {
 // ExpandTables decompresses the fixed operators' transition tables of a
 // validated table set with n states into direct state-id-indexed arrays:
 // dir1[op][kid] and dir2[op][l*n+r]. Dynamic operators get nil rows. It
-// returns nil arrays when the grids would exceed ExpandMaxBytes; callers
-// then keep labeling through the compressed tables (static) or seed the
-// states only and grow their grids under traffic (core.NewSeeded).
+// returns nil arrays when the grids would exceed ExpandMaxBytes; the
+// caller then keeps labeling through the compressed tables. Static.Expand
+// is its one caller: the on-demand engine labels through class-indexed
+// tables and adopts T1 and T2 unexpanded.
 func ExpandTables(g *grammar.Grammar, n int, ts *TableSet) (dir1, dir2 [][]int32) {
 	if ExpandBytes(g, n) == 0 {
 		return nil, nil

@@ -57,10 +57,10 @@ type Static struct {
 
 // Expand decompresses the transition tables into direct state-id-indexed
 // arrays — the classic space-for-time move: a binary transition becomes
-// one flat row-major load (like the on-demand engine's dense grids, minus
-// the atomics) instead of two representer projections plus a compressed
-// lookup. Memory grows from O(reps²) to O(states²) per binary operator,
-// which MemoryBytes reports honestly.
+// one flat row-major load instead of two representer projections plus a
+// compressed lookup (the on-demand engine's class grids keep the
+// projections). Memory grows from O(reps²) to O(states²) per binary
+// operator, which MemoryBytes reports honestly.
 //
 // The static engine kind expands at construction: a long-lived selector
 // trades kilobytes for the fastest possible per-node lookup. Generate
@@ -103,9 +103,11 @@ type StaticConfig struct {
 // bytes, so without a total bound a blob claiming a few thousand states
 // for a grammar with dozens of binary operators could demand gigabytes.
 // 16 MiB is over 30× the largest real set (x86.fixed expands to
-// 436,944 bytes) and keeps every single grid at most 2²² cells, so the
-// on-demand engine's int32 l*stride+r index cannot overflow. Larger table
-// sets label through the compressed representer tables instead.
+// 436,944 bytes) and keeps every single grid at most 2²² cells. Larger
+// table sets label through the compressed representer tables instead. The
+// same bound, through MaxGridIndex, caps the classes the on-demand
+// engine's class grids index, so its int32 c0*cols+c1 index cannot
+// overflow either.
 const ExpandMaxBytes = 16 << 20
 
 // TruncatedError reports a closure that was pruned by StaticConfig
@@ -216,19 +218,8 @@ func GenerateTables(g *grammar.Grammar, cfg StaticConfig) (*TableSet, GenStats, 
 // ---------------------------------------------------------------------------
 // Generation
 
-type repSpace struct {
-	// relevant lists the nonterminals whose child costs the operator's
-	// rules read at this position, in ascending order.
-	relevant []grammar.NT
-	// index maps projection keys to representer ids.
-	index map[string]int32
-	// repOf[stateID] is the state's representer id.
-	repOf []int32
-	// sample[rep] is a state with that projection, used to compute
-	// transitions for the whole class.
-	sample []*State
-}
-
+// workItem asks for every transition of op that pairs class rep at child
+// position pos with the classes at the other position.
 type workItem struct {
 	op  grammar.OpID
 	pos int
@@ -240,7 +231,14 @@ type generator struct {
 	cfg   StaticConfig
 	table *Table
 	leaf  []int32
-	reps  [][2]*repSpace // [op][pos]; nil where arity doesn't reach pos
+	// cls holds the class spaces of the fixed operators' child positions;
+	// mu[op][p] is the projection row of (op, p), one class per state.
+	cls *Classes
+	mu  [][2][]int32
+	// rep and fresh are addState's per-space scratch: the new state's
+	// class in each space, and whether it created that class.
+	rep   []int32
+	fresh []bool
 	// trans[op] collects transitions during generation, keyed by
 	// rep0<<32|rep1 (rep1=0 for unary ops).
 	trans []map[uint64]int32
@@ -253,85 +251,32 @@ type generator struct {
 }
 
 func newGenerator(g *grammar.Grammar, cfg StaticConfig) *generator {
+	fixed := func(op grammar.OpID) bool { return !g.HasDynRules(op) }
 	gen := &generator{
 		g:     g,
 		cfg:   cfg,
 		table: NewTable(g),
 		leaf:  make([]int32, g.NumOps()),
-		reps:  make([][2]*repSpace, g.NumOps()),
+		cls:   NewClasses(g, fixed),
+		mu:    make([][2][]int32, g.NumOps()),
 		trans: make([]map[uint64]int32, g.NumOps()),
 		delta: make([]grammar.Cost, g.NumNonterms()),
 		rule:  make([]int32, g.NumNonterms()),
 	}
+	gen.rep = make([]int32, len(gen.cls.Spaces))
+	gen.fresh = make([]bool, len(gen.cls.Spaces))
 	for op := 0; op < g.NumOps(); op++ {
 		gen.leaf[op] = -1
-		arity := g.Ops[op].Arity
-		if arity == 0 || g.HasDynRules(grammar.OpID(op)) {
-			continue
-		}
-		gen.trans[op] = map[uint64]int32{}
-		for p := 0; p < arity; p++ {
-			gen.reps[op][p] = newRepSpace(g, grammar.OpID(op), p)
+		if g.Ops[op].Arity > 0 && fixed(grammar.OpID(op)) {
+			gen.trans[op] = map[uint64]int32{}
 		}
 	}
 	return gen
 }
 
-func newRepSpace(g *grammar.Grammar, op grammar.OpID, pos int) *repSpace {
-	seen := map[grammar.NT]bool{}
-	var rel []grammar.NT
-	for _, ri := range g.BaseRules(op) {
-		nt := g.Rules[ri].Kids[pos]
-		if !seen[nt] {
-			seen[nt] = true
-			rel = append(rel, nt)
-		}
-	}
-	// Ascending order makes projection keys canonical.
-	for i := 1; i < len(rel); i++ {
-		for j := i; j > 0 && rel[j] < rel[j-1]; j-- {
-			rel[j], rel[j-1] = rel[j-1], rel[j]
-		}
-	}
-	return &repSpace{relevant: rel, index: map[string]int32{}}
-}
-
-// project computes the representer id of s at (op, pos), creating a new
-// class if the projection is new. It returns (rep, created).
-func (rs *repSpace) project(s *State) (int32, bool) {
-	key := projKey(s, rs.relevant)
-	if rep, ok := rs.index[key]; ok {
-		rs.repOf[s.ID] = rep
-		return rep, false
-	}
-	rep := int32(len(rs.sample))
-	rs.index[key] = rep
-	rs.sample = append(rs.sample, s)
-	rs.repOf[s.ID] = rep
-	return rep, true
-}
-
-// projKey normalizes the relevant cost sub-vector: subtract its minimum so
-// that states differing only by a uniform shift land in one class.
-func projKey(s *State, relevant []grammar.NT) string {
-	if len(relevant) == 0 {
-		return ""
-	}
-	min := grammar.Inf
-	for _, nt := range relevant {
-		if s.Delta[nt] < min {
-			min = s.Delta[nt]
-		}
-	}
-	buf := make([]byte, 0, 5*len(relevant))
-	for _, nt := range relevant {
-		d := s.Delta[nt]
-		if !d.IsInf() && !min.IsInf() {
-			d -= min
-		}
-		buf = append(buf, byte(d), byte(d>>8), byte(d>>16), byte(d>>24), '|')
-	}
-	return string(buf)
+// space returns the class space of child position p of op.
+func (gen *generator) space(op grammar.OpID, p int) *ClassSpace {
+	return gen.cls.Spaces[gen.cls.Of[op][p]]
 }
 
 func (gen *generator) run() error {
@@ -359,19 +304,18 @@ func (gen *generator) run() error {
 	return nil
 }
 
-// addState registers a newly interned state with every representer space
-// and queues the transition computations its new classes require.
+// addState classifies a newly interned state in every class space and
+// queues the transition computations its new classes require, position
+// by position in operator order.
 func (gen *generator) addState(s *State) {
-	for op := 0; op < gen.g.NumOps(); op++ {
-		arity := gen.g.Ops[op].Arity
-		if arity > 0 && gen.reps[op][0] == nil {
-			continue // a dynamic operator: excluded from the closure
-		}
-		for p := 0; p < arity; p++ {
-			rs := gen.reps[op][p]
-			rs.repOf = append(rs.repOf, -1)
-			if rep, created := rs.project(s); created {
-				gen.queue = append(gen.queue, workItem{grammar.OpID(op), p, rep})
+	for sp, cs := range gen.cls.Spaces {
+		gen.rep[sp], gen.fresh[sp] = cs.Classify(s)
+	}
+	for op, of := range gen.cls.Of {
+		for p := 0; p < gen.g.Ops[op].Arity && of[p] >= 0; p++ {
+			gen.mu[op][p] = append(gen.mu[op][p], gen.rep[of[p]])
+			if gen.fresh[of[p]] {
+				gen.queue = append(gen.queue, workItem{grammar.OpID(op), p, gen.rep[of[p]]})
 			}
 		}
 	}
@@ -387,13 +331,13 @@ func (gen *generator) expand(item workItem) error {
 	}
 	// Binary: pair the new class with every class at the other position.
 	if item.pos == 0 {
-		for r1 := int32(0); r1 < int32(len(gen.reps[op][1].sample)); r1++ {
+		for r1 := int32(0); r1 < int32(gen.space(op, 1).Len()); r1++ {
 			if err := gen.transition(op, item.rep, r1); err != nil {
 				return err
 			}
 		}
 	} else {
-		for r0 := int32(0); r0 < int32(len(gen.reps[op][0].sample)); r0++ {
+		for r0 := int32(0); r0 < int32(gen.space(op, 0).Len()); r0++ {
 			if err := gen.transition(op, r0, item.rep); err != nil {
 				return err
 			}
@@ -410,9 +354,9 @@ func (gen *generator) transition(op grammar.OpID, rep0, rep1 int32) error {
 	g := gen.g
 	var kids []*State
 	if g.Ops[op].Arity == 1 {
-		kids = []*State{gen.reps[op][0].sample[rep0]}
+		kids = []*State{gen.space(op, 0).Sample(rep0)}
 	} else {
-		kids = []*State{gen.reps[op][0].sample[rep0], gen.reps[op][1].sample[rep1]}
+		kids = []*State{gen.space(op, 0).Sample(rep0), gen.space(op, 1).Sample(rep1)}
 	}
 	Compute(g, op, kids, nil, gen.cfg.DeltaCap, gen.cfg.Metrics, gen.delta, gen.rule)
 	s, created := gen.table.Intern(gen.delta, gen.rule, gen.cfg.Metrics)
@@ -461,7 +405,7 @@ func (gen *generator) finish() (*TableSet, GenStats) {
 		if arity == 0 {
 			continue
 		}
-		if gen.reps[op][0] == nil {
+		if gen.cls.Of[op][0] < 0 {
 			// Dynamic operator: zero classes, placeholder projection rows
 			// sized for the wire format's unconditional per-position row.
 			for p := 0; p < arity; p++ {
@@ -470,11 +414,11 @@ func (gen *generator) finish() (*TableSet, GenStats) {
 			continue
 		}
 		for p := 0; p < arity; p++ {
-			rs := gen.reps[op][p]
-			ts.Mu[op][p] = rs.repOf
-			ts.NReps[op][p] = int32(len(rs.sample))
-			totalReps += len(rs.sample)
-			tableBytes += 4 * len(rs.repOf)
+			n := gen.space(grammar.OpID(op), p).Len()
+			ts.Mu[op][p] = gen.mu[op][p]
+			ts.NReps[op][p] = int32(n)
+			totalReps += n
+			tableBytes += 4 * len(gen.mu[op][p])
 		}
 		if arity == 1 {
 			t := make([]int32, ts.NReps[op][0])

@@ -42,8 +42,8 @@ func RunAblationDeltaCap() (*Table, error) {
 	return t, nil
 }
 
-// RunAblationHash compares the dense direct-lookup transition arrays
-// against routing everything through the hash table (Config.ForceHash):
+// RunAblationHash compares the class-indexed direct-lookup grids against
+// routing everything through the hash table (Config.ForceHash):
 // the table-layout trade-off described in package core's documentation.
 func RunAblationHash(gname string) (*Table, error) {
 	d, err := md.Load(gname)
@@ -52,7 +52,7 @@ func RunAblationHash(gname string) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "A2",
-		Title:  "ablation: dense direct-lookup arrays vs all-hash transition storage (" + gname + ", warm)",
+		Title:  "ablation: class-grid direct lookup vs all-hash transition storage (" + gname + ", warm)",
 		Header: []string{"layout", "work/node", "ns/node", "states"},
 	}
 	units := loadCorpus(d.Grammar)
@@ -79,7 +79,7 @@ func RunAblationHash(gname string) (*Table, error) {
 		}
 		elapsed := time.Since(start)
 		nodes := totalNodes(units)
-		name := "dense+hash"
+		name := "grid+hash"
 		if force {
 			name = "all-hash"
 		}

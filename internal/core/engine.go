@@ -11,44 +11,59 @@
 // evaluate the operator's dynamic costs (none, for most operators) and do
 // one table lookup.
 //
-// Operators without dynamic rules get dense transition tables indexed by
-// child state ids (a direct lookup, like a static automaton); operators
-// with dynamic rules go through a hash table whose key includes the
-// evaluated dynamic-cost signature — the structure the successor literature
-// describes as "computing all the dynamic costs and a hash table lookup per
-// node". Because states are constructed at selection time, dynamic costs
-// work, which no offline automaton can offer.
+// Operators without dynamic rules get direct transition tables indexed by
+// the children's representer classes (a direct lookup, like a static
+// automaton's); operators with dynamic rules go through a hash table whose
+// key includes the evaluated dynamic-cost signature — the structure the
+// successor literature describes as "computing all the dynamic costs and a
+// hash table lookup per node". Because states are constructed at selection
+// time, dynamic costs work, which no offline automaton can offer.
 //
 // # Table layout
 //
-// The dense tables are flat int32 state-id arrays, not pointer arrays:
-// unary operators get one row indexed by the child state id, binary
-// operators one row-major grid indexed by left×stride+right. Entries are 4
-// bytes instead of 8, and a binary lookup is one atomic pointer load (the
-// operator's current grid) plus one indexed load — the "cost of one table
-// lookup" the paper promises, with no per-row indirection. -1 marks a
-// transition not yet constructed. State ids index automaton.Table, whose
-// state list is append-only, so an id read from any published table cell
-// always resolves.
+// Transitions are keyed by representer class, not by child state id (the
+// Chase/Proebsting projection, automaton.ClassSpace): a transition depends
+// on a child only through the costs of the nonterminals the operator's
+// rules read at that child's position, rebased on their minimum, so every
+// state with the same such costs reaches the same state there. Each state
+// is classified at birth in every class space — one per distinct set of
+// relevant nonterminals, shared by the positions that read the same set —
+// into one row of a flat class matrix (2 bytes per state and space; a row
+// is written before the published count covers it and never changes
+// after). One Compute then serves a whole class pair, and a table is as
+// large as the classes it has seen, not the states.
 //
-// A grid is sized by the largest child id it has seen, so ids are capped:
-// transitions with a child id past automaton.ExpandMaxStates(g) — which
-// keeps all dense tables together within automaton.ExpandMaxBytes — go to
-// the operator's hash table instead, the path ForceHash uses for all of
-// them. Engines seeded with thousands of states (a hybrid's blob may claim
-// them) therefore stay bounded under traffic.
+// A fixed unary or binary operator's transitions live in a flat int32 grid
+// over classes, the `.isel` T1/T2 shape: cell [c0*cols+c1] holds the
+// state id reached from child classes c0 and c1 (c1 = 0 for unary
+// operators), -1 until constructed. A warm lookup is the grid pointer, two
+// independent class loads from the matrix and one cell. State ids index
+// automaton.Table, whose state list is append-only, so an id read from any
+// published cell always resolves.
+//
+// Grids are bounded by class count: a class numbered past
+// automaton.MaxGridIndex(g) — which keeps every grid together within
+// automaton.ExpandMaxBytes — is stored in the matrix as noClass, and its
+// transitions go to the operator's open table keyed by class instead, the
+// path ForceHash uses for all of them. Pathological grammars with
+// thousands of classes at one position therefore stay bounded under
+// traffic.
 //
 // # Seeding
 //
 // NewSeeded is the hybrid kind: the same engine, started from an
 // ahead-of-time closure (automaton.GenerateTables, or a `.isel` blob)
-// instead of empty. It interns copies of the table set's states with
-// their ids and writes the fixed operators' expanded transitions
-// straight into the dense tables above, so fixed-operator traffic hits
+// instead of empty. It interns copies of the table set's states with their
+// ids and classifies them, which numbers every class space's classes in
+// the order the generator numbered them; a table set whose projection rows
+// (Mu) disagree with that fails with ErrClassMismatch. The fixed
+// operators' T1 and T2 tables then become the grids as they are — no
+// expansion into state-indexed arrays — so fixed-operator traffic hits
 // from the first request while dynamic operators construct on demand as
 // usual. The closure is a fixpoint over the fixed operators, so a seeded
 // grid never misses on seeded children; children born on demand (under a
-// dynamic subtree) extend the grids like any other miss.
+// dynamic subtree) that open new classes extend the grids like any other
+// miss.
 //
 // # Concurrency
 //
@@ -57,42 +72,50 @@
 // warm fast path lock-free and pushes all synchronization onto the
 // construct slow path:
 //
-//   - Dense leaf/unary/binary tables are published copy-on-write through
-//     one atomic pointer per operator; cells are written and read with
-//     atomic int32 operations. Tables grow only under the operator's
-//     slow-path mutex, and a grown table is fully populated before its
-//     pointer is released.
+//   - Leaf cells and class grids are published copy-on-write through one
+//     atomic pointer per operator; cells are written and read with atomic
+//     int32 operations. Grids grow only under the operator's slow-path
+//     mutex, and a grown grid is fully populated before its pointer is
+//     released.
+//   - Classification runs at state birth under one engine-wide mutex
+//     (classMu), taken after the operator's, and publishes the grown class
+//     matrix before the constructing call returns the state's id, so any
+//     id a labeling holds is already classified. Matrix rows never change
+//     once published, so readers load them plainly.
 //   - The construct slow path is sharded per operator: misses on
-//     different operators construct concurrently (the dense tables and
+//     different operators construct concurrently (the grids and
 //     open-addressing tables they write are per-op; the shared state table
 //     synchronizes interning internally). Cold-start contention therefore
 //     scales with the operator mix instead of serializing on one
 //     engine-global lock.
 //   - The hash-consing state table (automaton.Table) serializes interning
 //     internally; see its documentation.
-//   - The hash transition path (dynamic operators, ForceHash) uses one
-//     open-addressing table per operator (see openTab): flat []uint64 key
+//   - The hash transition path (dynamic operators, ForceHash, classes
+//     past the grid bound) uses one open-addressing table per operator (see openTab): flat []uint64 key
 //     words and []int32 id slots, linear probing, a lock-free hit path
 //     with no interface conversions or boxed values, misses serialized on
-//     the operator's mutex. Keys — child state ids plus the packed
-//     dynamic-cost signature — are built in the call's scratch and copied
-//     into the table only when a miss actually inserts them. Growth
-//     rehashes into a double-size table published through the operator's
-//     atomic pointer once fully populated.
-//   - Per-call scratch (dynamic-cost values, probe key words and the
-//     construction vectors Compute fills) comes from a free list owned by
-//     the engine (internal/freelist), so concurrent labelers never share
-//     buffers. A labeling call takes one scratch at its first hash-path
-//     node or miss and returns it at the end — never a lock or a list
-//     item per node; LabelNode, which labels one node, takes its own, and
-//     level-parallel labeling takes one per goroutine's share of a level. A
-//     panicking user dynamic-cost function loses that call's scratch to
-//     the GC, which is harmless (the panic itself propagates to the
-//     caller's containment boundary — the compilation server recovers it
-//     per job). Labelings come from a second free list and flow back via
-//     ReleaseLabeling, which is what makes the warm path allocation-free
-//     end to end. The lists are plain fields, not sync.Pools, so a
-//     dropped engine and everything it recycles die at the next GC.
+//     the operator's mutex. Keys — the child classes plus the packed
+//     dynamic-cost signature — are built in stack arrays (signatures of up
+//     to maxStackDyn rules) and copied into the table only when a miss
+//     actually inserts them. Growth rehashes into a double-size table
+//     published through the operator's atomic pointer once fully
+//     populated.
+//   - Per-call scratch (the construction vectors Compute fills, and the
+//     key and dynamic costs of wider signatures) comes from a free list
+//     owned by the engine (internal/freelist), so concurrent labelers never
+//     share buffers. A labeling call takes one scratch at its first
+//     construction (or signature too wide for the stack) and returns it at
+//     the end — never a lock or a list item per node, and none at all on a
+//     warm call of the corpus machines; LabelNode, which labels one
+//     node, takes its own, and level-parallel labeling takes one per
+//     goroutine's share of a level. A panicking user dynamic-cost function
+//     loses that call's scratch to the GC, which is harmless (the panic
+//     itself propagates to the caller's containment boundary — the
+//     compilation server recovers it per job). Labelings come from a second
+//     free list and flow back via ReleaseLabeling, which is what makes the
+//     warm path allocation-free end to end. The lists are plain fields, not
+//     sync.Pools, so a dropped engine and everything it recycles die at the
+//     next GC.
 //
 // Label, LabelNode and Save may be called concurrently; SetMetrics and
 // Load must be serialized against labeling (Load additionally requires a
@@ -104,6 +127,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -122,8 +147,8 @@ type Config struct {
 	DeltaCap grammar.Cost
 	// Metrics receives event counts (may be nil).
 	Metrics *metrics.Counters
-	// ForceHash disables the dense direct-lookup arrays and routes every
-	// transition through the hash maps; used by the table-layout ablation.
+	// ForceHash disables the class grids and routes every transition
+	// through the hash tables; used by the table-layout ablation.
 	ForceHash bool
 	// MaxStates bounds the number of states the engine may materialize
 	// (0 = unlimited). Construction past the budget aborts the labeling
@@ -138,22 +163,59 @@ type Config struct {
 // configure Config.MaxStates; match with errors.Is.
 var ErrStateBudget = automaton.ErrStateBudget
 
-// growSlack is the headroom added when a dense table grows, so a run of
-// adjacent new states does not trigger a copy per state.
-const growSlack = 8
+// ErrClassMismatch is the typed error NewSeeded fails with when a table
+// set's projection rows (Mu) are not the projection the engine computes:
+// a class that holds states the projection separates (whose transitions
+// would then be wrong for some of them), one projection class split over
+// several representers, or classes numbered out of order. Match with
+// errors.Is.
+var ErrClassMismatch = errors.New("core: table set's representer classes disagree with the projection")
 
-// unRow is the dense transition row of a unary operator, indexed by the
-// child state id. Cells hold state ids (-1 until constructed) and are
-// accessed with atomic int32 operations because published rows are read
-// concurrently.
-type unRow []int32
+// noClass marks, in the class matrix, a class numbered past the grid
+// bound; its transitions take the hash path.
+const noClass = 0xFFFF
 
-// binGrid is the flat row-major dense table of a binary operator: cell
-// [l*stride+r] holds the state id reached from left child state l and
-// right child state r (-1 until constructed).
-type binGrid struct {
-	rows, stride int32
-	cells        []int32
+// classSlack is the least headroom, in states, the class matrix grows by
+// (a quarter of its states when that is more), so a run of births does
+// not copy it once per state.
+const classSlack = 16
+
+// gridSlack is the headroom, in classes, a grid grows by.
+const gridSlack = 2
+
+// maxStackDyn is the widest dynamic-cost signature a hash-path probe
+// builds on the stack (x86's widest operator has 11 dynamic rules); wider
+// ones use the call's scratch.
+const maxStackDyn = 12
+
+// grid is the class-indexed transition table of a fixed unary or binary
+// operator: cells[c0*cols+c1] holds the state id reached from child
+// classes c0 and c1 (cols = 1 and c1 = 0 for unary operators), -1 until
+// constructed.
+type grid struct {
+	rows, cols int32
+	cells      []int32
+}
+
+// opTab is one operator's lookup state, laid out together so a warm
+// lookup touches one cache line and one bounds check.
+type opTab struct {
+	// grid is a fixed operator's class grid.
+	grid atomic.Pointer[grid]
+	// dyn is the dynamic-rule (and ForceHash, and past-the-bound) path: an
+	// open-addressing table keyed by the child classes plus the packed
+	// dynamic-cost signature, whose slot values are state ids; nil until
+	// the operator's first miss there.
+	dyn atomic.Pointer[openTab]
+	// of[p] is the class space of child position p.
+	of [2]int32
+	// leaf is a leaf operator's state id, -1 until constructed.
+	leaf atomic.Int32
+	// nDyn is the number of the operator's dynamic rules.
+	nDyn int32
+	// hashed routes the operator through the hash path: it has dynamic
+	// rules, or Config.ForceHash is set.
+	hashed bool
 }
 
 // Engine is an on-demand tree-parsing automaton. It persists across
@@ -168,30 +230,31 @@ type Engine struct {
 	table    *automaton.Table
 	deltaCap grammar.Cost
 	m        *metrics.Counters
-	// hashed[op] routes op through the hash path: the operator has
-	// dynamic rules, or Config.ForceHash is set.
-	hashed []bool
-	// denseIDs bounds the child state ids the dense tables index; see
-	// the package documentation.
-	denseIDs int32
+	// maxClasses bounds the classes a grid indexes; see the package
+	// documentation.
+	maxClasses int32
+
+	// spaces are the class spaces, guarded by classMu. cls and clsN
+	// publish the class matrix (see classMatrix): row id of *cls, nsp
+	// entries wide, holds state id's class in each space (noClass past the
+	// grid bound), for every id below clsN; rows below clsN never change.
+	// classBytes accounts the spaces' per-class entries for MemoryBytes.
+	spaces     []*automaton.ClassSpace
+	nsp        int
+	classMu    sync.Mutex
+	cls        atomic.Pointer[[]uint16]
+	clsN       atomic.Int32
+	classBytes atomic.Int64
 
 	// mus serializes the construct slow path per operator: state
-	// construction, dense table growth and hash insertion. Misses on
-	// different operators proceed concurrently; the warm fast path never
-	// locks. Save and Load lock every shard (lockAll) for a consistent
-	// whole-automaton snapshot.
+	// construction, grid growth and hash insertion. Misses on different
+	// operators proceed concurrently; the warm fast path never locks. Save
+	// and Load lock every shard (lockAll) for a consistent whole-automaton
+	// snapshot.
 	mus []sync.Mutex
 
-	// Fixed-cost fast paths: dense flat id tables, grown on demand,
-	// published atomically.
-	leaf []atomic.Int32            // [op] -> state id, -1 until constructed
-	un   []atomic.Pointer[unRow]   // [op][kidState] -> state id
-	bin  []atomic.Pointer[binGrid] // [op][left*stride+right] -> state id
-
-	// Dynamic-rule (and ForceHash) path: open-addressing tables keyed by
-	// child state ids plus the packed dynamic-cost signature; slot values
-	// are state ids. nil until the operator's first miss.
-	dyn []atomic.Pointer[openTab] // [op]
+	// ops[op] holds op's tables.
+	ops []opTab
 
 	transitions atomic.Int64
 	scratch     freelist.List[scratch]
@@ -200,16 +263,16 @@ type Engine struct {
 
 // scratch holds the per-call buffers of the slow paths, taken from the
 // engine's free list at most once per labeling call so concurrent
-// labelers never share them. dyn and key serve the dynamic-cost
-// evaluation: key is the packed open-addressing probe key, whose word 0 is
-// l<<32|r and whose remaining words pack the signature costs two per word
-// (low half first). delta and rule are the construction vectors Compute
-// fills; the state table copies them only when a state is born.
+// labelers never share them. delta and rule are the construction vectors
+// Compute fills; the state table copies them only when a state is born.
+// dyn holds a constructing signature's dynamic costs, and key the probe
+// key of signatures too wide for the stack; both are sized for the
+// grammar's widest signature (nil when it needs none).
 type scratch struct {
-	dyn   []grammar.Cost
-	key   []uint64
 	delta []grammar.Cost
 	rule  []int32
+	dyn   []grammar.Cost
+	key   []uint64
 }
 
 // New creates an empty on-demand automaton for g. env binds the grammar's
@@ -225,27 +288,40 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 	}
 	table := automaton.NewTable(g)
 	table.SetBudget(cfg.MaxStates)
+	classes := automaton.NewClasses(g, nil)
 	e := &Engine{
-		g:        g,
-		dynFns:   dyn,
-		table:    table,
-		deltaCap: cfg.DeltaCap,
-		m:        cfg.Metrics,
-		hashed:   make([]bool, g.NumOps()),
-		denseIDs: int32(automaton.ExpandMaxStates(g)),
-		mus:      make([]sync.Mutex, g.NumOps()),
-		leaf:     make([]atomic.Int32, g.NumOps()),
-		un:       make([]atomic.Pointer[unRow], g.NumOps()),
-		bin:      make([]atomic.Pointer[binGrid], g.NumOps()),
-		dyn:      make([]atomic.Pointer[openTab], g.NumOps()),
+		g:          g,
+		dynFns:     dyn,
+		table:      table,
+		deltaCap:   cfg.DeltaCap,
+		m:          cfg.Metrics,
+		maxClasses: int32(min(automaton.MaxGridIndex(g), noClass)),
+		spaces:     classes.Spaces,
+		nsp:        len(classes.Spaces),
+		mus:        make([]sync.Mutex, g.NumOps()),
+		ops:        make([]opTab, g.NumOps()),
 	}
-	for op := range e.leaf {
-		e.leaf[op].Store(-1) // 0 is a valid state id; -1 means "no transition yet"
-		e.hashed[op] = cfg.ForceHash || g.HasDynRules(grammar.OpID(op))
+	e.cls.Store(new([]uint16))
+	for op := range e.ops {
+		o := &e.ops[op]
+		o.leaf.Store(-1) // 0 is a valid state id; -1 means "no transition yet"
+		o.nDyn = int32(len(g.DynRules(grammar.OpID(op))))
+		o.hashed = cfg.ForceHash || o.nDyn > 0
+		o.of = classes.Of[op]
 	}
-	numNT := g.NumNonterms()
+	numNT, widest := g.NumNonterms(), 0
+	for op := range g.Ops {
+		widest = max(widest, len(g.DynRules(grammar.OpID(op))))
+	}
 	e.scratch.New = func() *scratch {
-		return &scratch{delta: make([]grammar.Cost, numNT), rule: make([]int32, numNT)}
+		sc := &scratch{delta: make([]grammar.Cost, numNT), rule: make([]int32, numNT)}
+		if widest > 0 {
+			sc.dyn = make([]grammar.Cost, widest)
+		}
+		if widest > maxStackDyn {
+			sc.key = make([]uint64, 0, 1+(widest+1)/2)
+		}
+		return sc
 	}
 	return e, nil
 }
@@ -253,18 +329,20 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 // NewSeeded creates an on-demand automaton for g that starts from the
 // closure ts instead of empty (see the package documentation): it
 // validates ts with automaton.ValidateTables, which copies its states
-// into the engine's state table with their ids, stores the fixed leaf
-// states, and writes each fixed operator's expanded transitions into the
-// dense tables — or, when expansion would exceed automaton.ExpandMaxBytes,
-// seeds the states only and lets the dense tables warm under traffic. A
-// table set with no states fails with automaton.ErrNoFixedClosure.
+// into the engine's state table with their ids, classifies them, stores
+// the fixed leaf states, and adopts each fixed operator's T1 or T2 table
+// as its grid. A table set with no states fails with
+// automaton.ErrNoFixedClosure; one whose projection rows disagree with the
+// engine's projection, or whose classes at one position exceed the grid
+// bound, fails with ErrClassMismatch.
 //
 // Seeding is not subject to Config.MaxStates, which bounds on-demand
 // growth past the seeds: a budget below the seeded state count leaves no
 // headroom, and the first construction fails with ErrStateBudget.
-// NumTransitions starts at the table set's compressed transition count.
-// The engine keeps nothing of ts: states are copied and transitions are
-// expanded into the engine's own tables.
+// NumTransitions starts at the table set's transition count. The engine
+// keeps ts.T1 and ts.T2 as its initial grids (it never writes a filled
+// cell, and grows a grid into a copy), so they must not be mutated
+// afterwards; the states are copied.
 func NewSeeded(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ts *automaton.TableSet) (*Engine, error) {
 	e, err := New(g, env, cfg)
 	if err != nil {
@@ -276,26 +354,55 @@ func NewSeeded(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ts *automaton
 	}
 	table.SetBudget(cfg.MaxStates)
 	e.table = table
-	for op, id := range ts.Leaf {
-		if g.Ops[op].Arity == 0 && id >= 0 {
-			e.leaf[op].Store(id)
+	cls := e.classifyTo(int32(table.Len()))
+	for op := range g.Ops {
+		arity := g.Ops[op].Arity
+		if g.HasDynRules(grammar.OpID(op)) {
+			continue // validated empty: built on demand
 		}
-	}
-	// Expansion is accepted only up to automaton.ExpandMaxStates(g) =
-	// denseIDs states, so the seeded grids always fit the dense bound.
-	n := int32(table.Len())
-	dir1, dir2 := automaton.ExpandTables(g, int(n), ts)
-	for op := range dir1 {
-		if dir1[op] != nil {
-			row := unRow(dir1[op])
-			e.un[op].Store(&row)
+		if arity == 0 {
+			e.ops[op].leaf.Store(ts.Leaf[op])
+			continue
 		}
-		if dir2[op] != nil {
-			e.bin[op].Store(&binGrid{rows: n, stride: n, cells: dir2[op]})
+		for p := 0; p < arity; p++ {
+			if err := e.checkMu(cls, grammar.OpID(op), p, ts); err != nil {
+				return nil, err
+			}
+		}
+		if e.ops[op].hashed {
+			continue
+		}
+		if arity == 1 {
+			e.ops[op].grid.Store(&grid{rows: ts.NReps[op][0], cols: 1, cells: ts.T1[op]})
+		} else {
+			e.ops[op].grid.Store(&grid{rows: ts.NReps[op][0], cols: ts.NReps[op][1], cells: ts.T2[op]})
 		}
 	}
 	e.transitions.Store(int64(ts.TransitionEntries()))
 	return e, nil
+}
+
+// checkMu verifies that ts's projection row of child position p of op is
+// the engine's classification cls of the seeded states, class for class.
+func (e *Engine) checkMu(cls []uint16, op grammar.OpID, p int, ts *automaton.TableSet) error {
+	sp := int(e.ops[op].of[p])
+	name := e.g.OpName(op)
+	n := e.spaces[sp].Len()
+	if int(ts.NReps[op][p]) != n {
+		return fmt.Errorf("%w: operator %s position %d has %d representers, the projection %d classes",
+			ErrClassMismatch, name, p, ts.NReps[op][p], n)
+	}
+	if n > int(e.maxClasses) {
+		return fmt.Errorf("%w: operator %s position %d has %d classes, past the grid bound %d",
+			ErrClassMismatch, name, p, n, e.maxClasses)
+	}
+	for s, rep := range ts.Mu[op][p] {
+		if c := int32(cls[s*e.nsp+sp]); c != rep {
+			return fmt.Errorf("%w: operator %s position %d puts state %d in class %d, the projection in class %d",
+				ErrClassMismatch, name, p, s, rep, c)
+		}
+	}
+	return nil
 }
 
 // Grammar returns the engine's grammar.
@@ -312,7 +419,10 @@ func (e *Engine) Table() *automaton.Table { return e.table }
 // NumStates returns the number of states materialized so far.
 func (e *Engine) NumStates() int { return e.table.Len() }
 
-// NumTransitions returns the number of transitions memoized so far.
+// NumTransitions returns the number of transitions memoized so far: leaf
+// cells, class-grid cells and hash-table entries, each one construction
+// (or one seeded or loaded entry). Every transition serves a class pair,
+// so this counts fewer than the child-state pairs it covers.
 func (e *Engine) NumTransitions() int { return int(e.transitions.Load()) }
 
 // lockAll acquires every per-operator slow-path mutex (in index order, so
@@ -347,11 +457,13 @@ func (e *Engine) LabelStates(f *ir.Forest) *automaton.Labeling {
 // the metrics hook the compilation server uses to account one shared warm
 // engine's work to individual clients.
 //
-// The loop hand-inlines labelNode's dense hit path: on the warm fixed
-// majority a node costs one table load and no call. Hash-path operators
-// and misses stay out of line, and share one scratch, taken at the first
-// of them and returned at the end. A panic (a user dynamic-cost function,
-// or the state budget) leaves the scratch and the labeling to the GC.
+// The loop hand-inlines labelNode's grid hit path: on the warm fixed
+// majority a node costs the grid pointer, two class loads, one cell load
+// and no call; the class matrix is reloaded only after a slow path, the
+// one place states are born. Hash-path operators and misses stay out of line, and share one
+// scratch, taken at the first construction and returned at the end. A
+// panic (a user dynamic-cost function, or the state budget) leaves the
+// scratch and the labeling to the GC.
 func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automaton.Labeling {
 	if m == nil {
 		m = e.m
@@ -359,26 +471,35 @@ func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automato
 	lab := e.labels.Get()
 	ids := lab.Reuse(len(f.Nodes))
 	var sc *scratch
+	cls, nsp := e.classMatrix(), e.nsp
 	for i, n := range f.Nodes {
 		m.CountNode()
 		op := n.Op
-		if e.hashed[op] {
-			ids[i] = e.labelHashed(op, n, ids, m, e.takeScratch(&sc))
-			continue
+		o := &e.ops[op]
+		id := int32(-1)
+		if !o.hashed {
+			switch len(n.Kids) {
+			case 0:
+				id = o.leaf.Load()
+			case 1:
+				id = o.hitUn(cls, nsp, ids[n.Kids[0].Index])
+			default: // hitBin, inlined by hand
+				if t := o.grid.Load(); t != nil {
+					k0 := uint(int(ids[n.Kids[0].Index])*nsp + int(o.of[0]))
+					k1 := uint(int(ids[n.Kids[1].Index])*nsp + int(o.of[1]))
+					if k0 < uint(len(cls)) && k1 < uint(len(cls)) {
+						if c0, c1 := int32(cls[k0]), int32(cls[k1]); c0 < t.rows && c1 < t.cols {
+							id = atomic.LoadInt32(&t.cells[c0*t.cols+c1])
+						}
+					}
+				}
+			}
 		}
-		var id int32
-		switch len(n.Kids) {
-		case 0:
-			id = e.leaf[op].Load()
-		case 1:
-			id = e.hitUn(op, ids[n.Kids[0].Index])
-		default:
-			id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
-		}
-		if id < 0 {
-			id = e.miss(op, n, ids, m, e.takeScratch(&sc))
-		} else {
+		if id >= 0 {
 			m.CountProbe(false)
+		} else {
+			id = e.slow(cls, op, n, ids, m, &sc)
+			cls = e.classMatrix()
 		}
 		ids[i] = id
 	}
@@ -429,186 +550,239 @@ func (e *Engine) LabelNode(n *ir.Node, ids []int32) int32 {
 	return id
 }
 
-// labelHashed labels one node through op's hash table: keyed by the
-// evaluated dynamic-cost signature for an operator with dynamic rules, by
-// the child ids alone otherwise (ForceHash, or a child id past the dense
-// bound). sc is the calling labeler's scratch.
-func (e *Engine) labelHashed(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc *scratch) int32 {
-	var dynVals []grammar.Cost
-	if e.g.HasDynRules(op) {
-		e.evalDyn(n, ids, sc, m)
-		dynVals = sc.dyn
-	} else {
-		sc.key = append(sc.key[:0], packLR(n, ids))
-	}
-	return e.lookupHash(op, n, ids, dynVals, m, sc)
-}
-
 // labelNode labels one node, counting events into m: the body of
 // LabelStatesMetered's loop, for callers labeling one node at a time. A
-// node that needs the slow paths uses *sc, first taking it from the free
-// list if the caller holds none yet; the caller returns it.
+// node that constructs uses *sc, first taking it from the free list if the
+// caller holds none yet; the caller returns it.
 func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters, sc **scratch) int32 {
 	m.CountNode()
 	op := n.Op
-	var id int32
-	if !e.hashed[op] {
+	cls := e.classMatrix()
+	if o := &e.ops[op]; !o.hashed {
+		id := int32(-1)
 		switch len(n.Kids) {
 		case 0:
-			id = e.leaf[op].Load()
+			id = o.leaf.Load()
 		case 1:
-			id = e.hitUn(op, ids[n.Kids[0].Index])
+			id = o.hitUn(cls, e.nsp, ids[n.Kids[0].Index])
 		default:
-			id = e.hitBin(op, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
+			id = o.hitBin(cls, e.nsp, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
 		}
 		if id >= 0 {
 			m.CountProbe(false)
 			return id
 		}
 	}
-	if e.hashed[op] {
-		return e.labelHashed(op, n, ids, m, e.takeScratch(sc))
-	}
-	return e.miss(op, n, ids, m, e.takeScratch(sc))
+	return e.slow(cls, op, n, ids, m, sc)
 }
 
-// hitUn returns the dense unary transition of op from child state kid, or
-// -1 when it is not constructed yet.
-func (e *Engine) hitUn(op grammar.OpID, kid int32) int32 {
-	if rp := e.un[op].Load(); rp != nil {
-		if row := *rp; int(kid) < len(row) {
-			return atomic.LoadInt32(&row[kid])
-		}
+// slow labels a node the grid hit path could not, given the class matrix
+// cls the caller holds: through the hash path, or the fixed operators'
+// miss path.
+func (e *Engine) slow(cls []uint16, op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc **scratch) int32 {
+	if e.ops[op].hashed {
+		return e.labelHashed(cls, op, n, ids, m, sc)
+	}
+	return e.miss(cls, op, n, ids, m, sc)
+}
+
+// hitUn returns the operator's unary transition from child state kid
+// through class matrix cls (nsp spaces wide), or -1 when it is not
+// constructed yet, kid is not in cls, or its class is past the grid bound.
+func (o *opTab) hitUn(cls []uint16, nsp int, kid int32) int32 {
+	t := o.grid.Load()
+	k := uint(int(kid)*nsp + int(o.of[0]))
+	if t == nil || k >= uint(len(cls)) {
+		return -1
+	}
+	if c := int32(cls[k]); c < t.rows {
+		return atomic.LoadInt32(&t.cells[c])
 	}
 	return -1
 }
 
 // hitBin is hitUn for binary operators.
-func (e *Engine) hitBin(op grammar.OpID, l, r int32) int32 {
-	if t := e.bin[op].Load(); t != nil && l < t.rows && r < t.stride {
-		return atomic.LoadInt32(&t.cells[l*t.stride+r])
+func (o *opTab) hitBin(cls []uint16, nsp int, l, r int32) int32 {
+	t := o.grid.Load()
+	k0, k1 := uint(int(l)*nsp+int(o.of[0])), uint(int(r)*nsp+int(o.of[1]))
+	if t == nil || k0 >= uint(len(cls)) || k1 >= uint(len(cls)) {
+		return -1
+	}
+	if c0, c1 := int32(cls[k0]), int32(cls[k1]); c0 < t.rows && c1 < t.cols {
+		return atomic.LoadInt32(&t.cells[c0*t.cols+c1])
 	}
 	return -1
 }
 
-// miss is the dense slow path of a fixed operator: construct under the
-// operator's mutex, re-checking first because another goroutine may have
-// won the race. A child id past the dense bound takes the hash path
-// instead. sc is the calling labeler's scratch.
-func (e *Engine) miss(op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc *scratch) int32 {
-	var kids [2]*automaton.State
-	var id int32
-	switch len(n.Kids) {
-	case 0:
-		e.mus[op].Lock()
-		defer e.mus[op].Unlock()
-		id = e.leaf[op].Load()
-	case 1:
-		kid := ids[n.Kids[0].Index]
-		if kid >= e.denseIDs {
-			return e.labelHashed(op, n, ids, m, sc)
-		}
-		e.mus[op].Lock()
-		defer e.mus[op].Unlock()
-		id = e.hitUn(op, kid)
-		kids[0] = e.table.Get(kid)
-	default:
-		l, r := ids[n.Kids[0].Index], ids[n.Kids[1].Index]
-		if l >= e.denseIDs || r >= e.denseIDs {
-			return e.labelHashed(op, n, ids, m, sc)
-		}
-		e.mus[op].Lock()
-		defer e.mus[op].Unlock()
-		id = e.hitBin(op, l, r)
-		kids[0], kids[1] = e.table.Get(l), e.table.Get(r)
+// classMatrix returns the published class matrix, as far as it covers
+// classified states. The count is loaded first: classifyTo publishes a
+// grown backing array before the count that needs it.
+func (e *Engine) classMatrix() []uint16 {
+	n := e.clsN.Load()
+	return (*e.cls.Load())[:int(n)*e.nsp]
+}
+
+// classOf returns the class of state id in class space sp: one load from
+// the class matrix cls, unless id is not in cls yet or its class is past
+// the grid bound (see classSlow).
+func (e *Engine) classOf(cls []uint16, sp int32, id int32) int32 {
+	if k := uint(int(id)*e.nsp + int(sp)); k < uint(len(cls)) && cls[k] != noClass {
+		return int32(cls[k])
 	}
-	if id >= 0 {
+	return e.classSlow(sp, id)
+}
+
+// classAt is classOf's matrix load alone, small enough to inline: the
+// class of state id in space sp, or noClass when cls cannot answer.
+func classAt(cls []uint16, nsp int, sp int32, id int32) int32 {
+	if k := uint(int(id)*nsp + int(sp)); k < uint(len(cls)) {
+		return int32(cls[k])
+	}
+	return noClass
+}
+
+// kidClasses returns the classes of n's children at their positions of
+// op (0 past the arity), by classOf.
+func (e *Engine) kidClasses(cls []uint16, op grammar.OpID, n *ir.Node, ids []int32) [2]int32 {
+	var c [2]int32
+	for p, kid := range n.Kids {
+		c[p] = e.classOf(cls, e.ops[op].of[p], ids[kid.Index])
+	}
+	return c
+}
+
+// classSlow is classOf's way out of the matrix: it classifies id if need
+// be, and searches the space under classMu for a class past the grid
+// bound.
+func (e *Engine) classSlow(sp int32, id int32) int32 {
+	if c := e.classifyTo(id + 1)[int(id)*e.nsp+int(sp)]; c != noClass {
+		return int32(c)
+	}
+	e.classMu.Lock()
+	defer e.classMu.Unlock()
+	return e.spaces[sp].Find(e.table.Get(id))
+}
+
+// classifyTo classifies, in every class space, each state born since the
+// class matrix was last published, so that at least the states below n
+// are covered, and returns the matrix. Rows are filled past the published
+// count, invisible to readers, before the count moves; the backing array
+// grows by a quarter of its states at least, so births rarely allocate.
+// Callers may hold an operator's mutex, never classMu.
+func (e *Engine) classifyTo(n int32) []uint16 {
+	if n <= e.clsN.Load() {
+		return e.classMatrix()
+	}
+	e.classMu.Lock()
+	defer e.classMu.Unlock()
+	have := e.clsN.Load()
+	states := e.table.States()
+	end := int32(len(states))
+	if end <= have {
+		return e.classMatrix()
+	}
+	c := *e.cls.Load()
+	if need := int(end) * e.nsp; need > len(c) {
+		grown := make([]uint16, need+max(classSlack, int(end)/4)*e.nsp)
+		copy(grown, c[:int(have)*e.nsp])
+		e.cls.Store(&grown)
+		c = grown
+	}
+	for id := have; id < end; id++ {
+		row := c[int(id)*e.nsp : int(id+1)*e.nsp]
+		for sp, cs := range e.spaces {
+			k, created := cs.Classify(states[id])
+			if created {
+				e.classBytes.Add(16) // the class's hash and sample
+			}
+			if k >= e.maxClasses {
+				k = noClass
+			}
+			row[sp] = uint16(k)
+		}
+	}
+	e.clsN.Store(end)
+	return c[:int(end)*e.nsp]
+}
+
+// miss is the slow path of a fixed operator: construct under the
+// operator's mutex, re-checking first because another goroutine may have
+// won the race — or because the children are new states of classes that
+// already have their transition, which then costs no construction. A
+// child class past the grid bound takes the hash path instead.
+func (e *Engine) miss(cls []uint16, op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc **scratch) int32 {
+	if len(n.Kids) == 0 {
+		e.mus[op].Lock()
+		defer e.mus[op].Unlock()
+		if id := e.ops[op].leaf.Load(); id >= 0 {
+			m.CountProbe(false)
+			return id
+		}
+		m.CountProbe(true)
+		s := e.construct(op, nil, nil, m, sc)
+		e.ops[op].leaf.Store(s.ID)
+		e.addTransition(m)
+		return s.ID
+	}
+	c := e.kidClasses(cls, op, n, ids)
+	if c[0] >= e.maxClasses || c[1] >= e.maxClasses {
+		return e.labelHashed(cls, op, n, ids, m, sc)
+	}
+	var kbuf [2]*automaton.State
+	kids := kbuf[:len(n.Kids)]
+	for p, kid := range n.Kids {
+		kids[p] = e.table.Get(ids[kid.Index])
+	}
+	e.mus[op].Lock()
+	defer e.mus[op].Unlock()
+	if id := e.cell(op, c); id >= 0 {
 		m.CountProbe(false)
 		return id
 	}
 	m.CountProbe(true)
-	s := e.construct(op, kids[:len(n.Kids)], nil, m, sc)
-	switch len(n.Kids) {
-	case 0:
-		e.leaf[op].Store(s.ID)
-	case 1:
-		e.setUnLocked(op, int(kids[0].ID), s.ID)
-	default:
-		e.setBinLocked(op, int(kids[0].ID), int(kids[1].ID), s.ID)
-	}
+	s := e.construct(op, kids, nil, m, sc)
+	e.setCellLocked(op, c, s.ID)
 	e.addTransition(m)
 	return s.ID
 }
 
-// setUnLocked writes un[op][kid] = id, growing the row copy-on-write when
-// kid is out of range; a kid past the dense bound goes to the hash table.
-// Caller holds e.mus[op].
-func (e *Engine) setUnLocked(op grammar.OpID, kid int, id int32) {
-	if kid >= int(e.denseIDs) {
-		e.setHashLocked(op, uint64(kid)<<32, id)
-		return
+// cell returns op's grid cell for child classes c, or -1 when it is
+// unconstructed or outside the grid.
+func (e *Engine) cell(op grammar.OpID, c [2]int32) int32 {
+	if t := e.ops[op].grid.Load(); t != nil && c[0] < t.rows && c[1] < t.cols {
+		return atomic.LoadInt32(&t.cells[c[0]*t.cols+c[1]])
 	}
-	rp := e.un[op].Load()
-	if rp != nil && kid < len(*rp) {
-		atomic.StoreInt32(&(*rp)[kid], id)
-		return
-	}
-	var old unRow
-	if rp != nil {
-		old = *rp
-	}
-	row := make(unRow, min(kid+1+growSlack, int(e.denseIDs)))
-	copy(row, old)
-	for i := len(old); i < len(row); i++ {
-		row[i] = -1
-	}
-	row[kid] = id
-	// The new row is fully populated before the pointer is released.
-	e.un[op].Store(&row)
+	return -1
 }
 
-// setBinLocked writes bin[op][l][r] = id, growing the grid copy-on-write
-// (both dimensions at once) when (l, r) is out of range; ids past the
-// dense bound go to the hash table. Caller holds e.mus[op].
-func (e *Engine) setBinLocked(op grammar.OpID, l, r int, id int32) {
-	if l >= int(e.denseIDs) || r >= int(e.denseIDs) {
-		e.setHashLocked(op, uint64(l)<<32|uint64(r), id)
+// setCellLocked writes op's grid cell for child classes c (both below the
+// grid bound), growing the grid copy-on-write when c is out of range.
+// Caller holds e.mus[op].
+func (e *Engine) setCellLocked(op grammar.OpID, c [2]int32, id int32) {
+	old := e.ops[op].grid.Load()
+	if old != nil && c[0] < old.rows && c[1] < old.cols {
+		atomic.StoreInt32(&old.cells[c[0]*old.cols+c[1]], id)
 		return
 	}
-	old := e.bin[op].Load()
-	if old != nil && int32(l) < old.rows && int32(r) < old.stride {
-		atomic.StoreInt32(&old.cells[int32(l)*old.stride+int32(r)], id)
-		return
+	rows, cols := min(c[0]+1+gridSlack, e.maxClasses), int32(1)
+	if e.g.Ops[op].Arity == 2 {
+		cols = min(c[1]+1+gridSlack, e.maxClasses)
 	}
-	rows, stride := min(int32(l+1+growSlack), e.denseIDs), min(int32(r+1+growSlack), e.denseIDs)
 	if old != nil {
-		if old.rows > rows {
-			rows = old.rows
-		}
-		if old.stride > stride {
-			stride = old.stride
-		}
+		rows, cols = max(rows, old.rows), max(cols, old.cols)
 	}
-	t := &binGrid{rows: rows, stride: stride, cells: make([]int32, int(rows)*int(stride))}
+	t := &grid{rows: rows, cols: cols, cells: make([]int32, int(rows)*int(cols))}
 	for i := range t.cells {
 		t.cells[i] = -1
 	}
 	if old != nil {
-		for li := int32(0); li < old.rows; li++ {
-			copy(t.cells[li*stride:li*stride+old.stride], old.cells[li*old.stride:(li+1)*old.stride])
+		for r := int32(0); r < old.rows; r++ {
+			copy(t.cells[r*cols:r*cols+old.cols], old.cells[r*old.cols:(r+1)*old.cols])
 		}
 	}
-	t.cells[int32(l)*stride+int32(r)] = id
+	t.cells[c[0]*cols+c[1]] = id
 	// Fully populated before publication.
-	e.bin[op].Store(t)
-}
-
-// setHashLocked memoizes a fixed-operator transition with a child id past
-// the dense bound in op's hash table, under the key labelHashed probes:
-// l<<32|r. Caller holds e.mus[op].
-func (e *Engine) setHashLocked(op grammar.OpID, lr uint64, id int32) {
-	key := []uint64{lr}
-	e.insertDynLocked(op, key, hashKey(key), id)
+	e.ops[op].grid.Store(t)
 }
 
 // addTransition accounts one memoized transition. Caller holds the
@@ -618,44 +792,71 @@ func (e *Engine) addTransition(m *metrics.Counters) {
 	m.CountTransition()
 }
 
-// packLR packs n's child state ids into the first key word: left id in
-// the high 32 bits, right in the low (the same convention the persisted
-// binary triples use). Absent children pack as state 0 slots of zero —
-// unambiguous because the operator's arity is fixed by the grammar.
-func packLR(n *ir.Node, ids []int32) uint64 {
-	var l, r int32
-	switch len(n.Kids) {
-	case 0:
-	case 1:
-		l = ids[n.Kids[0].Index]
-	default:
-		l, r = ids[n.Kids[0].Index], ids[n.Kids[1].Index]
-	}
-	return uint64(uint32(l))<<32 | uint64(uint32(r))
+// classKey packs child classes into the first key word of the hash path:
+// position 0 in the high 32 bits, position 1 in the low. Absent children
+// pack as class 0 — unambiguous because the operator's arity is fixed by
+// the grammar.
+func classKey(c [2]int32) uint64 {
+	return uint64(uint32(c[0]))<<32 | uint64(uint32(c[1]))
 }
 
-// keyWords returns the fixed open-addressing key width of op: one (l, r)
+// keyWords returns the fixed open-addressing key width of op: one class
 // word plus the packed signature words (two 32-bit costs per word).
 func (e *Engine) keyWords(op grammar.OpID) int {
 	return 1 + (len(e.g.DynRules(op))+1)/2
 }
 
-// lookupHash handles operators with dynamic rules (and the ForceHash
-// ablation): one open-addressing probe keyed by the packed key words in
-// sc.key — the hit path never copies them; the miss path copies them into
-// the table on insertion.
-func (e *Engine) lookupHash(op grammar.OpID, n *ir.Node, ids []int32, dynVals []grammar.Cost, m *metrics.Counters, sc *scratch) int32 {
-	key := sc.key
+// labelHashed labels one node through op's open table: keyed by the
+// children's classes plus, for an operator with dynamic rules, the
+// evaluated dynamic-cost signature (ForceHash, or a class past the grid
+// bound, key by the classes alone). The probe key lives in a stack array
+// unless the signature is wider than maxStackDyn, so a hit touches no
+// scratch; a miss constructs under the operator's mutex, one construction
+// for the whole class pair and signature, reading the dynamic costs back
+// out of the key.
+func (e *Engine) labelHashed(cls []uint16, op grammar.OpID, n *ir.Node, ids []int32, m *metrics.Counters, sc **scratch) int32 {
+	o := &e.ops[op]
+	var keyBuf [1 + maxStackDyn/2]uint64
+	key := keyBuf[:0]
+	if o.nDyn > maxStackDyn {
+		key = e.takeScratch(sc).key[:0]
+	}
+	// The child classes are loaded per arity, with no loop, and packed in
+	// registers: a [2]int32 written as two 32-bit stores and read back as
+	// one word would stall store forwarding.
+	var c0, c1 int32
+	switch len(n.Kids) {
+	case 2:
+		c1 = classAt(cls, e.nsp, o.of[1], ids[n.Kids[1].Index])
+		fallthrough
+	case 1:
+		c0 = classAt(cls, e.nsp, o.of[0], ids[n.Kids[0].Index])
+	}
+	if c0 == noClass || c1 == noClass {
+		c := e.kidClasses(cls, op, n, ids)
+		c0, c1 = c[0], c[1]
+	}
+	key = append(key, uint64(uint32(c0))<<32|uint64(uint32(c1)))
+	if o.nDyn > 0 {
+		key = e.evalDyn(n, ids, key, m)
+	}
 	h := hashKey(key)
-	if t := e.dyn[op].Load(); t != nil {
+	if t := o.dyn.Load(); t != nil {
 		if id, ok := t.get(key, h); ok {
 			m.CountProbe(false)
 			return id
 		}
 	}
+	return e.buildHashed(op, n, ids, key, h, m, sc)
+}
+
+// buildHashed is labelHashed's miss path: under the operator's mutex,
+// probe again, then construct the state for key (hash h) — its dynamic
+// costs read back out of the key — and insert it.
+func (e *Engine) buildHashed(op grammar.OpID, n *ir.Node, ids []int32, key []uint64, h uint64, m *metrics.Counters, sc **scratch) int32 {
 	e.mus[op].Lock()
 	defer e.mus[op].Unlock()
-	if t := e.dyn[op].Load(); t != nil {
+	if t := e.ops[op].dyn.Load(); t != nil {
 		if id, ok := t.get(key, h); ok {
 			m.CountProbe(false)
 			return id
@@ -663,11 +864,18 @@ func (e *Engine) lookupHash(op grammar.OpID, n *ir.Node, ids []int32, dynVals []
 	}
 	m.CountProbe(true)
 	var kbuf [2]*automaton.State
-	kids := kbuf[:0]
-	for ki := range n.Kids {
-		kids = append(kids, e.table.Get(ids[n.Kids[ki].Index]))
+	kids := kbuf[:len(n.Kids)]
+	for p, kid := range n.Kids {
+		kids[p] = e.table.Get(ids[kid.Index])
 	}
-	s := e.construct(op, kids, dynVals, m, sc)
+	var dyn []grammar.Cost
+	if nDyn := e.ops[op].nDyn; nDyn > 0 {
+		dyn = e.takeScratch(sc).dyn[:nDyn]
+		for j := range dyn {
+			dyn[j] = grammar.Cost(int32(uint32(key[1+j/2] >> (32 * uint(j%2)))))
+		}
+	}
+	s := e.construct(op, kids, dyn, m, sc)
 	e.insertDynLocked(op, key, h, s.ID)
 	e.addTransition(m)
 	return s.ID
@@ -677,70 +885,67 @@ func (e *Engine) lookupHash(op grammar.OpID, n *ir.Node, ids []int32, dynVals []
 // growing it as needed. Caller holds e.mus[op]. A fresh or grown table is
 // fully populated before its pointer is published.
 func (e *Engine) insertDynLocked(op grammar.OpID, key []uint64, h uint64, id int32) {
-	t := e.dyn[op].Load()
+	t := e.ops[op].dyn.Load()
 	switch {
 	case t == nil:
 		t = newOpenTab(len(key), openTabMinCap)
 		t.insertLocked(key, h, id)
-		e.dyn[op].Store(t)
+		e.ops[op].dyn.Store(t)
 	case t.full():
 		nt := t.grown()
 		nt.insertLocked(key, h, id)
-		e.dyn[op].Store(nt)
+		e.ops[op].dyn.Store(nt)
 	default:
 		t.insertLocked(key, h, id)
 	}
 }
 
-// evalDyn evaluates the dynamic rules of n's operator into sc.dyn and
-// packs the probe key (sc.key) that distinguishes transition outcomes:
-// the (l, r) word followed by the signature costs, two 32-bit values per
+// evalDyn evaluates the dynamic rules of n's operator and appends the
+// packed signature to key (after its class word): two 32-bit costs per
 // word with the earlier rule in the low half — the same byte image the
 // persisted signature uses, so saved automata round-trip bit-exactly. A
 // dynamic-cost function only runs when its rule is structurally
 // applicable (every kid nonterminal derivable in the kid's state); such
 // functions inspect the matched pattern's shape, so calling them on
 // non-matching nodes would be wrong — and skipping them also keeps the
-// fast path's dynamic-evaluation count low.
-func (e *Engine) evalDyn(n *ir.Node, ids []int32, sc *scratch, m *metrics.Counters) {
-	rules := e.g.DynRules(n.Op)
+// fast path's dynamic-evaluation count low. Applicability depends on the
+// kids' classes only: a rule's kid nonterminals are relevant at their
+// positions, and rebasing keeps infinite costs infinite.
+func (e *Engine) evalDyn(n *ir.Node, ids []int32, key []uint64, m *metrics.Counters) []uint64 {
 	// One snapshot resolves every kid id: kid states were interned before
 	// their ids were published, and the state list is append-only.
 	states := e.table.States()
-	sc.dyn = sc.dyn[:0]
-	sc.key = append(sc.key[:0], packLR(n, ids))
+	var kids [2][]grammar.Cost
+	for ki, kid := range n.Kids {
+		kids[ki] = states[ids[kid.Index]].Delta
+	}
+	arity := len(n.Kids)
 	var w uint64
+	rules := e.g.DynRules(n.Op)
 	for i, ri := range rules {
 		r := &e.g.Rules[ri]
 		c := grammar.Inf
-		applicable := true
-		for ki, kid := range n.Kids {
-			if !states[ids[kid.Index]].Derives(r.Kids[ki]) {
-				applicable = false
-				break
-			}
-		}
-		if applicable {
+		if (arity < 1 || !kids[0][r.Kids[0]].IsInf()) && (arity < 2 || !kids[1][r.Kids[1]].IsInf()) {
 			m.CountDyn(1)
-			c = e.dynFns[ri](n)
-			if c >= grammar.Inf {
+			if c = e.dynFns[ri](n); c >= grammar.Inf {
 				c = grammar.Inf
 			}
 		}
-		sc.dyn = append(sc.dyn, c)
 		if i%2 == 0 {
 			w = uint64(uint32(c))
 		} else {
-			sc.key = append(sc.key, w|uint64(uint32(c))<<32)
+			key = append(key, w|uint64(uint32(c))<<32)
 		}
 	}
 	if len(rules)%2 == 1 {
-		sc.key = append(sc.key, w)
+		key = append(key, w)
 	}
+	return key
 }
 
-// construct is the slow path: run the DP step once, into sc's vectors, and
-// intern the result, which copies the vectors only if the state is new.
+// construct is the slow path: run the DP step once, into the call's
+// scratch vectors (taken now if the call holds none), intern the result,
+// which copies the vectors only if the state is new, and classify it.
 // Callers hold the operator's slow-path mutex, so concurrent misses of the
 // same transition construct once; the state table additionally dedups by
 // content (which also keeps states interned from different operators'
@@ -753,31 +958,31 @@ func (e *Engine) evalDyn(n *ir.Node, ids []int32, sc *scratch, m *metrics.Counte
 // released by defers, the call's scratch and labeling go to the GC, and
 // the API layer (Selector.Compile) recovers the typed error and returns
 // it to the caller.
-func (e *Engine) construct(op grammar.OpID, kids []*automaton.State, dynVals []grammar.Cost, m *metrics.Counters, sc *scratch) *automaton.State {
-	automaton.Compute(e.g, op, kids, dynVals, e.deltaCap, m, sc.delta, sc.rule)
-	s, _, err := e.table.InternBudget(sc.delta, sc.rule, m)
+func (e *Engine) construct(op grammar.OpID, kids []*automaton.State, dynVals []grammar.Cost, m *metrics.Counters, sc **scratch) *automaton.State {
+	buf := e.takeScratch(sc)
+	automaton.Compute(e.g, op, kids, dynVals, e.deltaCap, m, buf.delta, buf.rule)
+	s, _, err := e.table.InternBudget(buf.delta, buf.rule, m)
 	if err != nil {
 		panic(err)
 	}
+	e.classifyTo(s.ID + 1)
 	return s
 }
 
 // MemoryBytes estimates the engine's current table footprint: interned
-// states plus all memoized transition storage. Dense entries are 4 bytes
-// (flat int32 state ids).
+// states plus the class matrix and spaces and all memoized transition
+// storage. Grid cells are 4 bytes (flat int32 state ids), class-matrix
+// entries 2.
 func (e *Engine) MemoryBytes() int {
-	b := e.table.MemoryBytes()
-	for op := range e.un {
-		if rp := e.un[op].Load(); rp != nil {
-			b += 4 * len(*rp)
-		}
-		if t := e.bin[op].Load(); t != nil {
+	b := e.table.MemoryBytes() + 2*len(*e.cls.Load()) + int(e.classBytes.Load())
+	for op := range e.ops {
+		if t := e.ops[op].grid.Load(); t != nil {
 			b += 4*len(t.cells) + 16
 		}
-		if t := e.dyn[op].Load(); t != nil {
+		if t := e.ops[op].dyn.Load(); t != nil {
 			b += t.memoryBytes()
 		}
 	}
-	b += 4 * len(e.leaf)
+	b += 4 * len(e.ops)
 	return b
 }

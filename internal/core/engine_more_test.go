@@ -33,15 +33,15 @@ func TestFixedGrammarNoDynWork(t *testing.T) {
 	if m.DynEvals != 0 {
 		t.Errorf("dyn evals = %d on a fixed grammar", m.DynEvals)
 	}
-	for op := range e.dyn {
-		if tab := e.dyn[op].Load(); tab != nil && tab.entries() != 0 {
+	for op := range e.ops {
+		if tab := e.ops[op].dyn.Load(); tab != nil && tab.entries() != 0 {
 			t.Errorf("hash path used for op %s on a fixed grammar", g.OpName(grammar.OpID(op)))
 		}
 	}
 }
 
-// TestForceHashUsesNoDenseTables is the inverse: with ForceHash, dense
-// tables stay empty.
+// TestForceHashUsesNoDenseTables is the inverse: with ForceHash, the leaf
+// cells and class grids stay empty.
 func TestForceHashUsesNoDenseTables(t *testing.T) {
 	d := md.MustLoad("demo")
 	g, err := d.Grammar.StripDynamic()
@@ -54,8 +54,8 @@ func TestForceHashUsesNoDenseTables(t *testing.T) {
 	}
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 4, Trees: 50, MaxDepth: 6})
 	e.Label(f)
-	for op := range e.un {
-		if e.leaf[op].Load() >= 0 || e.un[op].Load() != nil || e.bin[op].Load() != nil {
+	for op := range e.ops {
+		if e.ops[op].leaf.Load() >= 0 || e.ops[op].grid.Load() != nil {
 			t.Fatalf("dense table populated for op %s under ForceHash", g.OpName(grammar.OpID(op)))
 		}
 	}
@@ -188,14 +188,14 @@ x: U(x) (1)
 }
 
 // TestDenseBoundRoutesToHash: fixed-operator transitions with a child
-// state id past the dense bound take the operator's hash table instead of
-// sizing a grid by that id. With the bound lowered below the x86 corpus's
-// state count, labels still match DP and no dense table outgrows the
+// class past the grid bound take the operator's hash table instead of
+// sizing a grid by that class. With the bound lowered below the x86
+// corpus's class counts, labels still match DP and no grid outgrows the
 // bound; loading a saved automaton — saved under the same bound, or
-// under the default one with dense cells past it — restores every
+// under the default one with grid cells past it — restores every
 // transition warm, the ones past the bound into the hash tables.
 func TestDenseBoundRoutesToHash(t *testing.T) {
-	const bound = 8
+	const bound = 4
 	d := md.MustLoad("x86")
 	var fs []*ir.Forest
 	for _, c := range workload.MustCompileAll(d.Grammar) {
@@ -206,7 +206,7 @@ func TestDenseBoundRoutesToHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.denseIDs = bound
+		e.maxClasses = bound
 		return e
 	}
 	ref, err := dp.New(d.Grammar, d.Env, nil)
@@ -216,15 +216,12 @@ func TestDenseBoundRoutesToHash(t *testing.T) {
 	checkBounded := func(what string, e *Engine) {
 		t.Helper()
 		hashed := 0
-		for op := range e.un {
+		for op := range e.ops {
 			name := d.Grammar.OpName(grammar.OpID(op))
-			if rp := e.un[op].Load(); rp != nil && len(*rp) > bound {
-				t.Errorf("%s, op %s: dense row of %d cells past the bound %d", what, name, len(*rp), bound)
+			if g := e.ops[op].grid.Load(); g != nil && (g.rows > bound || g.cols > bound) {
+				t.Errorf("%s, op %s: %dx%d grid past the bound %d", what, name, g.rows, g.cols, bound)
 			}
-			if g := e.bin[op].Load(); g != nil && (g.rows > bound || g.stride > bound) {
-				t.Errorf("%s, op %s: %dx%d dense grid past the bound %d", what, name, g.rows, g.stride, bound)
-			}
-			if tab := e.dyn[op].Load(); tab != nil && !d.Grammar.HasDynRules(grammar.OpID(op)) {
+			if tab := e.ops[op].dyn.Load(); tab != nil && !d.Grammar.HasDynRules(grammar.OpID(op)) {
 				hashed += tab.entries()
 			}
 		}
@@ -241,7 +238,7 @@ func TestDenseBoundRoutesToHash(t *testing.T) {
 			compareLabelings(t, d.Grammar, f, ref.LabelResult(f), e.LabelStates(f))
 		}
 		if e.NumStates() <= bound {
-			t.Fatalf("%d states never cross the bound %d", e.NumStates(), bound)
+			t.Fatalf("%d states cannot open classes past the bound %d", e.NumStates(), bound)
 		}
 		var buf bytes.Buffer
 		if err := e.Save(&buf); err != nil {

@@ -3,19 +3,19 @@ package core
 import "sync/atomic"
 
 // openTab is the open-addressing transition table of one dynamic-rule (or
-// ForceHash) operator — the replacement for the per-op sync.Map the engine
-// used through PR 5. Transition keys are (left state, right state,
-// dynamic-cost signature) packed into a fixed number of uint64 words per
-// operator, so a warm probe is a hash over a handful of words, a linear
-// scan of flat arrays, and word-compares — no interface conversions, no
-// boxed int32 values, no per-entry heap objects.
+// ForceHash, or past-the-grid-bound) operator — the replacement for the
+// per-op sync.Map the engine used through PR 5. Transition keys are (left
+// class, right class, dynamic-cost signature) packed into a fixed number
+// of uint64 words per operator, so a warm probe is a hash over a handful of
+// words, a linear scan of flat arrays, and word-compares — no interface
+// conversions, no boxed int32 values, no per-entry heap objects.
 //
 // Layout: capacity is a power of two. keys holds capacity*kw words
-// (kw = words per key, fixed per operator: one (l, r) word plus the
+// (kw = words per key, fixed per operator: one class word plus the
 // operator's packed signature words); ids holds capacity state-id cells
 // with -1 marking an empty slot. Collisions probe linearly.
 //
-// Concurrency follows the engine's dense-table discipline: the warm hit
+// Concurrency follows the engine's grid discipline: the warm hit
 // path is lock-free, all writes happen under the operator's slow-path
 // mutex. A slot becomes readable only through the atomic id publish — the
 // writer fills the key words first and stores the id last, and a reader
@@ -53,7 +53,7 @@ func newOpenTab(kw, capacity int) *openTab {
 
 // hashKey mixes the key words into a probe hash. The multiply-xorshift
 // round per word (the murmur3 finalizer constant) spreads low-entropy keys
-// — small state ids, mostly-zero signatures — across the whole word, so
+// — small class numbers, mostly-zero signatures — across the whole word, so
 // the low bits the mask keeps are well distributed.
 func hashKey(ws []uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)

@@ -230,8 +230,8 @@ stmt: Asgn(reg, reg) (1)
 	// is vacuous: 200 immediate values × 13/7 cost classes forces well past
 	// the minimum capacity on the dynamic operators.
 	grew := false
-	for op := range par.dyn {
-		if tab := par.dyn[op].Load(); tab != nil && int(tab.mask)+1 > openTabMinCap {
+	for op := range par.ops {
+		if tab := par.ops[op].dyn.Load(); tab != nil && int(tab.mask)+1 > openTabMinCap {
 			grew = true
 		}
 	}

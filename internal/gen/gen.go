@@ -50,10 +50,11 @@ type Stats struct {
 	TransitionEntries int
 	// TableBytes is the in-memory footprint of the compact (compressed)
 	// automaton; BlobBytes the size of the serialized `.isel` form.
-	// ExpandedTableBytes is the footprint a serving process actually pays:
-	// the table-backed engines expand the compressed tables into direct
-	// state-indexed arrays at load time, and those arrays — 4·states² per
-	// binary operator — dominate the served memory.
+	// ExpandedTableBytes is the footprint the static engine kind actually
+	// pays: it expands the compressed tables into direct state-indexed
+	// arrays at load time, and those arrays — 4·states² per binary
+	// operator — dominate its served memory. The hybrid kind serves the
+	// compressed tables as they are.
 	TableBytes         int
 	ExpandedTableBytes int
 	BlobBytes          int

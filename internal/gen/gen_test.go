@@ -91,7 +91,7 @@ func TestRoundTrip(t *testing.T) {
 // exactly what a serving process pays — a loaded blob reports
 // Stats.TableBytes compressed (as does Generate, the paper's table-size
 // figure) and precisely Stats.ExpandedTableBytes once expanded the way the
-// table-backed engines serve it, the increment being ExpandBytes.
+// static engine kind serves it, the increment being ExpandBytes.
 func TestExpandedTableBytesAccounting(t *testing.T) {
 	for _, name := range md.Names() {
 		g := fixedGrammar(t, name)

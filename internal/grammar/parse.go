@@ -30,9 +30,10 @@ import (
 // function via DynEnv at engine-construction time. Multi-node patterns are
 // split into normal form automatically (see Normalize).
 //
-// On success, parsing allocates only what the Grammar keeps: tokens are
-// values whose text is a substring of src, and rule source texts are
-// rendered once each into exactly sized strings.
+// On success, parsing allocates little beyond what the Grammar keeps:
+// tokens are values whose text is a substring of src, pattern nodes come
+// from a few slabs, and rule source texts are rendered once each into
+// exactly sized strings.
 func Parse(src string) (*Grammar, error) {
 	p := &parser{lex: lexer{src: src, line: 1}}
 	raw, err := p.parse()
@@ -138,6 +139,35 @@ type rawGrammar struct {
 	// their children: normalization makes one rule per operator node, and
 	// those rules' Kids hold opKids nonterminals in all.
 	opNodes, opKids int
+	// nodes and kids are the slabs pattern nodes and their kid slices are
+	// carved from, so a pattern costs no allocation of its own: patterns
+	// are garbage once normalization has lowered them.
+	nodes []PatNode
+	kids  []*PatNode
+}
+
+// patSlab is the number of pattern nodes, and of kid pointers, one slab
+// holds: large enough that a machine description takes a handful, small
+// enough that the last one's slack stays a few kilobytes.
+const patSlab = 64
+
+// newPatNode carves a pattern node from the node slab.
+func (raw *rawGrammar) newPatNode(name string, isOp bool) *PatNode {
+	if len(raw.nodes) == cap(raw.nodes) {
+		raw.nodes = make([]PatNode, 0, patSlab)
+	}
+	raw.nodes = append(raw.nodes, PatNode{Name: name, IsOp: isOp})
+	return &raw.nodes[len(raw.nodes)-1]
+}
+
+// newKids carves an empty kid slice of capacity n from the kid slab.
+func (raw *rawGrammar) newKids(n int) []*PatNode {
+	if cap(raw.kids)-len(raw.kids) < n {
+		raw.kids = make([]*PatNode, 0, max(patSlab, n))
+	}
+	at := len(raw.kids)
+	raw.kids = raw.kids[:at+n]
+	return raw.kids[at : at : at+n]
 }
 
 // ---------------------------------------------------------------------------
@@ -435,7 +465,7 @@ func (p *parser) parsePattern(raw *rawGrammar) (*PatNode, error) {
 		return nil, p.errf(t.line, "expected pattern, got %q", t.text)
 	}
 	op, isOp := raw.opIDs[t.text]
-	n := &PatNode{Name: t.text, IsOp: isOp}
+	n := raw.newPatNode(t.text, isOp)
 	if !isOp {
 		return n, nil
 	}
@@ -446,7 +476,7 @@ func (p *parser) parsePattern(raw *rawGrammar) (*PatNode, error) {
 	// operator a '(' belongs to the cost specification.
 	if q := p.peek(); arity > 0 && q.kind == tPunct && q.text == "(" {
 		p.next()
-		n.Kids = make([]*PatNode, 0, arity)
+		n.Kids = raw.newKids(arity)
 		for {
 			kid, err := p.parsePattern(raw)
 			if err != nil {

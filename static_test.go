@@ -320,23 +320,25 @@ func TestEvictOverHTTP(t *testing.T) {
 	}
 }
 
-// inflate pads ts with synthetic states up to n: distinct,
-// cost-normalized vectors that no transition reaches, projected onto
-// representer 0 wherever a projection row exists — a well-formed table
-// set, accepted by the validator, that claims n states.
+// inflate pads ts with synthetic states up to n: state 0's vectors with
+// every finite cost raised by the same amount — distinct, passing the
+// per-state rules, reached by no transition — projected wherever state 0
+// projects (its costs rebase to state 0's, so that is where the
+// projection puts them too) — a well-formed table set, accepted by the
+// validator and by the hybrid's projection check, that claims n states.
 func inflate(g *grammar.Grammar, ts *automaton.TableSet, n int) {
 	for s := ts.NumStates(); s < n; s++ {
 		for nt := 0; nt < ts.NumNT; nt++ {
-			d, r := grammar.Inf, int32(-1)
-			if nt == 0 {
-				d, r = grammar.Cost(s), 0
+			d := ts.Deltas[nt]
+			if !d.IsInf() {
+				d += grammar.Cost(s)
 			}
 			ts.Deltas = append(ts.Deltas, d)
-			ts.Rules = append(ts.Rules, r)
+			ts.Rules = append(ts.Rules, ts.Rules[nt])
 		}
 		for op := range ts.Mu {
 			for p := 0; p < g.Ops[op].Arity; p++ {
-				ts.Mu[op][p] = append(ts.Mu[op][p], 0)
+				ts.Mu[op][p] = append(ts.Mu[op][p], ts.Mu[op][p][0])
 			}
 		}
 	}
