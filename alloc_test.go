@@ -187,13 +187,14 @@ func TestWarmHybridCompileAllocsAreResultOnly(t *testing.T) {
 	assertCompileAllocsAreResultOnly(t, "Compile (hybrid x86)", fs, bareCompile(sel))
 }
 
-// TestWarmCompileObservedAllocsAreResultOnly: the telemetry plane must
-// be paid for — on every configuration the bare guards above cover, a
-// warm Compile carrying live counters AND a pooled trace, as the
-// compilation server calls it, allocates exactly what the bare one does:
-// one *Output per call. Options are plain values and stage marks are
-// monotonic clock reads into a fixed struct; histogram records (done by
-// the server, not here) are atomic adds.
+// TestWarmCompileObservedAllocsAreResultOnly: the options must be paid
+// for — on every configuration the bare guards above cover, a warm
+// Compile carrying live counters, a pooled trace and a worker count
+// allocates exactly what the bare one does: one *Output per call.
+// Options are plain values, stage marks are monotonic clock reads into a
+// fixed struct, and Compile labels its one forest sequentially whatever
+// the worker count; histogram records (done by the server, not here) are
+// atomic adds.
 func TestWarmCompileObservedAllocsAreResultOnly(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -211,7 +212,7 @@ func TestWarmCompileObservedAllocsAreResultOnly(t *testing.T) {
 		var pool telemetry.TracePool
 		observed := func(f *ir.Forest) {
 			tr := pool.Get(sel.Machine().Name, string(sel.Kind()), "alloc-test")
-			if _, err := sel.Compile(ctx, f, repro.WithCounters(&jm), repro.WithTrace(tr)); err != nil {
+			if _, err := sel.Compile(ctx, f, repro.WithCounters(&jm), repro.WithTrace(tr), repro.WithWorkers(4)); err != nil {
 				t.Fatal(err)
 			}
 			pool.Put(tr)
@@ -219,7 +220,7 @@ func TestWarmCompileObservedAllocsAreResultOnly(t *testing.T) {
 		for _, f := range fs { // fill the trace pool
 			observed(f)
 		}
-		assertCompileAllocsAreResultOnly(t, fmt.Sprintf("Compile(WithCounters, WithTrace) (%s %s)", c.kind, sel.Machine().Name),
+		assertCompileAllocsAreResultOnly(t, fmt.Sprintf("Compile(WithCounters, WithTrace, WithWorkers(4)) (%s %s)", c.kind, sel.Machine().Name),
 			fs, observed)
 	}
 }

@@ -27,12 +27,13 @@
 // Compile and CompileUnit take a context.Context plus options:
 // WithCounters(c) attributes this one call's work to c (the compilation
 // server's per-client accounting), WithTrace(tr) stamps its stage
-// boundaries into tr, and WithWorkers(n) spreads the call across n
-// goroutines sharing the selector's one engine. Cancellation is
-// cooperative: the reducer polls ctx.Done() every few hundred nodes and
-// unit compilation checks between functions, so a cancelled call returns
-// ctx.Err() within a bounded amount of work. A background context costs
-// nothing on the warm path.
+// boundaries into tr, and WithWorkers(n) spreads a unit's functions
+// across n goroutines sharing the selector's one engine; Compile labels
+// its one forest sequentially. Cancellation is cooperative: the reducer
+// polls ctx.Done() every few hundred nodes and unit compilation checks
+// between functions, so a cancelled call returns ctx.Err() within a
+// bounded amount of work. A background context costs nothing on the
+// warm path.
 //
 // For serving several machine descriptions from one process, Registry
 // holds named, lazily-constructed, individually-warmed selectors (with
@@ -339,7 +340,7 @@ type Output struct {
 // its buffers if it is handed back via ReleaseLabeling, but keeping it is
 // always safe.
 func (s *Selector) Label(f *Forest) (reduce.Labeling, error) {
-	return s.labelChecked(f, nil, 0)
+	return s.labelChecked(f, nil)
 }
 
 // CompileOption tunes one Compile or CompileUnit call. Options are plain
@@ -367,14 +368,12 @@ func WithCounters(c *Counters) CompileOption { return CompileOption{counters: c}
 // telemetry column gate.
 func WithTrace(tr *Trace) CompileOption { return CompileOption{trace: tr} }
 
-// WithWorkers runs this call's work across n goroutines sharing the
-// selector's one engine (n <= 0 means GOMAXPROCS; 1 is sequential).
-// CompileUnit spreads a unit's functions across the workers; Compile —
-// and CompileUnit when functions are scarcer than workers — fans the
-// labeling pass out inside each forest instead, labeling topological
-// levels of nodes in parallel when the engine supports it (see
-// reduce.ParallelLabeler; the automaton kinds do, DP does not). Results
-// are identical to sequential compilation either way.
+// WithWorkers spreads a CompileUnit call's functions across n goroutines
+// sharing the selector's one engine (n <= 0 means GOMAXPROCS; 1 is
+// sequential); outputs are identical to sequential compilation. It does
+// not split a forest: Compile, and each function of a unit, labels
+// sequentially, since a warm node costs one table lookup and no corpus
+// forest is wide enough for a fan-out to pay for its goroutines.
 func WithWorkers(n int) CompileOption {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -416,7 +415,7 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg CompileOption) (*
 		return nil, err
 	}
 	tr := cfg.trace
-	lab, err := s.labelChecked(f, cfg.counters, cfg.workers)
+	lab, err := s.labelChecked(f, cfg.counters)
 	tr.Mark(telemetry.StageLabel)
 	if err != nil {
 		return nil, err
@@ -439,11 +438,12 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg CompileOption) (*
 	return out, nil
 }
 
-// labelChecked labels f, converting the engine's typed state-budget panic
+// labelChecked labels f, counting its events into m (nil: the engine's
+// configured sink) and converting the engine's typed state-budget panic
 // (Options.MaxStates exceeded; see core.Config.MaxStates) into an error.
 // Any other panic — a user dynamic-cost function blowing up — propagates
 // to the caller's containment boundary unchanged.
-func (s *Selector) labelChecked(f *Forest, m *Counters, workers int) (lab reduce.Labeling, err error) {
+func (s *Selector) labelChecked(f *Forest, m *Counters) (lab reduce.Labeling, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, ErrStateBudget) {
@@ -453,7 +453,7 @@ func (s *Selector) labelChecked(f *Forest, m *Counters, workers int) (lab reduce
 			panic(r)
 		}
 	}()
-	return s.labelMetered(f, m, workers), nil
+	return s.eng.LabelMetered(f, m), nil
 }
 
 // releaseLabeling hands a labeling that Compile obtained internally back
@@ -464,25 +464,6 @@ func (s *Selector) releaseLabeling(lab reduce.Labeling) {
 	if rc, ok := s.eng.(reduce.LabelingRecycler); ok {
 		rc.ReleaseLabeling(lab)
 	}
-}
-
-// labelMetered labels through the engine's optional capabilities: with
-// workers > 1 and a reduce.ParallelLabeler engine, the forest is labeled
-// level-parallel; with a per-call sink and a MeteredLabeler engine,
-// events attribute to m; otherwise the plain sequential path runs against
-// the engine's configured sink.
-func (s *Selector) labelMetered(f *Forest, m *Counters, workers int) reduce.Labeling {
-	if workers > 1 {
-		if pl, ok := s.eng.(reduce.ParallelLabeler); ok {
-			return pl.LabelParallel(f, workers, m)
-		}
-	}
-	if m != nil {
-		if ml, ok := s.eng.(reduce.MeteredLabeler); ok {
-			return ml.LabelMetered(f, m)
-		}
-	}
-	return s.eng.Label(f)
 }
 
 // CompileUnit compiles every function of unit, returning one Output per
@@ -500,25 +481,13 @@ func (s *Selector) CompileUnit(ctx context.Context, u *Unit, opts ...CompileOpti
 	cfg := resolveOpts(opts)
 	n := len(u.Funcs)
 	workers := min(cfg.workers, n)
-	// The per-function config: when the unit has fewer functions than
-	// requested workers — one big function is the common case — the surplus
-	// parallelism flows inward as level-parallel labeling of each forest
-	// (see reduce.ParallelLabeler) instead of going idle. With enough
-	// functions to occupy every worker, inner compiles label sequentially:
-	// function-level parallelism already saturates the workers, and nested
-	// fan-out would just multiply goroutines.
-	inner := cfg
-	inner.workers = 0
-	if cfg.workers > n {
-		inner.workers = cfg.workers
-	}
 	outs := make([]*Output, n)
 	if workers <= 1 {
 		for i := range u.Funcs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out, err := s.compile(ctx, u.Funcs[i].Forest, inner)
+			out, err := s.compile(ctx, u.Funcs[i].Forest, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", u.Funcs[i].Name, err)
 			}
@@ -545,7 +514,7 @@ func (s *Selector) CompileUnit(ctx context.Context, u *Unit, opts ...CompileOpti
 					errs[i] = err
 					continue
 				}
-				outs[i], errs[i] = s.compile(ctx, u.Funcs[i].Forest, inner)
+				outs[i], errs[i] = s.compile(ctx, u.Funcs[i].Forest, cfg)
 			}
 		}()
 	}

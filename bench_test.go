@@ -423,33 +423,3 @@ func BenchmarkParallelLabelColdStart(b *testing.B) {
 		})
 	}
 }
-
-// benchLevelParallelLabel measures the intra-forest fan-out: one wide
-// forest partitioned into topological levels, each level's nodes labeled
-// across `workers` goroutines against the shared warm engine (the big-unit
-// latency case where the forest-granular pool above has nothing to fan
-// over). Run with -cpu 1,4 to see the schedule under both a single P and
-// real parallelism.
-func benchLevelParallelLabel(b *testing.B, gname string, workers int) {
-	d := md.MustLoad(gname)
-	f := ir.RandomForest(d.Grammar, ir.RandomConfig{Seed: 7, Trees: 4000, MaxDepth: 8, MaxLeafVal: 3})
-	e, err := core.New(d.Grammar, d.Env, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.ReleaseLabeling(e.LabelStates(f)) // warm: every state and transition built
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ReleaseLabeling(e.LabelStatesParallel(f, workers, nil))
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.NumNodes()), "ns/node")
-}
-
-func BenchmarkLevelParallelLabel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			benchLevelParallelLabel(b, "x86", w)
-		})
-	}
-}

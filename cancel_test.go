@@ -39,7 +39,7 @@ func TestCompilePreCancelled(t *testing.T) {
 		t.Fatalf("Compile on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, err := sel.Compile(ctx, f, repro.WithWorkers(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("level-parallel Compile on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Compile(WithWorkers(2)) on cancelled ctx = %v, want context.Canceled", err)
 	}
 	unit, err := m.CompileMinC("int main() { return 1; }")
 	if err != nil {

@@ -1,6 +1,6 @@
 // Command iselbench regenerates the evaluation tables and figures of the
 // reproduction (E1–E8, the RunE* functions of internal/bench) and runs the
-// EP, SV and PF experiments below.
+// SV and PF experiments below.
 //
 // Usage:
 //
@@ -8,9 +8,6 @@
 //	iselbench -experiment E4   # one experiment
 //	iselbench -grammar mips    # grammar for the per-grammar experiments
 //	iselbench -ablations       # also run the design-choice ablations
-//	iselbench -experiment EP -workers 1,2,4,8
-//	                           # parallel labeling scaling (one warm
-//	                           # engine shared by a worker pool)
 //	iselbench -experiment SV -clients 1,2,4,8
 //	                           # compilation-server replay: N concurrent
 //	                           # clients multiplexed onto one warm engine
@@ -42,11 +39,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment to run: E1..E8, EP, SV, PF or all")
-	gname := flag.String("grammar", "x86", "grammar for per-grammar experiments (E3, E4, E5, E7, EP, SV)")
+	exp := flag.String("experiment", "all", "experiment to run: E1..E8, SV, PF or all")
+	gname := flag.String("grammar", "x86", "grammar for per-grammar experiments (E3, E4, E5, E7, SV)")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	workers := flag.String("workers", "1,2,4,8", "worker counts for the EP parallel-scaling experiment")
-	passes := flag.Int("passes", 20, "corpus passes per EP configuration")
 	clients := flag.String("clients", "1,2,4,8", "client counts for the SV compilation-server experiment")
 	svMachines := flag.String("machines", "", "comma-separated machines for the SV mixed-machine replay (defaults to -grammar; several names interleave clients across machines)")
 	svWorkers := flag.Int("sv-workers", 0, "server worker-pool size for SV (0 = GOMAXPROCS)")
@@ -61,17 +56,12 @@ func main() {
 	flag.Parse()
 	bench.SVTraceDump = *traceOut
 
-	ws, err := parseCounts("-workers", *workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iselbench:", err)
-		os.Exit(1)
-	}
 	cs, err := parseCounts("-clients", *clients)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iselbench:", err)
 		os.Exit(1)
 	}
-	if err := run(*exp, *gname, *svMachines, *ablations, ws, *passes, cs, *svWorkers, *svPasses, *swapAt, *replicas, *replication, *killReplica, *perfOut, *perfPasses); err != nil {
+	if err := run(*exp, *gname, *svMachines, *ablations, cs, *svWorkers, *svPasses, *swapAt, *replicas, *replication, *killReplica, *perfOut, *perfPasses); err != nil {
 		fmt.Fprintln(os.Stderr, "iselbench:", err)
 		os.Exit(1)
 	}
@@ -93,7 +83,7 @@ func parseCounts(flagName, s string) ([]int, error) {
 	return ws, nil
 }
 
-func run(exp, gname, svMachines string, ablations bool, workers []int, passes int, clients []int, svWorkers, svPasses, swapAt, replicas, replication, killReplica int, perfOut string, perfPasses int) error {
+func run(exp, gname, svMachines string, ablations bool, clients []int, svWorkers, svPasses, swapAt, replicas, replication, killReplica int, perfOut string, perfPasses int) error {
 	gnames := []string{gname}
 	if svMachines != "" {
 		gnames = nil
@@ -134,7 +124,6 @@ func run(exp, gname, svMachines string, ablations bool, workers []int, passes in
 		{"E6", func() error { _, t, err := bench.RunE6(); show(t, err); return err }},
 		{"E7", func() error { _, t, err := bench.RunE7(gname); show(t, err); return err }},
 		{"E8", func() error { _, t, err := bench.RunE8(); show(t, err); return err }},
-		{"EP", func() error { _, t, err := bench.RunParallel(gname, workers, passes); show(t, err); return err }},
 		{"SV", func() error {
 			if replicas > 0 {
 				// Distributed replay: N replicas behind the router, warm
@@ -196,7 +185,7 @@ func run(exp, gname, svMachines string, ablations bool, workers []int, passes in
 		}
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want E1..E8, EP, SV, PF or all)", exp)
+		return fmt.Errorf("unknown experiment %q (want E1..E8, SV, PF or all)", exp)
 	}
 	if ablations {
 		t, err := bench.RunAblationDeltaCap()

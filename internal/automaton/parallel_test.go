@@ -103,35 +103,3 @@ func TestStaticParallelLabel(t *testing.T) {
 		}
 	}
 }
-
-// TestStaticLevelParallel: intra-forest level-parallel labeling must
-// reproduce sequential labeling exactly, through both table layouts —
-// the Chase-compressed representer tables and the expanded direct
-// arrays. Run under -race: the only writes are to disjoint ids slots.
-func TestStaticLevelParallel(t *testing.T) {
-	g := fixedDemo(t)
-	for _, expand := range []bool{false, true} {
-		a, err := Generate(g, StaticConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if expand {
-			a.Expand()
-		}
-		for seed := int64(0); seed < 4; seed++ {
-			f := ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: 1500, MaxDepth: 8, Share: seed%2 == 0})
-			want := a.LabelStates(f)
-			for _, workers := range []int{2, 4, 8} {
-				got := a.LabelStatesParallel(f, workers, nil)
-				for _, n := range f.Nodes {
-					if want.StateAt(n) != got.StateAt(n) {
-						t.Fatalf("expand=%v seed=%d workers=%d node %d: level-parallel label differs",
-							expand, seed, workers, n.Index)
-					}
-				}
-				a.ReleaseLabeling(got)
-			}
-			a.ReleaseLabeling(want)
-		}
-	}
-}

@@ -559,7 +559,7 @@ func (a *Static) ReleaseLabeling(lab reduce.Labeling) {
 // Label implements reduce.Labeler.
 func (a *Static) Label(f *ir.Forest) reduce.Labeling { return a.LabelStates(f) }
 
-// LabelMetered implements reduce.MeteredLabeler.
+// LabelMetered implements reduce.Labeler; see LabelStatesMetered.
 func (a *Static) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
 	return a.LabelStatesMetered(f, m)
 }

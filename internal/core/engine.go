@@ -106,20 +106,18 @@
 //     share buffers. A labeling call takes one scratch at its first
 //     construction (or signature too wide for the stack) and returns it at
 //     the end — never a lock or a list item per node, and none at all on a
-//     warm call of the corpus machines; LabelNode, which labels one
-//     node, takes its own, and level-parallel labeling takes one per
-//     goroutine's share of a level. A panicking user dynamic-cost function
-//     loses that call's scratch to the GC, which is harmless (the panic
-//     itself propagates to the caller's containment boundary — the
-//     compilation server recovers it per job). Labelings come from a second
-//     free list and flow back via ReleaseLabeling, which is what makes the
-//     warm path allocation-free end to end. The lists are plain fields, not
-//     sync.Pools, so a dropped engine and everything it recycles die at the
-//     next GC.
+//     warm call of the corpus machines. A panicking user dynamic-cost
+//     function loses that call's scratch to the GC, which is harmless (the
+//     panic itself propagates to the caller's containment boundary — the
+//     compilation server recovers it per job). Labelings come from a
+//     second free list and flow back via ReleaseLabeling, which is what
+//     makes the warm path allocation-free end to end. The lists are plain
+//     fields, not sync.Pools, so a dropped engine and everything it
+//     recycles die at the next GC.
 //
-// Label, LabelNode and Save may be called concurrently; SetMetrics and
-// Load must be serialized against labeling (Load additionally requires a
-// fresh engine). Metrics counters are themselves race-safe (atomic adds),
+// Label and Save may be called concurrently; SetMetrics and Load must be
+// serialized against labeling (Load additionally requires a fresh
+// engine). Metrics counters are themselves race-safe (atomic adds),
 // so one Counters sink can instrument a parallel session. For per-caller
 // accounting — the compilation server attributes work to clients —
 // LabelStatesMetered counts one call's events into a caller-supplied
@@ -222,8 +220,8 @@ type opTab struct {
 // Label calls — exactly the JIT scenario the paper targets: the automaton
 // warms up as the compiler runs, and per-node labeling cost converges to a
 // table lookup. Engines are safe for concurrent labeling (see the package
-// documentation for the contract). Engine implements reduce.Labeler,
-// reduce.MeteredLabeler and reduce.LabelingRecycler.
+// documentation for the contract). Engine implements reduce.Labeler and
+// reduce.LabelingRecycler.
 type Engine struct {
 	g        *grammar.Grammar
 	dynFns   []grammar.DynFunc
@@ -457,10 +455,10 @@ func (e *Engine) LabelStates(f *ir.Forest) *automaton.Labeling {
 // the metrics hook the compilation server uses to account one shared warm
 // engine's work to individual clients.
 //
-// The loop hand-inlines labelNode's grid hit path: on the warm fixed
-// majority a node costs the grid pointer, two class loads, one cell load
-// and no call; the class matrix is reloaded only after a slow path, the
-// one place states are born. Hash-path operators and misses stay out of line, and share one
+// The loop inlines the grid hit path: on the warm fixed majority a node
+// costs the grid pointer, two class loads, one cell load and no call; the
+// class matrix is reloaded only after a slow path, the one place states
+// are born. Hash-path operators and misses stay out of line, and share one
 // scratch, taken at the first construction and returned at the end. A
 // panic (a user dynamic-cost function, or the state budget) leaves the
 // scratch and the labeling to the GC.
@@ -483,7 +481,7 @@ func (e *Engine) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *automato
 				id = o.leaf.Load()
 			case 1:
 				id = o.hitUn(cls, nsp, ids[n.Kids[0].Index])
-			default: // hitBin, inlined by hand
+			default:
 				if t := o.grid.Load(); t != nil {
 					k0 := uint(int(ids[n.Kids[0].Index])*nsp + int(o.of[0]))
 					k1 := uint(int(ids[n.Kids[1].Index])*nsp + int(o.of[1]))
@@ -532,48 +530,9 @@ func (e *Engine) ReleaseLabeling(lab reduce.Labeling) {
 // per-node state assignment.
 func (e *Engine) Label(f *ir.Forest) reduce.Labeling { return e.LabelStates(f) }
 
-// LabelMetered implements reduce.MeteredLabeler.
+// LabelMetered implements reduce.Labeler; see LabelStatesMetered.
 func (e *Engine) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
 	return e.LabelStatesMetered(f, m)
-}
-
-// LabelNode labels one node whose children are already labeled in ids
-// (indexed by node index) and returns the node's state id. Exposed so
-// incremental clients (the JIT scenario) can interleave labeling with
-// other per-node work; resolve ids through Table().Get.
-func (e *Engine) LabelNode(n *ir.Node, ids []int32) int32 {
-	var sc *scratch
-	id := e.labelNode(n, ids, e.m, &sc)
-	if sc != nil {
-		e.scratch.Put(sc)
-	}
-	return id
-}
-
-// labelNode labels one node, counting events into m: the body of
-// LabelStatesMetered's loop, for callers labeling one node at a time. A
-// node that constructs uses *sc, first taking it from the free list if the
-// caller holds none yet; the caller returns it.
-func (e *Engine) labelNode(n *ir.Node, ids []int32, m *metrics.Counters, sc **scratch) int32 {
-	m.CountNode()
-	op := n.Op
-	cls := e.classMatrix()
-	if o := &e.ops[op]; !o.hashed {
-		id := int32(-1)
-		switch len(n.Kids) {
-		case 0:
-			id = o.leaf.Load()
-		case 1:
-			id = o.hitUn(cls, e.nsp, ids[n.Kids[0].Index])
-		default:
-			id = o.hitBin(cls, e.nsp, ids[n.Kids[0].Index], ids[n.Kids[1].Index])
-		}
-		if id >= 0 {
-			m.CountProbe(false)
-			return id
-		}
-	}
-	return e.slow(cls, op, n, ids, m, sc)
 }
 
 // slow labels a node the grid hit path could not, given the class matrix
@@ -597,19 +556,6 @@ func (o *opTab) hitUn(cls []uint16, nsp int, kid int32) int32 {
 	}
 	if c := int32(cls[k]); c < t.rows {
 		return atomic.LoadInt32(&t.cells[c])
-	}
-	return -1
-}
-
-// hitBin is hitUn for binary operators.
-func (o *opTab) hitBin(cls []uint16, nsp int, l, r int32) int32 {
-	t := o.grid.Load()
-	k0, k1 := uint(int(l)*nsp+int(o.of[0])), uint(int(r)*nsp+int(o.of[1]))
-	if t == nil || k0 >= uint(len(cls)) || k1 >= uint(len(cls)) {
-		return -1
-	}
-	if c0, c1 := int32(cls[k0]), int32(cls[k1]); c0 < t.rows && c1 < t.cols {
-		return atomic.LoadInt32(&t.cells[c0*t.cols+c1])
 	}
 	return -1
 }

@@ -99,9 +99,7 @@ func (r *Result) CostAt(n *ir.Node, nt grammar.NT) grammar.Cost {
 // cost/rule tables the oracle tests read.
 func (l *Labeler) Label(f *ir.Forest) reduce.Labeling { return l.LabelResult(f) }
 
-// LabelMetered implements reduce.MeteredLabeler: one call's events are
-// counted into m instead of the labeler's configured sink (nil falls back
-// to it).
+// LabelMetered implements reduce.Labeler; see LabelResultMetered.
 func (l *Labeler) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
 	return l.LabelResultMetered(f, m)
 }
@@ -122,8 +120,9 @@ func (l *Labeler) LabelResult(f *ir.Forest) *Result {
 	return l.LabelResultMetered(f, nil)
 }
 
-// LabelResultMetered is LabelResult with per-call counter attribution
-// (see LabelMetered).
+// LabelResultMetered is LabelResult with per-call counter attribution:
+// one call's events are counted into m instead of the labeler's
+// configured sink (nil falls back to it).
 func (l *Labeler) LabelResultMetered(f *ir.Forest, m *metrics.Counters) *Result {
 	if m == nil {
 		m = l.m

@@ -51,6 +51,12 @@ type Labeling interface {
 // layer's NewSelector; nothing else in the pipeline needs to know about
 // it.
 //
+// Each engine labels a forest in one sequential pass over its nodes, in
+// topological order. LabelMetered is that pass with per-caller work
+// accounting: the compilation server attributes one shared warm engine's
+// work to individual clients, whose counters then merge back into the
+// session totals via metrics.Counters.Add.
+//
 // The stats methods describe the engine's automaton, when it has one:
 // states materialized, transition entries tabulated or memoized, and the
 // estimated table footprint. Engines without tables (dp) report zeros.
@@ -60,8 +66,12 @@ type Labeling interface {
 // automaton.Static is immutable after construction, and core.Engine
 // synchronizes its construct slow path internally (see package core).
 type Labeler interface {
-	// Label assigns a labeling to every node of f.
+	// Label assigns a labeling to every node of f, counting events into
+	// the engine's configured sink.
 	Label(f *ir.Forest) Labeling
+	// LabelMetered is Label counting this one call's events into m
+	// instead (nil falls back to the engine's sink).
+	LabelMetered(f *ir.Forest, m *metrics.Counters) Labeling
 	// NumStates reports automaton states (materialized so far for the
 	// on-demand engine, total for the static one, 0 for dp).
 	NumStates() int
@@ -70,34 +80,6 @@ type Labeler interface {
 	NumTransitions() int
 	// MemoryBytes estimates the engine's table footprint (0 for dp).
 	MemoryBytes() int
-}
-
-// MeteredLabeler is the optional engine capability behind per-caller work
-// accounting: LabelMetered counts the events of one Label call into a
-// caller-supplied sink instead of the engine's configured one (nil falls
-// back to the engine sink). All built-in engines implement it; the
-// compilation server relies on it to attribute one shared warm engine's
-// work to individual clients, whose counters then merge back into the
-// session totals via metrics.Counters.Add.
-type MeteredLabeler interface {
-	LabelMetered(f *ir.Forest, m *metrics.Counters) Labeling
-}
-
-// ParallelLabeler is the optional engine capability behind level-parallel
-// labeling inside one compilation unit: LabelParallel partitions f's nodes
-// into topological levels (see Levels) and labels each level's nodes
-// across up to workers goroutines against the engine's shared tables,
-// with a barrier between levels so every node's children are labeled
-// before it. workers <= 1 must behave exactly like LabelMetered(f, m).
-//
-// The labeling produced must be indistinguishable from the sequential
-// one — engines implement this only when their per-node labeling is
-// already safe for concurrent callers (all built-in automaton engines
-// are; dp's whole-forest recurrence is inherently sequential and does not
-// implement it). Small levels should fall back to the sequential loop:
-// fan-out only pays above a few hundred independent nodes.
-type ParallelLabeler interface {
-	LabelParallel(f *ir.Forest, workers int, m *metrics.Counters) Labeling
 }
 
 // LabelingRecycler is the optional engine capability behind the
@@ -182,7 +164,7 @@ func (rd *Reducer) Cover(f *ir.Forest, lab Labeling, visit Visitor) (grammar.Cos
 // CoverMetered is Cover with per-call counter attribution: reduction
 // visits are counted into m instead of the reducer's configured sink (nil
 // falls back to it) — the reducer half of the per-client accounting the
-// compilation server does via reduce.MeteredLabeler.
+// compilation server does via Labeler.LabelMetered.
 func (rd *Reducer) CoverMetered(f *ir.Forest, lab Labeling, visit Visitor, m *metrics.Counters) (grammar.Cost, error) {
 	return rd.CoverContext(context.Background(), f, lab, visit, m)
 }

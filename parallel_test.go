@@ -34,8 +34,9 @@ int max(int x, int y) {
 `
 
 // TestCompileUnitParallel: CompileUnit under WithWorkers must produce
-// exactly the outputs of sequential compilation, function by function, while sharing
-// one warm on-demand engine across workers.
+// exactly the outputs of sequential compilation, function by function,
+// while sharing one warm on-demand engine across workers — also with
+// more workers (8) than the unit has functions (4).
 func TestCompileUnitParallel(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {
@@ -54,7 +55,7 @@ func TestCompileUnitParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{0, 1, 2, 4} {
+	for _, workers := range []int{0, 1, 2, 4, 8} {
 		parSel, err := m.NewSelector(repro.KindOnDemand, repro.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -130,53 +131,10 @@ type errMismatch int
 
 func (e errMismatch) Error() string { return "concurrent Compile output mismatch" }
 
-// TestCompileWithWorkersLevelParallel: Compile(f, WithWorkers(n)) labels
-// the forest level-parallel on engines that support it, and must produce
-// byte-identical outputs to the sequential compile — across the automaton
-// kinds (which implement reduce.ParallelLabeler) and DP (which silently
-// falls back to the sequential path).
-func TestCompileWithWorkersLevelParallel(t *testing.T) {
-	m, err := repro.LoadMachine("x86")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, err := m.FixedMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One wide forest: many trees in one unit, so leaf-side levels carry
-	// hundreds of independent nodes.
-	unit, err := fixed.CompileMinC(parallelSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, kind := range []repro.Kind{repro.KindDP, repro.KindStatic, repro.KindOnDemand, repro.KindHybrid} {
-		sel, err := fixed.NewSelector(kind, repro.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		for _, fn := range unit.Funcs {
-			want, err := sel.Compile(ctx, fn.Forest)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, fn.Name, err)
-			}
-			for _, workers := range []int{2, 4, 0} {
-				got, err := sel.Compile(ctx, fn.Forest, repro.WithWorkers(workers))
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", kind, fn.Name, workers, err)
-				}
-				if got.Asm != want.Asm || got.Cost != want.Cost || got.Instructions != want.Instructions {
-					t.Errorf("%s/%s workers=%d: level-parallel output differs from sequential", kind, fn.Name, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestCompileUnitSurplusWorkersFlowInward: a unit with fewer functions
-// than workers routes the surplus into level-parallel labeling instead of
-// idling it; outputs must stay identical to sequential compilation.
+// than workers leaves the surplus idle (each function's forest is still
+// labeled sequentially); outputs must stay identical to sequential
+// compilation.
 func TestCompileUnitSurplusWorkersFlowInward(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {
