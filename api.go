@@ -8,7 +8,8 @@
 //   - KindStatic: a burg-style offline automaton (fast per node, no
 //     dynamic costs, tables built ahead of time — in-process, or by
 //     cmd/iselgen and loaded from a blob, with zero construction cost
-//     under traffic);
+//     under traffic), served by the on-demand engine seeded with the
+//     whole closure;
 //   - KindOnDemand: the paper's contribution — the automaton is built
 //     lazily at selection time, giving (warm) static-automaton speed
 //     *and* dynamic costs;
@@ -45,9 +46,10 @@
 // Every engine implements reduce.Labeler — Label plus the
 // NumStates/NumTransitions/MemoryBytes table stats — and Selector
 // dispatches exclusively through that interface. NewSelector builds one
-// of the four kinds from three engines: dp.Labeler, automaton.Static, and
-// core.Engine, which serves both KindOnDemand and KindHybrid. Lower-level
-// tooling reaches the engine through Selector.Labeler.
+// of the four kinds from two engines: dp.Labeler, and core.Engine, which
+// serves KindOnDemand empty and KindStatic and KindHybrid seeded with an
+// ahead-of-time closure (core.NewSeeded). Lower-level tooling reaches the
+// engine through Selector.Labeler.
 //
 // # Concurrency
 //
@@ -125,8 +127,9 @@ const Inf = grammar.Inf
 // Kind selects a labeling engine.
 type Kind string
 
-// The three engines of the paper's comparison. KindHybrid (hybrid.go) is
-// the fourth kind: the on-demand engine, seeded.
+// The three sides of the paper's comparison. KindHybrid (hybrid.go) is
+// the fourth kind: the on-demand engine, seeded with the fixed operators'
+// closure.
 const (
 	KindDP       Kind = "dp"
 	KindStatic   Kind = "static"
@@ -205,9 +208,6 @@ type Options struct {
 	// DeltaCap bounds relative costs in automaton states (default
 	// automaton.DefaultDeltaCap). Only meaningful for the automaton kinds.
 	DeltaCap Cost
-	// ForceHash routes all on-demand transitions through the hash table
-	// (the table-layout ablation). Only meaningful for KindOnDemand.
-	ForceHash bool
 	// MaxStates bounds the number of automaton states the on-demand engine
 	// may materialize (0 = unlimited): the cap policy for pathological
 	// grammars in long-lived servers. A compile whose labeling would grow
@@ -270,7 +270,7 @@ func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 	case KindOnDemand:
 		eng, err = core.New(m.Grammar, m.Env, opt.coreConfig())
 	case KindHybrid:
-		eng, err = newHybridEngine(m, opt)
+		eng, err = newSeededEngine(m, opt)
 	default:
 		return nil, fmt.Errorf("repro: unknown selector kind %q", kind)
 	}
@@ -295,11 +295,10 @@ func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 }
 
 // coreConfig is the on-demand engine configuration opt asks for, for
-// KindOnDemand and KindHybrid alike.
+// KindOnDemand and the seeded kinds alike.
 func (opt Options) coreConfig() core.Config {
 	return core.Config{
-		DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, ForceHash: opt.ForceHash,
-		MaxStates: opt.MaxStates,
+		DeltaCap: opt.DeltaCap, Metrics: opt.Metrics, MaxStates: opt.MaxStates,
 	}
 }
 
@@ -336,9 +335,8 @@ type Output struct {
 
 // Label runs only the labeling pass and returns the labeling for use with
 // lower-level tooling. Most callers want Compile. The returned labeling is
-// caller-owned: engines that implement reduce.LabelingRecycler will reuse
-// its buffers if it is handed back via ReleaseLabeling, but keeping it is
-// always safe.
+// caller-owned: the engine reuses its buffers if it is handed back via
+// Labeler().ReleaseLabeling, but keeping it is always safe.
 func (s *Selector) Label(f *Forest) (reduce.Labeling, error) {
 	return s.labelChecked(f, nil)
 }
@@ -420,7 +418,9 @@ func (s *Selector) compile(ctx context.Context, f *Forest, cfg CompileOption) (*
 	if err != nil {
 		return nil, err
 	}
-	defer s.releaseLabeling(lab)
+	// The labeling never leaves this call, so its buffers go back to the
+	// engine; labelings returned to API callers (Label) are theirs.
+	defer s.eng.ReleaseLabeling(lab)
 	em := s.emitters.Get()
 	defer s.emitters.Put(em)
 	em.Reset()
@@ -454,16 +454,6 @@ func (s *Selector) labelChecked(f *Forest, m *Counters) (lab reduce.Labeling, er
 		}
 	}()
 	return s.eng.LabelMetered(f, m), nil
-}
-
-// releaseLabeling hands a labeling that Compile obtained internally back
-// to the engine's free list, when the engine recycles labelings; for other
-// engines the GC reclaims it. Labelings returned to API callers (Label)
-// are never released here — they are caller-owned.
-func (s *Selector) releaseLabeling(lab reduce.Labeling) {
-	if rc, ok := s.eng.(reduce.LabelingRecycler); ok {
-		rc.ReleaseLabeling(lab)
-	}
 }
 
 // CompileUnit compiles every function of unit, returning one Output per

@@ -58,11 +58,11 @@ func benchStaticGen(b *testing.B, gname string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a, err := automaton.Generate(fixed, automaton.StaticConfig{})
+		_, st, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if a.NumStates() == 0 {
+		if st.States == 0 {
 			b.Fatal("no states")
 		}
 	}
@@ -156,7 +156,11 @@ func benchLabelStatic(b *testing.B, gname string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := automaton.Generate(fixed, automaton.StaticConfig{})
+	ts, _, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewSeeded(fixed, nil, core.Config{}, ts)
 	if err != nil {
 		b.Fatal(err)
 	}

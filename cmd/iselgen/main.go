@@ -122,8 +122,7 @@ func printStats(s gen.Stats) {
 	fmt.Printf("iselgen: grammar %s (fingerprint %016x)\n", s.Grammar, s.Fingerprint)
 	fmt.Printf("  operators %d, nonterminals %d, rules %d\n", s.Ops, s.Nonterms, s.Rules)
 	fmt.Printf("  states %d, representer classes %d, transition entries %d\n", s.States, s.Representers, s.TransitionEntries)
-	fmt.Printf("  table bytes %d (compact, as hybrid serves them), %d as static expands them\n",
-		s.TableBytes, s.ExpandedTableBytes)
+	fmt.Printf("  table bytes %d\n", s.TableBytes)
 	fmt.Printf("  blob bytes %d\n", s.BlobBytes)
 	fmt.Printf("  generation time %s\n", s.GenTime)
 }

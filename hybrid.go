@@ -1,11 +1,6 @@
 package repro
 
-import (
-	"fmt"
-
-	"repro/internal/automaton"
-	"repro/internal/core"
-)
+import "repro/internal/automaton"
 
 // KindHybrid is the on-demand engine with a head start: it starts from
 // the ahead-of-time closure of the grammar's fixed operators (those
@@ -15,7 +10,8 @@ import (
 // KindOnDemand. Seeded and constructed states share one hash-consed
 // state table (see core.NewSeeded), so grammars with dynamic rules, which
 // KindStatic must reject outright, serve their fixed majority warm from
-// the start.
+// the start. KindStatic is the same engine on a fixed-cost grammar, whose
+// closure leaves nothing to construct.
 //
 // Tables resolve exactly like KindStatic's: Options.PreloadPath (a
 // `.isel` blob written by iselgen for the full grammar) when set, else
@@ -34,15 +30,3 @@ const KindHybrid Kind = "hybrid"
 // compiling in-process or preloading a blob): such a grammar has no
 // fixed closure. Match with errors.Is and fall back to KindOnDemand.
 var ErrNoFixedClosure = automaton.ErrNoFixedClosure
-
-func newHybridEngine(m *Machine, opt Options) (Labeler, error) {
-	ts, err := tableSet(m, opt)
-	if err != nil {
-		return nil, err
-	}
-	e, err := core.NewSeeded(m.Grammar, m.Env, opt.coreConfig(), ts)
-	if err != nil {
-		return nil, fmt.Errorf("repro: machine %s: %w", m.Name, err)
-	}
-	return e, nil
-}

@@ -202,16 +202,6 @@ func TestHybridBlobCoverage(t *testing.T) {
 	if sel.Transitions() == trans0 {
 		t.Fatal("dynamic-operator traffic memoized nothing: the on-demand path did not run")
 	}
-
-	// And the hybrid blob is NOT loadable by the static automaton, which
-	// cannot host the dynamic operators.
-	decoded, err := gen.Decode(g, res.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := automaton.NewStaticFromTables(g, decoded); err == nil {
-		t.Fatal("static automaton accepted a fixed-operator (hybrid) blob")
-	}
 }
 
 // TestHybridFullyDynamicTypedError: a grammar whose every leaf operator

@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -23,42 +24,113 @@ func fixedDemo(t testing.TB) *grammar.Grammar {
 	return g
 }
 
+// closure is a generated table set with the states it describes.
+type closure struct {
+	ts     *TableSet
+	st     GenStats
+	states []*State
+}
+
+// generate computes g's closure and validates it, failing the test on
+// any error.
+func generate(t testing.TB, g *grammar.Grammar, cfg StaticConfig) *closure {
+	t.Helper()
+	ts, st, err := GenerateTables(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := ValidateTables(g, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &closure{ts: ts, st: st, states: table.States()}
+}
+
+// label assigns every node of f its state by lookup in the closure's own
+// Leaf, Mu, T1 and T2 tables, counting one node and one probe per node
+// into m (nil is fine): the labeling any engine serving the closure must
+// reproduce, computed with no engine at all.
+func (c *closure) label(f *ir.Forest, m *metrics.Counters) []*State {
+	ts := c.ts
+	ids := make([]int32, len(f.Nodes))
+	out := make([]*State, len(f.Nodes))
+	for i, n := range f.Nodes {
+		m.CountNode()
+		m.CountProbe(false)
+		op := n.Op
+		switch len(n.Kids) {
+		case 0:
+			ids[i] = ts.Leaf[op]
+		case 1:
+			ids[i] = ts.T1[op][ts.Mu[op][0][ids[n.Kids[0].Index]]]
+		default:
+			r0 := ts.Mu[op][0][ids[n.Kids[0].Index]]
+			r1 := ts.Mu[op][1][ids[n.Kids[1].Index]]
+			ids[i] = ts.T2[op][r0*ts.NReps[op][1]+r1]
+		}
+		out[i] = c.states[ids[i]]
+	}
+	return out
+}
+
+// TestGenerateRejectsDynamic: offline generation cannot tabulate
+// dynamic-cost rules. GenerateTables leaves every dynamic operator to
+// serve time — no leaf state, no classes, no transitions — and refuses a
+// grammar whose every leaf operator is dynamic with ErrNoFixedClosure.
+// (The static kind refuses any grammar with dynamic rules outright.)
 func TestGenerateRejectsDynamic(t *testing.T) {
 	d := md.MustLoad("demo")
-	if _, err := Generate(d.Grammar, StaticConfig{}); err == nil {
-		t.Fatal("offline generation must fail for grammars with dynamic rules")
+	g := d.Grammar
+	c := generate(t, g, StaticConfig{})
+	dynOps := 0
+	for op := range g.Ops {
+		if !g.HasDynRules(grammar.OpID(op)) {
+			continue
+		}
+		dynOps++
+		ts := c.ts
+		if ts.Leaf[op] != -1 || ts.NReps[op] != [2]int32{} || len(ts.T1[op]) != 0 || len(ts.T2[op]) != 0 {
+			t.Errorf("dynamic operator %s was tabulated", g.OpName(grammar.OpID(op)))
+		}
+	}
+	if dynOps == 0 {
+		t.Fatal("demo grammar has no dynamic operator")
+	}
+	alldyn := grammar.MustParse(`
+%name alldyn
+%start stmt
+%term L(0) S(1)
+
+reg:  L      = 1 (dyn lc) "l%d"
+stmt: S(reg) = 2 (1) "s %0"
+`)
+	if _, _, err := GenerateTables(alldyn, StaticConfig{}); !errors.Is(err, ErrNoFixedClosure) {
+		t.Errorf("every leaf operator dynamic: err = %v, want ErrNoFixedClosure", err)
 	}
 }
 
 func TestGenerateDemo(t *testing.T) {
 	g := fixedDemo(t)
-	a, err := Generate(g, StaticConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := generate(t, g, StaticConfig{})
 	// The running example's automaton has a handful of states (the
 	// literature's figure shows 6 for the constraint-free grammar).
-	if a.NumStates() < 4 || a.NumStates() > 16 {
-		t.Errorf("states = %d, expected a small automaton", a.NumStates())
+	if c.st.States < 4 || c.st.States > 16 {
+		t.Errorf("states = %d, expected a small automaton", c.st.States)
 	}
-	if a.NumTransitions() == 0 {
+	if c.ts.TransitionEntries() == 0 {
 		t.Error("no transitions generated")
 	}
-	if a.Gen.States != a.NumStates() || a.Gen.TableBytes <= 0 {
-		t.Errorf("generation stats inconsistent: %+v", a.Gen)
-	}
-	if a.MemoryBytes() <= 0 {
-		t.Error("memory estimate must be positive")
-	}
-	if a.Table().Len() != a.NumStates() {
-		t.Error("table length mismatch")
+	if c.st.States != c.ts.NumStates() || c.st.States != len(c.states) ||
+		c.st.TransitionsComputed != c.ts.TransitionEntries() || c.st.TableBytes <= 0 {
+		t.Errorf("generation stats inconsistent with the tables: %+v, %d states, %d transition entries",
+			c.st, c.ts.NumStates(), c.ts.TransitionEntries())
 	}
 }
 
-// TestStaticMatchesDPDemo: on the fixed demo grammar, the static automaton
-// must produce exactly the labeling the dynamic-programming oracle does:
-// same optimal rule for every (node, nonterminal), and state deltas equal
-// to DP costs minus the row minimum.
+// TestStaticMatchesDPDemo: on the fixed demo grammar, the closure must
+// produce exactly the labeling the dynamic-programming oracle does: same
+// optimal rule for every (node, nonterminal), and state deltas equal to
+// DP costs minus the row minimum.
 func TestStaticMatchesDPDemo(t *testing.T) {
 	g := fixedDemo(t)
 	checkStaticAgainstDP(t, g, ir.RandomForest(g, ir.RandomConfig{Seed: 11, Trees: 200, MaxDepth: 8}))
@@ -66,18 +138,15 @@ func TestStaticMatchesDPDemo(t *testing.T) {
 
 func checkStaticAgainstDP(t *testing.T, g *grammar.Grammar, f *ir.Forest) {
 	t.Helper()
-	a, err := Generate(g, StaticConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := generate(t, g, StaticConfig{})
 	l, err := dp.New(g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := l.LabelResult(f)
-	got := a.LabelStates(f)
+	got := cl.label(f, nil)
 	for _, n := range f.Nodes {
-		s := got.StateAt(n)
+		s := got[n.Index]
 		row := want.Costs[n.Index]
 		min := grammar.Inf
 		for _, c := range row {
@@ -109,18 +178,15 @@ func checkStaticAgainstDP(t *testing.T, g *grammar.Grammar, f *ir.Forest) {
 // seeds, so tree shapes are adversarial rather than hand-picked.
 func TestStaticMatchesDPQuick(t *testing.T) {
 	g := fixedDemo(t)
-	a, err := Generate(g, StaticConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := generate(t, g, StaticConfig{})
 	l, _ := dp.New(g, nil, nil)
 	prop := func(seed int64, trees uint8) bool {
 		f := ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: int(trees%16) + 1, MaxDepth: 7})
 		want := l.LabelResult(f)
-		got := a.LabelStates(f)
+		got := c.label(f, nil)
 		for _, n := range f.Nodes {
 			for nt := range want.Costs[n.Index] {
-				if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
+				if want.Rules[n.Index][nt] != got[n.Index].Rule[nt] {
 					return false
 				}
 			}
@@ -280,9 +346,10 @@ y: A (0)
 x: B(x) (5)
 y: B(y) (0)
 `)
-	_, err := Generate(g, StaticConfig{MaxStates: 64})
-	if err == nil {
-		t.Fatal("expected MaxStates abort for diverging grammar")
+	_, _, err := GenerateTables(g, StaticConfig{MaxStates: 64})
+	var trunc *TruncatedError
+	if !errors.As(err, &trunc) || trunc.MaxStates != 64 || trunc.States != 65 {
+		t.Fatalf("err = %v, want a *TruncatedError for the 65th state under MaxStates 64", err)
 	}
 }
 
@@ -297,46 +364,50 @@ y: A (0)
 x: B(x) (5)
 y: B(y) (0)
 `)
-	a, err := Generate(g, StaticConfig{DeltaCap: 20, MaxStates: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumStates() == 0 || a.NumStates() > 1000 {
-		t.Errorf("states = %d", a.NumStates())
+	c := generate(t, g, StaticConfig{DeltaCap: 20, MaxStates: 1000})
+	if c.st.States == 0 || c.st.States > 1000 {
+		t.Errorf("states = %d", c.st.States)
 	}
 }
 
 func TestGenerationMetrics(t *testing.T) {
 	g := fixedDemo(t)
 	m := &metrics.Counters{}
-	a, err := Generate(g, StaticConfig{Metrics: m})
-	if err != nil {
-		t.Fatal(err)
+	c := generate(t, g, StaticConfig{Metrics: m})
+	if m.StatesBuilt != int64(c.st.States) {
+		t.Errorf("states built %d != states %d", m.StatesBuilt, c.st.States)
 	}
-	if m.StatesBuilt != int64(a.NumStates()) {
-		t.Errorf("states built %d != states %d", m.StatesBuilt, a.NumStates())
+	if m.TransitionsAdded != int64(c.st.TransitionsComputed) {
+		t.Errorf("transitions added %d != transitions computed %d", m.TransitionsAdded, c.st.TransitionsComputed)
 	}
 	if m.RulesExamined == 0 || m.TransitionsAdded == 0 {
 		t.Errorf("expected generation work: %s", m)
 	}
 }
 
-// TestLabelingMetrics: static labeling is one probe per node, no rule work.
+// TestLabelingMetrics: labeling through the closure is one probe per
+// node and no rule work — the one work unit per node E4 reports for the
+// static kind — where DP examines rules at every node of the same forest.
 func TestLabelingMetrics(t *testing.T) {
 	g := fixedDemo(t)
-	a, err := Generate(g, StaticConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := generate(t, g, StaticConfig{})
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 3, Trees: 10, MaxDepth: 6})
 	m := &metrics.Counters{}
-	a.SetMetrics(m)
-	a.LabelStates(f)
-	if m.TableProbes != int64(f.NumNodes()) {
-		t.Errorf("probes = %d, want %d (one per node)", m.TableProbes, f.NumNodes())
+	c.label(f, m)
+	if m.TableProbes != int64(f.NumNodes()) || m.PerNode() != 1 {
+		t.Errorf("probes = %d, work %.2f/node; want %d, one per node", m.TableProbes, m.PerNode(), f.NumNodes())
 	}
 	if m.RulesExamined != 0 || m.TableMisses != 0 {
 		t.Errorf("static labeling must do no DP work: %s", m)
+	}
+	dm := &metrics.Counters{}
+	l, err := dp.New(g, nil, dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Label(f)
+	if dm.RulesExamined < int64(f.NumNodes()) {
+		t.Errorf("DP examined %d rules over %d nodes; the comparison has no contrast", dm.RulesExamined, f.NumNodes())
 	}
 }
 

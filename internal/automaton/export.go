@@ -13,16 +13,15 @@ import (
 // onto its class at each child position (see ClassSpace), and T1/T2 are
 // indexed by classes. It is the unit of exchange between the closure
 // (GenerateTables; internal/gen serializes it as an `.isel` blob) and the
-// serving side (NewStaticFromTables, and core.NewSeeded for the hybrid
-// kind, turn it into a labeling engine without re-running any closure
-// work). The on-demand engine keys its own tables the same way, so
-// seeding one is adoption rather than translation.
+// serving side (core.NewSeeded turns it into the static or hybrid kind's
+// engine without re-running any closure work). The on-demand engine keys
+// its own tables the same way, so seeding one is adoption rather than
+// translation.
 //
-// Neither constructor keeps Deltas or Rules: ValidateTables copies every
-// state's vectors into the engine's state table. NewStaticFromTables
-// keeps Leaf, Mu, T1 and T2 as its transition tables, and core.NewSeeded
-// keeps T1 and T2 as its initial class grids (after checking that Mu is
-// its own projection), so those must not be mutated afterwards.
+// The engine does not keep Deltas or Rules: ValidateTables copies every
+// state's vectors into its state table. It keeps T1 and T2 as its initial
+// class grids (after checking that Mu is its own projection), so those
+// must not be mutated afterwards.
 type TableSet struct {
 	// NumNT is the grammar's nonterminal count; state vectors are rows of
 	// this width.
@@ -108,12 +107,12 @@ func ValidateState(g *grammar.Grammar, delta []grammar.Cost, rule []int32) error
 
 // ValidateTables checks that ts is a well-formed table set for g and
 // returns its states interned into a fresh table, ids preserved. It is
-// the one validator every table set crosses before an engine serves it —
-// NewStaticFromTables, core.NewSeeded, and the cluster's blob check all
-// call it — so a blob the framing checks accept (checksum, fingerprint,
-// shape) but whose body is wrong fails here rather than panicking or
-// mislabeling at serve time. It checks provenance-free structure only;
-// callers match the grammar fingerprint first.
+// the one validator every table set crosses before an engine serves it
+// (core.NewSeeded calls it), so a blob the framing checks accept
+// (checksum, fingerprint, shape) but whose body is wrong fails here
+// rather than panicking or mislabeling at serve time. It checks
+// provenance-free structure only; callers match the grammar fingerprint
+// first.
 //
 // The rules: every state passes ValidateState and is unique; every
 // operator of arity k carries k projection rows of one entry per state;
@@ -217,53 +216,11 @@ func ValidateTables(g *grammar.Grammar, ts *TableSet) (*Table, error) {
 	return table, nil
 }
 
-// NewStaticFromTables reconstitutes a labeling automaton from a TableSet
-// generated for exactly g, a grammar without dynamic-cost rules. No
-// closure work runs: ValidateTables re-interns the states and the
-// transition tables are adopted as-is, so construction cost is linear in
-// table size. The automaton labels through the compressed tables until
-// Expand.
-//
-// The automaton keeps ts.Leaf, ts.Mu, ts.T1 and ts.T2, which must not be
-// mutated afterwards; the state vectors are copied.
-func NewStaticFromTables(g *grammar.Grammar, ts *TableSet) (*Static, error) {
-	if err := errDynamic(g); err != nil {
-		return nil, err
-	}
-	table, err := ValidateTables(g, ts)
-	if err != nil {
-		return nil, err
-	}
-	return &Static{
-		g:      g,
-		table:  table,
-		states: table.States(),
-		leaf:   ts.Leaf,
-		mu:     ts.Mu,
-		nreps:  ts.NReps,
-		t1:     ts.T1,
-		t2:     ts.T2,
-	}, nil
-}
-
-// ExpandBytes reports what expanding a table set of the given state count
-// for g adds to its footprint: 4·states per fixed unary operator and
-// 4·states² per fixed binary one. It returns 0 past ExpandMaxBytes, where
-// expansion is refused, so compact-plus-ExpandBytes is always the static
-// kind's true serving footprint.
-func ExpandBytes(g *grammar.Grammar, states int) int {
-	if b := gridBytes(g, states); b <= ExpandMaxBytes {
-		return b
-	}
-	return 0
-}
-
 // MaxGridIndex is the largest n whose direct arrays over n indices for
 // g's fixed operators — 4·n bytes per unary operator, 4·n² per binary —
-// fit ExpandMaxBytes together. It bounds the state ids ExpandTables may
-// size its arrays by, and the representer classes the on-demand engine's
-// class grids may index (the engine routes classes past it to its hash
-// path).
+// fit ExpandMaxBytes together. It bounds the representer classes the
+// on-demand engine's class grids may index (the engine routes classes
+// past it to its hash path).
 func MaxGridIndex(g *grammar.Grammar) int {
 	// gridBytes grows with the index count and exceeds the bound at hi
 	// (unless g has no fixed unary or binary operator at all).
@@ -279,9 +236,9 @@ func MaxGridIndex(g *grammar.Grammar) int {
 	return lo
 }
 
-// gridBytes is the size of direct arrays over states indices for g's
-// fixed operators: 4·states per unary operator, 4·states² per binary.
-func gridBytes(g *grammar.Grammar, states int) int {
+// gridBytes is the size of direct arrays over n indices for g's fixed
+// operators: 4·n per unary operator, 4·n² per binary.
+func gridBytes(g *grammar.Grammar, n int) int {
 	b := 0
 	for op := range g.Ops {
 		if g.HasDynRules(grammar.OpID(op)) {
@@ -289,51 +246,10 @@ func gridBytes(g *grammar.Grammar, states int) int {
 		}
 		switch g.Ops[op].Arity {
 		case 1:
-			b += 4 * states
+			b += 4 * n
 		case 2:
-			b += 4 * states * states
+			b += 4 * n * n
 		}
 	}
 	return b
-}
-
-// ExpandTables decompresses the fixed operators' transition tables of a
-// validated table set with n states into direct state-id-indexed arrays:
-// dir1[op][kid] and dir2[op][l*n+r]. Dynamic operators get nil rows. It
-// returns nil arrays when the grids would exceed ExpandMaxBytes; the
-// caller then keeps labeling through the compressed tables. Static.Expand
-// is its one caller: the on-demand engine labels through class-indexed
-// tables and adopts T1 and T2 unexpanded.
-func ExpandTables(g *grammar.Grammar, n int, ts *TableSet) (dir1, dir2 [][]int32) {
-	if ExpandBytes(g, n) == 0 {
-		return nil, nil
-	}
-	dir1 = make([][]int32, g.NumOps())
-	dir2 = make([][]int32, g.NumOps())
-	for op := range g.Ops {
-		if g.HasDynRules(grammar.OpID(op)) {
-			continue
-		}
-		switch g.Ops[op].Arity {
-		case 1:
-			row := make([]int32, n)
-			mu0 := ts.Mu[op][0]
-			for kid := 0; kid < n; kid++ {
-				row[kid] = ts.T1[op][mu0[kid]]
-			}
-			dir1[op] = row
-		case 2:
-			grid := make([]int32, n*n)
-			mu0, mu1 := ts.Mu[op][0], ts.Mu[op][1]
-			n1 := ts.NReps[op][1]
-			for l := 0; l < n; l++ {
-				r0 := mu0[l] * n1
-				for r := 0; r < n; r++ {
-					grid[l*n+r] = ts.T2[op][r0+mu1[r]]
-				}
-			}
-			dir2[op] = grid
-		}
-	}
-	return dir1, dir2
 }

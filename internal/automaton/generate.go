@@ -3,82 +3,16 @@ package automaton
 import (
 	"fmt"
 
-	"repro/internal/freelist"
 	"repro/internal/grammar"
-	"repro/internal/ir"
 	"repro/internal/metrics"
-	"repro/internal/reduce"
 )
 
-// Static is an offline-generated tree-parsing automaton, the burg
-// equivalent and Baseline 2 of the reproduction: all states and transitions
-// are computed ahead of time, labeling is pure table lookup, and dynamic
-// costs are impossible.
-//
-// Table compression follows Chase/Proebsting index maps: child states are
-// projected, per operator and child position, onto "representer" classes
-// (only the costs of the nonterminals that the operator's rules actually
-// use at that position matter), and transition tables are indexed by
-// representer ids instead of state ids.
-//
-// Static implements reduce.Labeler. All tables are immutable after
-// Generate, so one automaton may label from any number of goroutines
-// concurrently; only SetMetrics must not race with labeling.
-type Static struct {
-	g      *grammar.Grammar
-	table  *Table
-	states []*State // table snapshot, frozen at generation time
-	m      *metrics.Counters
-	labels freelist.List[Labeling] // recycled across LabelStates calls
-
-	leaf []int32 // [op] -> state id for arity-0 ops; -1 otherwise
-
-	// mu[op][p][stateID] -> representer id at child position p of op.
-	mu [][2][]int32
-	// nreps[op][p] is the number of representer classes at (op, p).
-	nreps [][2]int32
-	// t1[op][rep0] -> state id (unary ops).
-	t1 [][]int32
-	// t2[op][rep0*nreps[op][1]+rep1] -> state id (binary ops).
-	t2 [][]int32
-
-	// Expanded direct-lookup tables (see Expand): dir1[op][kidState] and
-	// dir2[op][l*numStates+r] hold state ids indexed by child state ids
-	// directly, removing the two projection loads per node that the
-	// Chase-compressed form costs. nil until Expand; labeling uses them
-	// when present.
-	dir1 [][]int32
-	dir2 [][]int32
-
-	// Gen holds the statistics of the closure Generate computed (zero
-	// for an automaton built from loaded tables).
-	Gen GenStats
-}
-
-// Expand decompresses the transition tables into direct state-id-indexed
-// arrays — the classic space-for-time move: a binary transition becomes
-// one flat row-major load instead of two representer projections plus a
-// compressed lookup (the on-demand engine's class grids keep the
-// projections). Memory grows from O(reps²) to O(states²) per binary
-// operator, which MemoryBytes reports honestly.
-//
-// The static engine kind expands at construction: a long-lived selector
-// trades kilobytes for the fastest possible per-node lookup. Generate
-// keeps the compressed form — its footprint is the paper's table-size
-// figure. Call before the automaton is shared; not concurrency-safe.
-//
-// Expansion is bounded by ExpandMaxBytes: past it the quadratic grids stop
-// being a kilobyte trade (and an untrusted blob header must not be able
-// to demand them), so huge automata keep labeling through the compressed
-// tables.
-func (a *Static) Expand() {
-	if a.dir1 != nil {
-		return
-	}
-	a.dir1, a.dir2 = ExpandTables(a.g, len(a.states), &TableSet{NReps: a.nreps, Mu: a.mu, T1: a.t1, T2: a.t2})
-}
-
-// GenStats summarizes offline generation.
+// GenStats summarizes offline generation: the closure's states, its
+// representer classes summed over the fixed operators' child positions,
+// the transitions it computed (one per tabulated class-pair cell), and
+// TableBytes, the compact footprint — the states plus 4 bytes per
+// projection entry and transition cell of the fixed operators, the
+// paper's table-size figure.
 type GenStats struct {
 	States              int
 	Representers        int
@@ -98,16 +32,14 @@ type StaticConfig struct {
 	Metrics *metrics.Counters
 }
 
-// ExpandMaxBytes bounds the direct arrays one table set may expand into,
-// summed over all operators: each binary operator's grid is states² × 4
-// bytes, so without a total bound a blob claiming a few thousand states
-// for a grammar with dozens of binary operators could demand gigabytes.
-// 16 MiB is over 30× the largest real set (x86.fixed expands to
-// 436,944 bytes) and keeps every single grid at most 2²² cells. Larger
-// table sets label through the compressed representer tables instead. The
-// same bound, through MaxGridIndex, caps the classes the on-demand
-// engine's class grids index, so its int32 c0*cols+c1 index cannot
-// overflow either.
+// ExpandMaxBytes bounds the direct arrays an index range may size,
+// summed over a grammar's fixed operators: 4 bytes per index for each
+// unary operator and 4 per index pair for each binary one. Through
+// MaxGridIndex it caps the classes the on-demand engine's class grids
+// index — classes past it take the hash path — so a blob claiming
+// thousands of classes cannot demand gigabytes of grids, and the
+// engine's int32 c0*cols+c1 index cannot overflow. 16 MiB keeps every
+// single grid at most 2²² cells.
 const ExpandMaxBytes = 16 << 20
 
 // TruncatedError reports a closure that was pruned by StaticConfig
@@ -134,47 +66,16 @@ func (e *TruncatedError) Error() string {
 		e.Grammar, e.MaxStates, e.States, e.Transitions, e.PendingWork)
 }
 
-// Generate builds the full automaton for g: the closure of
-// GenerateTables adopted by NewStaticFromTables, kept compressed. It fails
-// for grammars with dynamic-cost rules — precisely the limitation of
-// offline tree-parsing automata that motivates on-demand construction;
-// strip the rules first (grammar.StripDynamic) to tabulate the fixed-cost
-// subset.
-func Generate(g *grammar.Grammar, cfg StaticConfig) (*Static, error) {
-	if err := errDynamic(g); err != nil {
-		return nil, err
-	}
-	ts, st, err := GenerateTables(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	a, err := NewStaticFromTables(g, ts)
-	if err != nil {
-		return nil, err
-	}
-	a.m = cfg.Metrics
-	a.Gen = st
-	return a, nil
-}
-
-// errDynamic is the static automaton's refusal of grammars with
-// dynamic-cost rules (nil for a fixed-cost grammar).
-func errDynamic(g *grammar.Grammar) error {
-	if !g.HasAnyDynRules() {
-		return nil
-	}
-	return fmt.Errorf("automaton: grammar %s has dynamic-cost rules; offline generation is impossible (use the on-demand engine or StripDynamic)", g.Name)
-}
-
 // GenerateTables computes the closure of g's tree-parsing automaton over
 // its fixed operators — operators without dynamic-cost rules — and
-// returns it as a TableSet. For a fixed-cost grammar that is the whole
-// automaton. For a grammar with dynamic rules it is the hybrid kind's
-// seed (core.NewSeeded): dynamic operators are seeded, projected and transitioned
-// nowhere, and carry zero representer classes, all-zero projection rows
-// (the wire format writes one row per child position unconditionally)
-// and empty transition tables; their states are constructed on demand at
-// serve time.
+// returns it as a TableSet, which core.NewSeeded serves. For a fixed-cost
+// grammar that is the whole automaton, the static kind's seed. For a
+// grammar with dynamic rules it is the hybrid kind's seed: dynamic
+// operators are seeded, projected and transitioned nowhere, and carry
+// zero representer classes, all-zero projection rows (the wire format
+// writes one row per child position unconditionally) and empty
+// transition tables; their states are constructed on demand at serve
+// time.
 //
 // The closure keeps the full grammar (contrast StripDynamic, which
 // renumbers rules and drops orphaned helpers, so stripped-grammar states
@@ -443,123 +344,4 @@ func (gen *generator) finish() (*TableSet, GenStats) {
 		TransitionsComputed: gen.nTr,
 		TableBytes:          tableBytes,
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Labeling with the generated automaton
-
-// Grammar returns the automaton's grammar.
-func (a *Static) Grammar() *grammar.Grammar { return a.g }
-
-// Table returns the automaton's state table.
-func (a *Static) Table() *Table { return a.table }
-
-// SetMetrics swaps the automaton's labeling counter sink (nil disables
-// instrumenting). Not safe to call concurrently with labeling.
-func (a *Static) SetMetrics(m *metrics.Counters) { a.m = m }
-
-// NumStates returns the number of states.
-func (a *Static) NumStates() int { return a.table.Len() }
-
-// NumTransitions returns the number of (compressed) transition entries.
-func (a *Static) NumTransitions() int {
-	n := 0
-	for op := range a.t1 {
-		n += len(a.t1[op]) + len(a.t2[op])
-	}
-	return n
-}
-
-// MemoryBytes estimates the automaton's total table footprint: states,
-// index maps, transition tables, and — when expanded — the direct-lookup
-// arrays.
-func (a *Static) MemoryBytes() int {
-	b := a.table.MemoryBytes()
-	for op := range a.mu {
-		b += 4 * (len(a.mu[op][0]) + len(a.mu[op][1]))
-		b += 4 * (len(a.t1[op]) + len(a.t2[op]))
-	}
-	for op := range a.dir1 {
-		b += 4 * (len(a.dir1[op]) + len(a.dir2[op]))
-	}
-	return b
-}
-
-// LabelStates assigns a state to every node of f by pure table lookup: the
-// offline automaton's fast path. Events are recorded against the counters
-// configured at generation (StaticConfig.Metrics) or via SetMetrics.
-// The labeling comes from the automaton's free list; callers that want its
-// buffers recycled hand it back with ReleaseLabeling when done.
-func (a *Static) LabelStates(f *ir.Forest) *Labeling {
-	return a.LabelStatesMetered(f, nil)
-}
-
-// LabelStatesMetered is LabelStates with per-call counter attribution:
-// events are counted into m instead of the automaton's configured sink
-// (nil falls back to it). The whole pass works on dense state ids — the
-// representer projections are already id-indexed, so no state pointer is
-// touched until the reducer resolves one.
-func (a *Static) LabelStatesMetered(f *ir.Forest, m *metrics.Counters) *Labeling {
-	if m == nil {
-		m = a.m
-	}
-	lab := a.labels.Get()
-	ids := lab.Reuse(len(f.Nodes))
-	if a.dir1 != nil {
-		// Expanded direct tables: one flat load per node, no projections.
-		// Index arithmetic is int: an int32 product would wrap for state
-		// counts past √2³¹ (ExpandMaxBytes keeps us far below, but the
-		// index math must not be what relies on that).
-		stride := len(a.states)
-		for i, n := range f.Nodes {
-			m.CountNode()
-			m.CountProbe(false)
-			op := n.Op
-			switch len(n.Kids) {
-			case 0:
-				ids[i] = a.leaf[op]
-			case 1:
-				ids[i] = a.dir1[op][ids[n.Kids[0].Index]]
-			default:
-				ids[i] = a.dir2[op][int(ids[n.Kids[0].Index])*stride+int(ids[n.Kids[1].Index])]
-			}
-		}
-		lab.BindStates(a.states)
-		return lab
-	}
-	for i, n := range f.Nodes {
-		m.CountNode()
-		m.CountProbe(false)
-		op := n.Op
-		switch len(n.Kids) {
-		case 0:
-			ids[i] = a.leaf[op]
-		case 1:
-			rep := a.mu[op][0][ids[n.Kids[0].Index]]
-			ids[i] = a.t1[op][rep]
-		default:
-			r0 := a.mu[op][0][ids[n.Kids[0].Index]]
-			r1 := a.mu[op][1][ids[n.Kids[1].Index]]
-			ids[i] = a.t2[op][r0*a.nreps[op][1]+r1]
-		}
-	}
-	lab.BindStates(a.states)
-	return lab
-}
-
-// ReleaseLabeling implements reduce.LabelingRecycler: it returns a
-// labeling obtained from this automaton to its free list. The labeling
-// must not be used afterwards.
-func (a *Static) ReleaseLabeling(lab reduce.Labeling) {
-	if l, ok := lab.(*Labeling); ok && l != nil {
-		a.labels.Put(l)
-	}
-}
-
-// Label implements reduce.Labeler.
-func (a *Static) Label(f *ir.Forest) reduce.Labeling { return a.LabelStates(f) }
-
-// LabelMetered implements reduce.Labeler; see LabelStatesMetered.
-func (a *Static) LabelMetered(f *ir.Forest, m *metrics.Counters) reduce.Labeling {
-	return a.LabelStatesMetered(f, m)
 }

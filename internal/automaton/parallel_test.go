@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/grammar"
-	"repro/internal/ir"
 )
 
 // TestTableConcurrentIntern hammers the hash-consing table from many
@@ -66,40 +65,5 @@ func TestTableConcurrentIntern(t *testing.T) {
 			t.Fatalf("duplicate state id %d", s.ID)
 		}
 		seen[s.ID] = true
-	}
-}
-
-// TestStaticParallelLabel: the offline automaton is immutable after
-// generation, so concurrent labeling must be trivially safe and must
-// agree with sequential labeling.
-func TestStaticParallelLabel(t *testing.T) {
-	g := fixedDemo(t)
-	a, err := Generate(g, StaticConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	forests := make([]*ir.Forest, workers)
-	want := make([]*Labeling, workers)
-	for i := range forests {
-		forests[i] = ir.RandomForest(g, ir.RandomConfig{Seed: int64(50 + i), Trees: 100, MaxDepth: 7})
-		want[i] = a.LabelStates(forests[i])
-	}
-	var wg sync.WaitGroup
-	got := make([]*Labeling, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = a.LabelStates(forests[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range forests {
-		for _, n := range forests[i].Nodes {
-			if want[i].StateAt(n) != got[i].StateAt(n) {
-				t.Fatalf("forest %d node %d: parallel label differs", i, n.Index)
-			}
-		}
 	}
 }

@@ -230,11 +230,12 @@ func int32Bytes[T ~int32](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
-// Labeling is the per-node state assignment an automaton labeler produces:
-// a dense vector of state ids plus the state-table snapshot that resolves
-// them. Keeping ids instead of pointers halves the per-node footprint and
-// lets engines reuse one labeling's buffers across calls — labelers hand
-// labelings out of internal free lists (see reduce.LabelingRecycler).
+// Labeling is the per-node state assignment the on-demand engine
+// (internal/core) produces: a dense vector of state ids plus the
+// state-table snapshot that resolves them. Keeping ids instead of
+// pointers halves the per-node footprint and lets the engine reuse one
+// labeling's buffers across calls — it hands labelings out of an internal
+// free list (see reduce.LabelingRecycler).
 //
 // Ownership: a labeling returned by an engine belongs to the caller until
 // it is released back via the engine's ReleaseLabeling, after which it
@@ -263,9 +264,6 @@ func (l *Labeling) Reuse(n int) []int32 {
 // after every id in the labeling has been assigned: the list is
 // append-only, so the snapshot covers all of them.
 func (l *Labeling) Bind(t *Table) { l.states = t.States() }
-
-// BindStates binds an already-frozen snapshot (the static automaton's).
-func (l *Labeling) BindStates(states []*State) { l.states = states }
 
 // RuleAt returns the optimal rule for (n, nt), or -1: the lookup the
 // reducer drives.

@@ -29,12 +29,12 @@ func RunAblationDeltaCap() (*Table, error) {
 		}
 		cells := []string{name}
 		for _, c := range caps {
-			a, err := automaton.Generate(fixed, automaton.StaticConfig{DeltaCap: grammar.Cost(c)})
+			_, st, err := automaton.GenerateTables(fixed, automaton.StaticConfig{DeltaCap: grammar.Cost(c)})
 			if err != nil {
 				cells = append(cells, "err")
 				continue
 			}
-			cells = append(cells, itoa(a.NumStates()))
+			cells = append(cells, itoa(st.States))
 		}
 		t.AddRow(cells...)
 	}

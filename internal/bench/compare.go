@@ -92,10 +92,8 @@ func ComparePerf(base, cur *PerfReport, tolPct float64, allocsOnly bool) []strin
 		if b.HybridStates > 0 {
 			if !allocsOnly {
 				check("hybrid-select-ns/node", b.HybridWarmSelectNsPerNode, row.HybridWarmSelectNsPerNode)
-				check("hybrid-fixed-select-ns/node", b.HybridFixedWarmSelectNsPerNode, row.HybridFixedWarmSelectNsPerNode)
 			}
 			check("hybrid-select-allocs/pass", b.HybridWarmSelectAllocsPerPass, row.HybridWarmSelectAllocsPerPass)
-			check("hybrid-fixed-select-allocs/pass", b.HybridFixedWarmSelectAllocsPerPass, row.HybridFixedWarmSelectAllocsPerPass)
 		}
 		// Telemetry columns only exist from PR 10 onward
 		// (TelemetryWarmCompileNsPerNode > 0 marks them present). The
@@ -124,19 +122,6 @@ func ComparePerf(base, cur *PerfReport, tolPct float64, allocsOnly bool) []strin
 			regressions = append(regressions,
 				fmt.Sprintf("%s: telemetry-on warm label %.2f ns/node exceeds 1.02x telemetry-off (%.2f) + 0.5",
 					row.Grammar, row.TelemetryWarmLabelNsPerNode, row.WarmLabelNsPerNode))
-		}
-		// Within-report contract, not a baseline diff: on the fixed-only
-		// grammar the hybrid engine's warm select must stay within 1.2× of
-		// the static engine's on blob tables — the on-demand engine's
-		// seeded tables may not tax the fixed path. Both figures come from the same run on the same
-		// corpus, so the ratio is meaningful even where cross-run
-		// wall-clock is not; allocsOnly mode still skips it because CI's
-		// shared runners make even same-run ratios jitter.
-		if !allocsOnly && row.HybridStates > 0 && row.OfflineStates > 0 &&
-			row.HybridFixedWarmSelectNsPerNode > 1.2*row.OfflineWarmSelectNsPerNode {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: hybrid fixed-grammar warm select %.2f ns/node exceeds 1.2x offline (%.2f)",
-					row.Grammar, row.HybridFixedWarmSelectNsPerNode, row.OfflineWarmSelectNsPerNode))
 		}
 	}
 	for _, row := range base.Rows {

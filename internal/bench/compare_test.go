@@ -135,15 +135,15 @@ func TestComparePerfHybridColumns(t *testing.T) {
 	// gate them — trajectory points before PR 7 predate the engine.
 	old := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60})
 	cur := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
-		HybridStates: 70, HybridWarmSelectNsPerNode: 55, HybridFixedWarmSelectNsPerNode: 25})
+		HybridStates: 70, HybridWarmSelectNsPerNode: 55})
 	if regs := ComparePerf(old, cur, 10, false); len(regs) != 0 {
 		t.Fatalf("pre-hybrid baseline gated the new columns: %v", regs)
 	}
 
 	base := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
-		HybridStates: 70, HybridWarmSelectNsPerNode: 55, HybridFixedWarmSelectNsPerNode: 25})
+		HybridStates: 70, HybridWarmSelectNsPerNode: 55})
 	slower := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
-		HybridStates: 70, HybridWarmSelectNsPerNode: 63, HybridFixedWarmSelectNsPerNode: 25})
+		HybridStates: 70, HybridWarmSelectNsPerNode: 63})
 	if regs := ComparePerf(base, slower, 10, false); len(regs) != 1 {
 		t.Fatalf("14%% hybrid-select regression not caught: %v", regs)
 	}
@@ -151,31 +151,29 @@ func TestComparePerfHybridColumns(t *testing.T) {
 		t.Fatalf("allocs-only flagged a hybrid ns regression: %v", regs)
 	}
 	leaky := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
-		HybridStates: 70, HybridWarmSelectNsPerNode: 55, HybridFixedWarmSelectNsPerNode: 25,
+		HybridStates: 70, HybridWarmSelectNsPerNode: 55,
 		HybridWarmSelectAllocsPerPass: 1})
 	if regs := ComparePerf(base, leaky, 10, true); len(regs) != 1 {
 		t.Fatalf("hybrid alloc regression not caught: %v", regs)
 	}
 }
 
-func TestComparePerfHybridFixedGate(t *testing.T) {
-	// The 1.2×-offline contract is a within-report rule on the CURRENT
-	// report: a hybrid fixed-grammar select beyond 1.2× the same run's
-	// offline select fails regardless of the baseline.
-	ok := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
-		OfflineStates: 60, OfflineWarmSelectNsPerNode: 20,
-		HybridStates: 70, HybridWarmSelectNsPerNode: 55, HybridFixedWarmSelectNsPerNode: 23})
-	if regs := ComparePerf(ok, ok, 10, false); len(regs) != 0 {
-		t.Fatalf("1.15x hybrid fixed select flagged: %v", regs)
+func TestComparePerfOfflineColumns(t *testing.T) {
+	// The static kind's select (the offline columns) stays under both
+	// gates: wall-clock in the trajectory gate, allocations in both.
+	base := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
+		OfflineStates: 60, OfflineWarmSelectNsPerNode: 20})
+	slower := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
+		OfflineStates: 60, OfflineWarmSelectNsPerNode: 23})
+	if regs := ComparePerf(base, slower, 10, false); len(regs) != 1 || !strings.Contains(regs[0], "offline-select-ns/node") {
+		t.Fatalf("15%% offline-select regression not caught: %v", regs)
 	}
-	over := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
-		OfflineStates: 60, OfflineWarmSelectNsPerNode: 20,
-		HybridStates: 70, HybridWarmSelectNsPerNode: 55, HybridFixedWarmSelectNsPerNode: 25})
-	if regs := ComparePerf(ok, over, 50, false); len(regs) != 1 {
-		t.Fatalf("1.25x hybrid fixed select not caught: %v", regs)
+	if regs := ComparePerf(base, slower, 10, true); len(regs) != 0 {
+		t.Fatalf("allocs-only flagged an offline ns regression: %v", regs)
 	}
-	// allocs-only mode (shared CI runners) skips the wall-clock ratio too.
-	if regs := ComparePerf(ok, over, 50, true); len(regs) != 0 {
-		t.Fatalf("allocs-only flagged the 1.2x ratio: %v", regs)
+	leaky := perfReport(PerfRow{Grammar: "x86", WarmLabelNsPerNode: 40, WarmSelectNsPerNode: 60,
+		OfflineStates: 60, OfflineWarmSelectNsPerNode: 20, OfflineWarmSelectAllocsPerPass: 1})
+	if regs := ComparePerf(base, leaky, 10, true); len(regs) != 1 || !strings.Contains(regs[0], "offline-select-allocs/pass") {
+		t.Fatalf("offline alloc regression not caught: %v", regs)
 	}
 }

@@ -85,7 +85,7 @@ func RunE1() ([]E1Row, *Table, error) {
 			return nil, nil, err
 		}
 		start := time.Now()
-		a, err := automaton.Generate(fixed, automaton.StaticConfig{})
+		_, gst, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -94,8 +94,8 @@ func RunE1() ([]E1Row, *Table, error) {
 			Grammar: name, Ops: st.Operators, Nonterms: st.Nonterminals,
 			SrcRules: st.SourceRules, NormRules: st.NormalizedRules,
 			ChainRules: st.ChainRules, DynRules: st.DynamicRules,
-			FixedStates: a.NumStates(), FixedTrans: a.NumTransitions(),
-			TableBytes: a.MemoryBytes(), GenTime: gen,
+			FixedStates: gst.States, FixedTrans: gst.TransitionsComputed,
+			TableBytes: gst.TableBytes, GenTime: gen,
 		}
 		rows = append(rows, row)
 		t.AddRow(name, itoa(row.Ops), itoa(row.Nonterms), itoa(row.SrcRules), itoa(row.NormRules),
@@ -138,7 +138,7 @@ func RunE2() ([]E2Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		full, err := automaton.Generate(fixed, automaton.StaticConfig{})
+		_, full, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -165,8 +165,8 @@ func RunE2() ([]E2Row, *Table, error) {
 		}
 		row := E2Row{
 			Grammar: name, CorpusNodes: totalNodes(units),
-			FullStates: full.NumStates(), ODFixedStates: eFixed.NumStates(),
-			FractionFixed: float64(eFixed.NumStates()) / float64(full.NumStates()),
+			FullStates: full.States, ODFixedStates: eFixed.NumStates(),
+			FractionFixed: float64(eFixed.NumStates()) / float64(full.States),
 			ODDynStates:   eDyn.NumStates(), ODTransitions: eDyn.NumTransitions(),
 		}
 		rows = append(rows, row)
@@ -251,7 +251,11 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	static, err := automaton.Generate(fixed, automaton.StaticConfig{})
+	ts, _, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
+	if err != nil {
+		return nil, nil, err
+	}
+	static, err := core.NewSeeded(fixed, nil, core.Config{}, ts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -311,7 +315,8 @@ func RunE4(gname string) ([]E4Row, *Table, error) {
 		}
 		warmWork := wm.PerNode()
 
-		// Static automaton on the stripped grammar.
+		// Static automaton on the stripped grammar: the engine seeded
+		// with the whole closure.
 		sm := &metrics.Counters{}
 		static.SetMetrics(sm)
 		for _, f := range fixedUnits[i].forests {
@@ -603,7 +608,7 @@ func RunE8() ([]E8Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		full, err := automaton.Generate(fixed, automaton.StaticConfig{})
+		_, full, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -617,9 +622,9 @@ func RunE8() ([]E8Row, *Table, error) {
 			}
 		}
 		row := E8Row{
-			Grammar: name, FullBytes: full.MemoryBytes(), FullStates: full.NumStates(),
+			Grammar: name, FullBytes: full.TableBytes, FullStates: full.States,
 			ODBytes: e.MemoryBytes(), ODStates: e.NumStates(),
-			Fraction: float64(e.MemoryBytes()) / float64(full.MemoryBytes()),
+			Fraction: float64(e.MemoryBytes()) / float64(full.TableBytes),
 		}
 		rows = append(rows, row)
 		t.AddRow(name, itoa(row.FullBytes), itoa(row.FullStates), itoa(row.ODBytes),

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/automaton"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/grammar"
@@ -73,19 +72,20 @@ func minNsPerNode(passes, nodes int, fn func()) float64 {
 	return best
 }
 
-// minNsPerNodePaired measures two workloads over alternating windows
-// (A,B,A,B,…) and returns each side's best window ns/node. Metrics
-// measured minutes apart in a long run can land in different noise epochs
-// on a shared single-core host — sustained steal biases whichever phase
-// it overlaps — so a ratio between them says more about the host than the
-// code; alternating windows expose both sides to the same epochs. Each
+// minNsPerNodePaired measures two workloads, over nodesA and nodesB
+// nodes per pass, in alternating windows (A,B,A,B,…) and returns each
+// side's best window ns/node. Metrics measured minutes apart in a long
+// run can land in different noise epochs on a shared single-core host —
+// sustained steal biases whichever phase it overlaps — so a ratio between
+// them says more about the host than the code; alternating windows expose
+// both sides to the same epochs. Each
 // window runs one untimed pass first: the partner's window just evicted
 // this engine's tables, and charging the refill to the window would bias
 // the ratio against whichever engine has the larger working set — a
 // contention that steady-state serving (one engine, one process) never
 // sees. Finer-grained interleaving is wrong for the same reason: pairing
 // at pass granularity makes every pass start cache-cold.
-func minNsPerNodePaired(passes, nodes int, fnA, fnB func()) (bestA, bestB float64) {
+func minNsPerNodePaired(passes, nodesA, nodesB int, fnA, fnB func()) (bestA, bestB float64) {
 	// Shorter windows, many more of them, than the unpaired metrics: the
 	// gated ratios decide pass/fail on gaps of a few percent, so both
 	// minima must converge to their true floors. A window only reads clean
@@ -96,7 +96,7 @@ func minNsPerNodePaired(passes, nodes int, fnA, fnB func()) (bestA, bestB float6
 	if wpasses < 1 {
 		wpasses = 1
 	}
-	window := func(fn func()) float64 {
+	window := func(fn func(), nodes int) float64 {
 		fn() // restore the working set the partner's window evicted
 		runtime.GC()
 		start := time.Now()
@@ -107,10 +107,10 @@ func minNsPerNodePaired(passes, nodes int, fnA, fnB func()) (bestA, bestB float6
 	}
 	const pairedRepeats = 15 * timedRepeats
 	for rep := 0; rep < pairedRepeats; rep++ {
-		if a := window(fnA); rep == 0 || a < bestA {
+		if a := window(fnA, nodesA); rep == 0 || a < bestA {
 			bestA = a
 		}
-		if b := window(fnB); rep == 0 || b < bestB {
+		if b := window(fnB, nodesB); rep == 0 || b < bestB {
 			bestB = b
 		}
 	}
@@ -136,12 +136,13 @@ type PerfRow struct {
 	TableBytes              int     `json:"table_bytes"`
 
 	// The offline comparison point (the paper's other side of the
-	// tradeoff): the same corpus selected by the static engine with tables
+	// tradeoff): the same corpus selected by the static engine kind — the
+	// on-demand engine seeded with the whole closure — with tables
 	// compiled ahead of time by internal/gen on the stripped grammar,
-	// loaded through the `.isel` wire format. GenMs is the one-time closure+encode+decode
-	// cost the on-demand engine never pays; OfflineWarmSelectNsPerNode
-	// must stay at or below the on-demand figure (pure lookup, no dynamic
-	// evaluation) and its allocs at zero.
+	// loaded through the `.isel` wire format. GenMs is the one-time
+	// closure+encode+decode cost the on-demand engine never pays;
+	// OfflineWarmSelectNsPerNode is pure lookup, no dynamic evaluation,
+	// and its allocs must stay at zero.
 	OfflineGenMs                   float64 `json:"offline_gen_ms"`
 	OfflineStates                  int     `json:"offline_states"`
 	OfflineTableBytes              int     `json:"offline_table_bytes"`
@@ -186,31 +187,25 @@ type PerfRow struct {
 	TelemetryWarmCompileAllocsPerPass float64 `json:"telemetry_warm_compile_allocs_per_pass,omitempty"`
 	TelemetryExtraAllocsPerPass       float64 `json:"telemetry_extra_allocs_per_pass"`
 
-	// OfflineTableBytes above is the loaded serving footprint — the blob
-	// expands into direct arrays at load time, so it already includes
-	// them. OfflineCompactTableBytes is the pre-expansion footprint
-	// (gen.Stats.TableBytes): the two together make the space-for-time
-	// trade of expansion visible in the trajectory. 0 = column predates
-	// the stat.
+	// OfflineTableBytes above is the loaded serving footprint, the seeded
+	// engine's MemoryBytes. OfflineCompactTableBytes is the closure's
+	// compact footprint (gen.Stats.TableBytes), E1's table-size figure.
+	// 0 = column predates the stat.
 	OfflineCompactTableBytes int `json:"offline_compact_table_bytes,omitempty"`
 
 	// The hybrid engine: fixed-operator offline tables
 	// seeding an on-demand engine, dynamic operators falling through to
 	// the hash path. HybridWarmSelect* run the FULL grammar (dynamic rules
-	// active) over the same corpus as the warm on-demand figures above —
-	// the claim is strictly-faster-than-warm-on-demand on dynamic
-	// grammars. HybridFixedWarmSelect* run the STRIPPED grammar over the
-	// offline corpus: the ≤1.2×-offline contract ComparePerf gates within
-	// each report. HybridStates > 0 marks the columns present (older
-	// baselines lack them).
-	HybridGenMs                        float64 `json:"hybrid_gen_ms,omitempty"`
-	HybridStates                       int     `json:"hybrid_states,omitempty"`
-	HybridTableBytes                   int     `json:"hybrid_table_bytes,omitempty"`
-	HybridBlobBytes                    int     `json:"hybrid_blob_bytes,omitempty"`
-	HybridWarmSelectNsPerNode          float64 `json:"hybrid_warm_select_ns_per_node,omitempty"`
-	HybridWarmSelectAllocsPerPass      float64 `json:"hybrid_warm_select_allocs_per_pass"`
-	HybridFixedWarmSelectNsPerNode     float64 `json:"hybrid_fixed_warm_select_ns_per_node,omitempty"`
-	HybridFixedWarmSelectAllocsPerPass float64 `json:"hybrid_fixed_warm_select_allocs_per_pass"`
+	// active) over the same corpus as the warm on-demand figures above.
+	// On the stripped grammar the hybrid is the static kind, which the
+	// Offline* columns measure. HybridStates > 0 marks the columns present
+	// (older baselines lack them).
+	HybridGenMs                   float64 `json:"hybrid_gen_ms,omitempty"`
+	HybridStates                  int     `json:"hybrid_states,omitempty"`
+	HybridTableBytes              int     `json:"hybrid_table_bytes,omitempty"`
+	HybridBlobBytes               int     `json:"hybrid_blob_bytes,omitempty"`
+	HybridWarmSelectNsPerNode     float64 `json:"hybrid_warm_select_ns_per_node,omitempty"`
+	HybridWarmSelectAllocsPerPass float64 `json:"hybrid_warm_select_allocs_per_pass"`
 }
 
 // PerfReport is the BENCH_PR<N>.json payload.
@@ -247,7 +242,7 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 			"tel-label-ns", "tel-compile-ns", "tel-xallocs",
 			"states", "trans", "table-bytes",
 			"off-select-ns", "off-allocs", "off-states", "off-bytes", "off-gen-ms",
-			"hyb-select-ns", "hyb-fixed-ns", "hyb-allocs", "hyb-states"},
+			"hyb-select-ns", "hyb-allocs", "hyb-states"},
 	}
 	rep := &PerfReport{
 		Schema:     1,
@@ -316,7 +311,7 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 			tlPool.Put(tr)
 		}
 		telLabelPass() // fill the trace pool
-		plainLabelNs, telLabelNs := minNsPerNodePaired(passes, nodes, labelPass, telLabelPass)
+		plainLabelNs, telLabelNs := minNsPerNodePaired(passes, nodes, nodes, labelPass, telLabelPass)
 		if plainLabelNs < warmNs {
 			warmNs = plainLabelNs
 		}
@@ -334,11 +329,10 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 		if err := measureCompile(name, fs, nodes, passes, &row); err != nil {
 			return nil, nil, err
 		}
-		offPass, err := measureOffline(d.Grammar, passes, &row)
-		if err != nil {
+		if err := measureOffline(d.Grammar, passes, nodes, selectPass, &row); err != nil {
 			return nil, nil, err
 		}
-		if err := measureHybrid(d.Grammar, d.Env, fs, nodes, passes, selectPass, offPass, &row); err != nil {
+		if err := measureHybrid(d.Grammar, d.Env, fs, nodes, passes, selectPass, &row); err != nil {
 			return nil, nil, err
 		}
 		rep.Rows = append(rep.Rows, row)
@@ -350,18 +344,17 @@ func RunPerf(passes int) (*PerfReport, *Table, error) {
 			itoa(row.States), itoa(row.Transitions), itoa(row.TableBytes),
 			f1(row.OfflineWarmSelectNsPerNode), f1(row.OfflineWarmSelectAllocsPerPass),
 			itoa(row.OfflineStates), itoa(row.OfflineTableBytes), f2(row.OfflineGenMs),
-			f1(row.HybridWarmSelectNsPerNode), f1(row.HybridFixedWarmSelectNsPerNode),
-			f1(row.HybridWarmSelectAllocsPerPass), itoa(row.HybridStates))
+			f1(row.HybridWarmSelectNsPerNode), f1(row.HybridWarmSelectAllocsPerPass),
+			itoa(row.HybridStates))
 	}
 	rep.Notes = append(rep.Notes,
 		"warm label and select must stay at ~0 allocs/pass: labelings, reducer scratch and dyn buffers are pooled",
 		"ns figures are wall-clock and machine-dependent; compare trends, not absolutes, across BENCH_PR*.json",
-		"warm ns figures are min-of-3 timed windows: external noise only adds time, so the minimum is the comparable statistic on a shared machine",
-		"offline columns run the stripped grammar through the .isel encode/decode round trip: the one-time gen cost buys lookup-only selection with zero construction under traffic",
+		fmt.Sprintf("warm ns figures are min-of-%d timed windows: external noise only adds time, so the minimum is the comparable statistic on a shared machine", timedRepeats),
+		"offline columns run the static kind (the on-demand engine seeded with the whole closure) on the stripped grammar through the .isel encode/decode round trip: the one-time gen cost buys lookup-only selection with zero construction under traffic",
 		"compile-ns/compile-xallocs cover the full warm Compile (label+reduce+emit) through the public Selector: the contract is one *Output per forest and zero allocations per node, so compile-xallocs must stay 0",
-		"off-bytes is the loaded serving footprint (tables expand into direct arrays at load); offline_compact_table_bytes in the JSON is the pre-expansion figure",
+		"off-bytes is the loaded serving footprint (the seeded engine's states, class matrix and class grids); offline_compact_table_bytes in the JSON is the closure's compact figure, E1's table-bytes",
 		"hyb-select-ns runs the hybrid engine (the on-demand engine seeded with the fixed operators' closure) on the FULL grammar over the same corpus as warm-select-ns; once warm the two are one engine, so expect a match",
-		"hyb-fixed-ns runs the hybrid engine on the stripped grammar over the offline corpus; the gate is <= 1.2x off-select-ns (the on-demand engine's seeded tables may not tax the fixed path)",
 		"tel-label-ns is warm-label-ns with the label stage's serving instrumentation (one boundary stamp per forest into a pooled batch trace); the gate is <= 1.02x warm-label-ns + 0.5 ns/node (paired windows; the additive term is a noise floor beside the one TSC read per ~57-node forest)",
 		"tel-compile-ns is compile-ns with the full per-request telemetry plane attached (live counters, pooled trace, per-request histogram fold); informational in wall-clock, gated via tel-xallocs = 0 (telemetry must be allocation-free)",
 	)
@@ -423,7 +416,7 @@ func measureCompile(name string, fs []*ir.Forest, nodes, passes int, row *PerfRo
 		}
 	}
 	telemetryPass() // fill the trace pool
-	plainNs, telNs := minNsPerNodePaired(passes, nodes, compilePass, telemetryPass)
+	plainNs, telNs := minNsPerNodePaired(passes, nodes, nodes, compilePass, telemetryPass)
 	if plainNs < row.WarmCompileNsPerNode {
 		row.WarmCompileNsPerNode = plainNs
 	}
@@ -437,16 +430,16 @@ func measureCompile(name string, fs []*ir.Forest, nodes, passes int, row *PerfRo
 }
 
 // measureOffline fills row's offline comparison columns: the same corpus
-// selected by the static engine with ahead-of-time tables (internal/gen)
-// on the stripped grammar, loaded through the wire format and expanded
-// just as a served blob would be.
-// It returns its warm select pass so measureHybrid can re-time it in
-// windows interleaved with the hybrid fixed pass (the 1.2× gate compares
-// the two, so they must face the same noise epochs).
-func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error) {
+// selected by the static kind — the engine seeded with ahead-of-time
+// tables (internal/gen) of the stripped grammar, loaded through the wire
+// format just as a served blob would be. Its select is re-timed in
+// interleaved paired windows against odPass, the warm on-demand select
+// over odNodes, and keeps its best observation: the estimator the hybrid
+// column gets too.
+func measureOffline(g *grammar.Grammar, passes, odNodes int, odPass func(), row *PerfRow) error {
 	fixed, err := g.StripDynamic()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var fs []*ir.Forest
 	nodes := 0
@@ -455,23 +448,14 @@ func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error
 		nodes += u.nodes
 	}
 	genStart := time.Now()
-	res, err := gen.Compile(fixed, gen.Config{})
+	a, res, err := seededFromBlob(fixed, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ts, err := gen.Decode(fixed, res.Blob)
-	if err != nil {
-		return nil, err
-	}
-	a, err := automaton.NewStaticFromTables(fixed, ts)
-	if err != nil {
-		return nil, err
-	}
-	a.Expand()
 	row.OfflineGenMs = float64(time.Since(genStart).Nanoseconds()) / 1e6
 	rd, err := reduce.New(fixed, nil, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	selectPass := func() {
 		for _, f := range fs {
@@ -484,28 +468,27 @@ func measureOffline(g *grammar.Grammar, passes int, row *PerfRow) (func(), error
 	}
 	selectPass() // fill the labeling and reducer pools; tables are already complete
 	row.OfflineWarmSelectNsPerNode = minNsPerNode(passes, nodes, selectPass)
+	if _, offNs := minNsPerNodePaired(passes, odNodes, nodes, odPass, selectPass); offNs < row.OfflineWarmSelectNsPerNode {
+		row.OfflineWarmSelectNsPerNode = offNs
+	}
 	row.OfflineWarmSelectAllocsPerPass = allocsPerRun(10, selectPass)
 	row.OfflineStates = a.NumStates()
 	row.OfflineTableBytes = a.MemoryBytes()
 	row.OfflineCompactTableBytes = res.Stats.TableBytes
 	row.OfflineBlobBytes = len(res.Blob)
-	return selectPass, nil
+	return nil
 }
 
-// measureHybrid fills row's hybrid columns twice over: once on the full
-// grammar against the on-demand corpus (fs/nodes, beside warm on-demand)
-// and once on the stripped grammar against the offline
-// corpus (the ≤1.2×-offline fixed-path contract). Both engines load their
-// tables through the `.isel` wire round trip, like a served blob.
-//
-// The two comparisons the report gates on (hybrid vs warm on-demand,
-// hybrid-fixed vs offline) are re-timed here in interleaved paired
-// windows against odPass/offPass, and the baseline columns keep their
-// best observation — a min estimator only improves with more samples, and
-// pairing makes the gated ratios robust to host-noise epochs.
-func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, nodes, passes int, odPass, offPass func(), row *PerfRow) error {
+// measureHybrid fills row's hybrid columns on the full grammar against
+// the on-demand corpus (fs/nodes, beside warm on-demand), with tables
+// loaded through the `.isel` wire round trip, like a served blob. The
+// comparison with warm on-demand is re-timed here in interleaved paired
+// windows against odPass, and the on-demand column keeps its best
+// observation — a min estimator only improves with more samples, and
+// pairing makes the ratio robust to host-noise epochs.
+func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, nodes, passes int, odPass func(), row *PerfRow) error {
 	genStart := time.Now()
-	h, res, err := hybridFromBlob(g, env)
+	h, res, err := seededFromBlob(g, env)
 	if err != nil {
 		return err
 	}
@@ -524,7 +507,7 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 		}
 	}
 	selectPass() // warm: the dynamic operators construct their transitions
-	odNs, hybNs := minNsPerNodePaired(passes, nodes, odPass, selectPass)
+	odNs, hybNs := minNsPerNodePaired(passes, nodes, nodes, odPass, selectPass)
 	if odNs < row.WarmSelectNsPerNode {
 		row.WarmSelectNsPerNode = odNs
 	}
@@ -533,51 +516,14 @@ func measureHybrid(g *grammar.Grammar, env grammar.DynEnv, fs []*ir.Forest, node
 	row.HybridStates = res.Stats.States
 	row.HybridTableBytes = h.MemoryBytes()
 	row.HybridBlobBytes = len(res.Blob)
-
-	// Fixed-only half: same stripped grammar and corpus as measureOffline,
-	// so HybridFixedWarmSelectNsPerNode and OfflineWarmSelectNsPerNode are
-	// directly comparable for the 1.2× gate.
-	fixed, err := g.StripDynamic()
-	if err != nil {
-		return err
-	}
-	var ffs []*ir.Forest
-	fnodes := 0
-	for _, u := range loadCorpus(fixed) {
-		ffs = append(ffs, u.forests...)
-		fnodes += u.nodes
-	}
-	hF, _, err := hybridFromBlob(fixed, nil)
-	if err != nil {
-		return err
-	}
-	rdF, err := reduce.New(fixed, nil, nil)
-	if err != nil {
-		return err
-	}
-	fixedPass := func() {
-		for _, f := range ffs {
-			lab := hF.LabelStates(f)
-			if _, err := rdF.Cover(f, lab, nil); err != nil {
-				panic(err) // corpus is known-derivable; see the tests
-			}
-			hF.ReleaseLabeling(lab)
-		}
-	}
-	fixedPass() // fill pools; every transition is a seeded table cell already
-	offNs, hybFixedNs := minNsPerNodePaired(passes, fnodes, offPass, fixedPass)
-	if offNs < row.OfflineWarmSelectNsPerNode {
-		row.OfflineWarmSelectNsPerNode = offNs
-	}
-	row.HybridFixedWarmSelectNsPerNode = hybFixedNs
-	row.HybridFixedWarmSelectAllocsPerPass = allocsPerRun(10, fixedPass)
 	return nil
 }
 
-// hybridFromBlob compiles g's ahead-of-time tables and builds a hybrid
-// engine (the seeded on-demand engine) from the blob through the
-// decode-and-validate path a served blob takes.
-func hybridFromBlob(g *grammar.Grammar, env grammar.DynEnv) (*core.Engine, *gen.Result, error) {
+// seededFromBlob compiles g's ahead-of-time tables and builds the seeded
+// on-demand engine from the blob through the decode-and-validate path a
+// served blob takes: the hybrid kind's engine, or the static kind's on a
+// fixed-cost grammar.
+func seededFromBlob(g *grammar.Grammar, env grammar.DynEnv) (*core.Engine, *gen.Result, error) {
 	res, err := gen.Compile(g, gen.Config{})
 	if err != nil {
 		return nil, nil, err

@@ -51,19 +51,21 @@
 //
 // # Seeding
 //
-// NewSeeded is the hybrid kind: the same engine, started from an
-// ahead-of-time closure (automaton.GenerateTables, or a `.isel` blob)
-// instead of empty. It interns copies of the table set's states with their
+// NewSeeded serves the table-backed kinds: the same engine, started from
+// an ahead-of-time closure (automaton.GenerateTables, or a `.isel` blob)
+// instead of empty. On a fixed-cost grammar the closure is the whole
+// automaton and the engine never constructs — the burg-style static kind;
+// on a grammar with dynamic rules it covers the fixed operators — the
+// hybrid kind. It interns copies of the table set's states with their
 // ids and classifies them, which numbers every class space's classes in
 // the order the generator numbered them; a table set whose projection rows
 // (Mu) disagree with that fails with ErrClassMismatch. The fixed
-// operators' T1 and T2 tables then become the grids as they are — no
-// expansion into state-indexed arrays — so fixed-operator traffic hits
-// from the first request while dynamic operators construct on demand as
-// usual. The closure is a fixpoint over the fixed operators, so a seeded
-// grid never misses on seeded children; children born on demand (under a
-// dynamic subtree) that open new classes extend the grids like any other
-// miss.
+// operators' T1 and T2 tables then become the grids as they are, so
+// fixed-operator traffic hits from the first request while dynamic
+// operators construct on demand as usual. The closure is a fixpoint over
+// the fixed operators, so a seeded grid never misses on seeded children;
+// children born on demand (under a dynamic subtree) that open new classes
+// extend the grids like any other miss.
 //
 // # Concurrency
 //
@@ -220,8 +222,7 @@ type opTab struct {
 // Label calls — exactly the JIT scenario the paper targets: the automaton
 // warms up as the compiler runs, and per-node labeling cost converges to a
 // table lookup. Engines are safe for concurrent labeling (see the package
-// documentation for the contract). Engine implements reduce.Labeler and
-// reduce.LabelingRecycler.
+// documentation for the contract). Engine implements reduce.Labeler.
 type Engine struct {
 	g        *grammar.Grammar
 	dynFns   []grammar.DynFunc
@@ -337,10 +338,12 @@ func New(g *grammar.Grammar, env grammar.DynEnv, cfg Config) (*Engine, error) {
 // Seeding is not subject to Config.MaxStates, which bounds on-demand
 // growth past the seeds: a budget below the seeded state count leaves no
 // headroom, and the first construction fails with ErrStateBudget.
-// NumTransitions starts at the table set's transition count. The engine
-// keeps ts.T1 and ts.T2 as its initial grids (it never writes a filled
-// cell, and grows a grid into a copy), so they must not be mutated
-// afterwards; the states are copied.
+// NumTransitions starts at the cells of the grids it adopts. Under
+// Config.ForceHash it adopts no leaf state and no grid (every operator
+// takes the hash path), and starts at zero. The engine keeps ts.T1 and
+// ts.T2 as its initial grids (it never writes a filled cell, and grows a
+// grid into a copy), so they must not be mutated afterwards; the states
+// are copied.
 func NewSeeded(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ts *automaton.TableSet) (*Engine, error) {
 	e, err := New(g, env, cfg)
 	if err != nil {
@@ -358,25 +361,25 @@ func NewSeeded(g *grammar.Grammar, env grammar.DynEnv, cfg Config, ts *automaton
 		if g.HasDynRules(grammar.OpID(op)) {
 			continue // validated empty: built on demand
 		}
-		if arity == 0 {
-			e.ops[op].leaf.Store(ts.Leaf[op])
-			continue
-		}
 		for p := 0; p < arity; p++ {
 			if err := e.checkMu(cls, grammar.OpID(op), p, ts); err != nil {
 				return nil, err
 			}
 		}
 		if e.ops[op].hashed {
+			continue // Config.ForceHash: every transition takes the hash path
+		}
+		if arity == 0 {
+			e.ops[op].leaf.Store(ts.Leaf[op])
 			continue
 		}
-		if arity == 1 {
-			e.ops[op].grid.Store(&grid{rows: ts.NReps[op][0], cols: 1, cells: ts.T1[op]})
-		} else {
-			e.ops[op].grid.Store(&grid{rows: ts.NReps[op][0], cols: ts.NReps[op][1], cells: ts.T2[op]})
+		t := &grid{rows: ts.NReps[op][0], cols: 1, cells: ts.T1[op]}
+		if arity == 2 {
+			t.cols, t.cells = ts.NReps[op][1], ts.T2[op]
 		}
+		e.ops[op].grid.Store(t)
+		e.transitions.Add(int64(len(t.cells)))
 	}
-	e.transitions.Store(int64(ts.TransitionEntries()))
 	return e, nil
 }
 

@@ -41,26 +41,57 @@ func TestFixedGrammarNoDynWork(t *testing.T) {
 }
 
 // TestForceHashUsesNoDenseTables is the inverse: with ForceHash, the leaf
-// cells and class grids stay empty.
+// cells and class grids stay empty, for an empty engine and for one
+// seeded with the closure alike. A seeded engine counts only the cells it
+// adopts, so the ForceHash seed starts at zero transitions (a plain seed
+// at the table set's count) and memoizes its transitions on the hash
+// path, labeling like DP without a new state.
 func TestForceHashUsesNoDenseTables(t *testing.T) {
 	d := md.MustLoad("demo")
 	g, err := d.Grammar.StripDynamic()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(g, nil, Config{ForceHash: true})
+	ts, _, err := automaton.GenerateTables(g, automaton.StaticConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewSeeded(g, nil, Config{}, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.NumTransitions() != ts.TransitionEntries() {
+		t.Errorf("seeded engine counts %d transitions, the table set has %d", plain.NumTransitions(), ts.TransitionEntries())
+	}
+	empty, err := New(g, nil, Config{ForceHash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := NewSeeded(g, nil, Config{ForceHash: true}, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeded.NumTransitions() != 0 {
+		t.Errorf("ForceHash seed counts %d transitions before labeling, want 0", seeded.NumTransitions())
+	}
+	l, err := dp.New(g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 4, Trees: 50, MaxDepth: 6})
-	e.Label(f)
-	for op := range e.ops {
-		if e.ops[op].leaf.Load() >= 0 || e.ops[op].grid.Load() != nil {
-			t.Fatalf("dense table populated for op %s under ForceHash", g.OpName(grammar.OpID(op)))
+	for _, e := range []*Engine{empty, seeded} {
+		compareLabelings(t, g, f, l.LabelResult(f), e.LabelStates(f))
+		for op := range e.ops {
+			if e.ops[op].leaf.Load() >= 0 || e.ops[op].grid.Load() != nil {
+				t.Fatalf("dense table populated for op %s under ForceHash", g.OpName(grammar.OpID(op)))
+			}
+		}
+		if e.NumStates() == 0 || e.NumTransitions() == 0 {
+			t.Fatal("nothing labeled")
 		}
 	}
-	if e.NumStates() == 0 {
-		t.Fatal("nothing labeled")
+	if seeded.NumStates() != ts.NumStates() {
+		t.Errorf("ForceHash seed grew from %d to %d states", ts.NumStates(), seeded.NumStates())
 	}
 }
 
@@ -269,7 +300,7 @@ func TestOnDemandSaturatesTinyGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := automaton.Generate(g, automaton.StaticConfig{})
+	_, full, err := automaton.GenerateTables(g, automaton.StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +312,9 @@ func TestOnDemandSaturatesTinyGrammar(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		e.Label(ir.RandomForest(g, ir.RandomConfig{Seed: seed, Trees: 80, MaxDepth: 9}))
 	}
-	if e.NumStates() != full.NumStates() {
+	if e.NumStates() != full.States {
 		t.Errorf("saturated on-demand has %d states, full automaton %d",
-			e.NumStates(), full.NumStates())
+			e.NumStates(), full.States)
 	}
 }
 

@@ -153,7 +153,11 @@ func TestOnDemandSubsetOfStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := automaton.Generate(g, automaton.StaticConfig{})
+	ts, _, err := automaton.GenerateTables(g, automaton.StaticConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := automaton.ValidateTables(g, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +167,12 @@ func TestOnDemandSubsetOfStatic(t *testing.T) {
 	}
 	f := ir.RandomForest(g, ir.RandomConfig{Seed: 31, Trees: 400, MaxDepth: 8})
 	e.LabelStates(f)
-	if e.NumStates() > full.NumStates() {
-		t.Errorf("on-demand states %d exceed full automaton %d", e.NumStates(), full.NumStates())
+	if e.NumStates() > full.Len() {
+		t.Errorf("on-demand states %d exceed full automaton %d", e.NumStates(), full.Len())
 	}
 	// Every on-demand state must exist in the full automaton.
 	fullKeys := map[string]bool{}
-	for _, s := range full.Table().States() {
+	for _, s := range full.States() {
 		fullKeys[stateSig(s)] = true
 	}
 	for _, s := range e.Table().States() {

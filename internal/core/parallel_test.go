@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/dp"
+	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/md"
 	"repro/internal/metrics"
@@ -96,56 +98,95 @@ func totalNodes(fs []*ir.Forest) int {
 	return n
 }
 
-// TestParallelLabelWarmAddsNothing: after a sequential warm-up, parallel
-// relabeling of the same workload must be pure fast path — no new states
-// or transitions, and labels identical to the DP oracle.
+// TestParallelLabelWarmAddsNothing: on a warm engine — one warmed by a
+// sequential pass, or one seeded with a fixed-cost grammar's whole
+// closure, the static kind — parallel relabeling must be pure fast path:
+// no misses, no new states or transitions, and labels identical to the
+// sequential ones and to the DP oracle.
 func TestParallelLabelWarmAddsNothing(t *testing.T) {
 	d := md.MustLoad("demo")
-	e, err := New(d.Grammar, d.Env, Config{})
+	fixed, err := d.Grammar.StripDynamic()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := dp.New(d.Grammar, d.Env, nil)
+	closure, _, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 6
-	forests := make([]*ir.Forest, workers)
-	for i := range forests {
-		forests[i] = ir.RandomForest(d.Grammar, ir.RandomConfig{
-			Seed: int64(500 + i), Trees: 150, MaxDepth: 7, Share: true, MaxLeafVal: 3,
-		})
-		e.LabelStates(forests[i]) // warm up
-	}
-	states, trans := e.NumStates(), e.NumTransitions()
+	for _, c := range []struct {
+		name string
+		g    *grammar.Grammar
+		env  grammar.DynEnv
+		seed *automaton.TableSet // nil: start empty
+	}{
+		{"warmed", d.Grammar, d.Env, nil},
+		{"seeded", fixed, nil, closure},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := &metrics.Counters{}
+			var e *Engine
+			var err error
+			if c.seed == nil {
+				e, err = New(c.g, c.env, Config{Metrics: m})
+			} else {
+				e, err = NewSeeded(c.g, c.env, Config{Metrics: m}, c.seed)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := dp.New(c.g, c.env, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const workers = 6
+			forests := make([]*ir.Forest, workers)
+			want := make([]*automaton.Labeling, workers)
+			for i := range forests {
+				forests[i] = ir.RandomForest(c.g, ir.RandomConfig{
+					Seed: int64(500 + i), Trees: 150, MaxDepth: 7, Share: true, MaxLeafVal: 3,
+				})
+				want[i] = e.LabelStates(forests[i]) // warm up
+			}
+			states, trans := e.NumStates(), e.NumTransitions()
+			m.Reset()
 
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f := forests[i]
-			got := e.LabelStates(f)
-			want := l.LabelResult(f)
-			for _, n := range f.Nodes {
-				for nt := range want.Rules[n.Index] {
-					if want.Rules[n.Index][nt] != got.StateAt(n).Rule[nt] {
-						errc <- fmt.Errorf("forest %d node %d nt %d: parallel label disagrees with DP", i, n.Index, nt)
-						return
+			var wg sync.WaitGroup
+			errc := make(chan error, workers)
+			got := make([]*automaton.Labeling, workers)
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					f := forests[i]
+					got[i] = e.LabelStates(f)
+					want := l.LabelResult(f)
+					for _, n := range f.Nodes {
+						for nt := range want.Rules[n.Index] {
+							if want.Rules[n.Index][nt] != got[i].StateAt(n).Rule[nt] {
+								errc <- fmt.Errorf("forest %d node %d nt %d: parallel label disagrees with DP", i, n.Index, nt)
+								return
+							}
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Error(err)
+			}
+			for i, f := range forests {
+				for _, n := range f.Nodes {
+					if want[i].StateAt(n) != got[i].StateAt(n) {
+						t.Fatalf("forest %d node %d: parallel label differs from sequential", i, n.Index)
 					}
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	if e.NumStates() != states || e.NumTransitions() != trans {
-		t.Errorf("warm parallel relabeling grew the automaton: %d->%d states, %d->%d transitions",
-			states, e.NumStates(), trans, e.NumTransitions())
+			if m.TableMisses != 0 || e.NumStates() != states || e.NumTransitions() != trans {
+				t.Errorf("warm parallel relabeling: %d misses, %d->%d states, %d->%d transitions; want none",
+					m.TableMisses, states, e.NumStates(), trans, e.NumTransitions())
+			}
+		})
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 )
 
 // Labeler is an iburg/lburg-style dynamic-programming labeler. It
-// implements reduce.Labeler (plus reduce.LabelingRecycler); all working
-// state lives in the per-call Result, so one Labeler may label from many
-// goroutines concurrently.
+// implements reduce.Labeler; all working state lives in the per-call
+// Result, so one Labeler may label from many goroutines concurrently.
 type Labeler struct {
 	g       *grammar.Grammar
 	dyn     []grammar.DynFunc // indexed by rule index; nil for fixed-cost rules

@@ -10,9 +10,10 @@
 // first request.
 //
 // cmd/iselgen is the front end. Loading is Decode followed by the engine
-// constructor's validation: the `static` engine kind serves the tables of
-// a fixed-cost grammar, the `hybrid` kind serves the fixed operators of a
-// grammar with dynamic-cost rules and builds the rest on demand. The
+// constructor's validation (core.NewSeeded): the `static` engine kind
+// serves the tables of a fixed-cost grammar, the `hybrid` kind serves the
+// fixed operators of a grammar with dynamic-cost rules and builds the
+// rest on demand. The
 // tradeoff measured against the on-demand engine is the paper's: offline
 // tables cost full generation up front and cannot host dynamic-cost
 // rules, but serve every request at pure table-lookup speed with zero
@@ -49,16 +50,11 @@ type Stats struct {
 	Representers      int
 	TransitionEntries int
 	// TableBytes is the in-memory footprint of the compact (compressed)
-	// automaton; BlobBytes the size of the serialized `.isel` form.
-	// ExpandedTableBytes is the footprint the static engine kind actually
-	// pays: it expands the compressed tables into direct state-indexed
-	// arrays at load time, and those arrays — 4·states² per binary
-	// operator — dominate its served memory. The hybrid kind serves the
-	// compressed tables as they are.
-	TableBytes         int
-	ExpandedTableBytes int
-	BlobBytes          int
-	GenTime            time.Duration
+	// automaton (automaton.GenStats); BlobBytes the size of the
+	// serialized `.isel` form.
+	TableBytes int
+	BlobBytes  int
+	GenTime    time.Duration
 }
 
 // Result is a completed ahead-of-time compilation.
@@ -99,18 +95,17 @@ func Compile(g *grammar.Grammar, cfg Config) (*Result, error) {
 		Tables:  ts,
 		Blob:    blob,
 		Stats: Stats{
-			Grammar:            g.Name,
-			Fingerprint:        g.Fingerprint(),
-			Ops:                st.Operators,
-			Nonterms:           st.Nonterminals,
-			Rules:              st.NormalizedRules,
-			States:             gst.States,
-			Representers:       gst.Representers,
-			TransitionEntries:  ts.TransitionEntries(),
-			TableBytes:         gst.TableBytes,
-			ExpandedTableBytes: gst.TableBytes + automaton.ExpandBytes(g, gst.States),
-			BlobBytes:          len(blob),
-			GenTime:            elapsed,
+			Grammar:           g.Name,
+			Fingerprint:       g.Fingerprint(),
+			Ops:               st.Operators,
+			Nonterms:          st.Nonterminals,
+			Rules:             st.NormalizedRules,
+			States:            gst.States,
+			Representers:      gst.Representers,
+			TransitionEntries: ts.TransitionEntries(),
+			TableBytes:        gst.TableBytes,
+			BlobBytes:         len(blob),
+			GenTime:           elapsed,
 		},
 	}, nil
 }

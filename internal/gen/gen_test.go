@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/automaton"
+	"repro/internal/core"
 	"repro/internal/grammar"
 	"repro/internal/ir"
 	"repro/internal/md"
@@ -28,19 +29,14 @@ func fixedGrammar(t *testing.T, name string) *grammar.Grammar {
 	return g
 }
 
-// load builds the static engine from a blob the way a served blob is
-// loaded: Decode, the one validator, then expansion.
-func load(g *grammar.Grammar, blob []byte) (*automaton.Static, error) {
+// load builds the static kind's engine from a blob the way a served blob
+// is loaded: Decode, then core.NewSeeded, which validates.
+func load(g *grammar.Grammar, blob []byte) (*core.Engine, error) {
 	ts, err := Decode(g, blob)
 	if err != nil {
 		return nil, err
 	}
-	a, err := automaton.NewStaticFromTables(g, ts)
-	if err != nil {
-		return nil, err
-	}
-	a.Expand()
-	return a, nil
+	return core.NewSeeded(g, nil, core.Config{}, ts)
 }
 
 // TestRoundTrip: encode/decode must reconstitute an automaton that is
@@ -57,7 +53,11 @@ func TestRoundTrip(t *testing.T) {
 		if res.Stats.BlobBytes != len(blob) || len(blob) == 0 {
 			t.Errorf("%s: Stats.BlobBytes = %d, blob %d", g.Name, res.Stats.BlobBytes, len(blob))
 		}
-		generated, err := automaton.Generate(g, automaton.StaticConfig{})
+		ts, _, err := automaton.GenerateTables(g, automaton.StaticConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		generated, err := core.NewSeeded(g, nil, core.Config{}, ts)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -84,43 +84,49 @@ func TestRoundTrip(t *testing.T) {
 			generated.ReleaseLabeling(want)
 			loaded.ReleaseLabeling(got)
 		}
+		if loaded.NumStates() != res.Stats.States || loaded.NumTransitions() != res.Stats.TransitionEntries {
+			t.Errorf("%s: random forests grew the loaded closure to %d states / %d transitions, Stats %d / %d",
+				g.Name, loaded.NumStates(), loaded.NumTransitions(), res.Stats.States, res.Stats.TransitionEntries)
+		}
 	}
 }
 
-// TestExpandedTableBytesAccounting: the generation-time stats must predict
-// exactly what a serving process pays — a loaded blob reports
-// Stats.TableBytes compressed (as does Generate, the paper's table-size
-// figure) and precisely Stats.ExpandedTableBytes once expanded the way the
-// static engine kind serves it, the increment being ExpandBytes.
-func TestExpandedTableBytesAccounting(t *testing.T) {
+// TestTableBytesAccounting: Stats.TableBytes, the compact footprint E1
+// reports, is exactly the closure's states plus 4 bytes per projection
+// entry and transition cell of its fixed operators, recounted here from
+// the decoded blob.
+func TestTableBytesAccounting(t *testing.T) {
 	for _, name := range md.Names() {
-		g := fixedGrammar(t, name)
-		res, err := Compile(g, Config{})
+		d, err := md.Load(name)
 		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
+			t.Fatal(err)
 		}
-		generated, err := automaton.Generate(g, automaton.StaticConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		if got := generated.MemoryBytes(); got != res.Stats.TableBytes {
-			t.Errorf("%s: compact footprint %d != Stats.TableBytes %d", g.Name, got, res.Stats.TableBytes)
-		}
-		predicted := automaton.ExpandBytes(g, res.Stats.States)
-		if res.Stats.ExpandedTableBytes != res.Stats.TableBytes+predicted {
-			t.Errorf("%s: Stats.ExpandedTableBytes %d != TableBytes %d + ExpandBytes %d",
-				g.Name, res.Stats.ExpandedTableBytes, res.Stats.TableBytes, predicted)
-		}
-		loaded, err := load(g, res.Blob)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		if got := loaded.MemoryBytes(); got != res.Stats.ExpandedTableBytes {
-			t.Errorf("%s: loaded serving footprint %d != Stats.ExpandedTableBytes %d",
-				g.Name, got, res.Stats.ExpandedTableBytes)
-		}
-		if predicted == 0 {
-			t.Errorf("%s: real table set not expandable", g.Name)
+		for _, g := range []*grammar.Grammar{d.Grammar, fixedGrammar(t, name)} {
+			res, err := Compile(g, Config{})
+			if errors.Is(err, automaton.ErrNoFixedClosure) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			ts, err := Decode(g, res.Blob)
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			table, err := automaton.ValidateTables(g, ts)
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			want := table.MemoryBytes()
+			for op := range g.Ops {
+				if g.HasDynRules(grammar.OpID(op)) {
+					continue
+				}
+				want += 4 * (len(ts.Mu[op][0]) + len(ts.Mu[op][1]) + len(ts.T1[op]) + len(ts.T2[op]))
+			}
+			if res.Stats.TableBytes != want {
+				t.Errorf("%s: Stats.TableBytes %d, recounted %d", g.Name, res.Stats.TableBytes, want)
+			}
 		}
 	}
 }

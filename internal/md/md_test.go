@@ -144,7 +144,8 @@ func TestStripDynamicClosed(t *testing.T) {
 }
 
 // TestStaticGenerationAllGrammars: the offline generator must terminate
-// with a sane state count on every stripped grammar — and agree with DP.
+// with a sane state count on every stripped grammar — and the engine
+// seeded with its closure, the static kind, must agree with DP.
 func TestStaticGenerationAllGrammars(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -153,14 +154,18 @@ func TestStaticGenerationAllGrammars(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := automaton.Generate(fixed, automaton.StaticConfig{})
+			ts, st, err := automaton.GenerateTables(fixed, automaton.StaticConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%s: %d states, %d transition entries, %d bytes",
-				name, a.NumStates(), a.NumTransitions(), a.MemoryBytes())
-			if a.NumStates() < 4 {
-				t.Errorf("implausibly small automaton: %d states", a.NumStates())
+				name, st.States, st.TransitionsComputed, st.TableBytes)
+			if st.States < 4 {
+				t.Errorf("implausibly small automaton: %d states", st.States)
+			}
+			a, err := core.NewSeeded(fixed, nil, core.Config{}, ts)
+			if err != nil {
+				t.Fatal(err)
 			}
 			l, err := dp.New(fixed, nil, nil)
 			if err != nil {

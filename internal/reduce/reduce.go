@@ -41,15 +41,14 @@ type Labeling interface {
 	RuleAt(n *ir.Node, nt grammar.NT) int32
 }
 
-// Labeler is a labeling engine: the common face of the three
-// interchangeable implementations the paper compares — dp.Labeler
-// (dynamic programming at selection time), automaton.Static (offline
-// burg-style automaton, its tables generated in-process or loaded from a
-// blob) and core.Engine (the paper's on-demand automaton, which also
-// serves the hybrid kind when seeded with the fixed operators' closure).
-// A new engine implements this interface and gets a case in the API
-// layer's NewSelector; nothing else in the pipeline needs to know about
-// it.
+// Labeler is a labeling engine: the common face of the two engines
+// behind the paper's three-way comparison — dp.Labeler (dynamic
+// programming at selection time) and core.Engine (the paper's on-demand
+// automaton, which also serves the burg-style static kind and the hybrid
+// kind when seeded with an ahead-of-time closure, generated in-process
+// or loaded from a blob). A new engine implements this interface and
+// gets a case in the API layer's NewSelector; nothing else in the
+// pipeline needs to know about it.
 //
 // Each engine labels a forest in one sequential pass over its nodes, in
 // topological order. LabelMetered is that pass with per-caller work
@@ -62,18 +61,19 @@ type Labeling interface {
 // estimated table footprint. Engines without tables (dp) report zeros.
 //
 // Concurrency: every built-in Labeler is safe for concurrent Label calls
-// on distinct forests — dp.Labeler keeps all working state per call,
-// automaton.Static is immutable after construction, and core.Engine
-// synchronizes its construct slow path internally (see package core).
+// on distinct forests — dp.Labeler keeps all working state per call, and
+// core.Engine synchronizes its construct slow path internally (see
+// package core).
 type Labeler interface {
+	LabelingRecycler
 	// Label assigns a labeling to every node of f, counting events into
 	// the engine's configured sink.
 	Label(f *ir.Forest) Labeling
 	// LabelMetered is Label counting this one call's events into m
 	// instead (nil falls back to the engine's sink).
 	LabelMetered(f *ir.Forest, m *metrics.Counters) Labeling
-	// NumStates reports automaton states (materialized so far for the
-	// on-demand engine, total for the static one, 0 for dp).
+	// NumStates reports automaton states (seeded plus materialized so
+	// far, 0 for dp).
 	NumStates() int
 	// NumTransitions reports tabulated/memoized transition entries (0
 	// for dp).
@@ -82,10 +82,10 @@ type Labeler interface {
 	MemoryBytes() int
 }
 
-// LabelingRecycler is the optional engine capability behind the
-// allocation-free warm path: engines that implement it hand labelings out
-// of an internal free list, and ReleaseLabeling returns one so the next
-// Label call can reuse its buffers.
+// LabelingRecycler is the part of Labeler behind the allocation-free warm
+// path: engines hand labelings out of an internal free list, and
+// ReleaseLabeling returns one so the next Label call can reuse its
+// buffers.
 //
 // Ownership contract: a labeling obtained from Label/LabelMetered belongs
 // to the caller. Calling ReleaseLabeling transfers it back — the caller

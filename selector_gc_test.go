@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/automaton"
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/workload"
@@ -46,8 +45,6 @@ func compileAndDrop(t *testing.T, m *repro.Machine, kind repro.Kind) (selGone, e
 	case *dp.Labeler:
 		engGone = closedWhenFreed(e)
 	case *core.Engine:
-		engGone = closedWhenFreed(e)
-	case *automaton.Static:
 		engGone = closedWhenFreed(e)
 	default:
 		t.Fatalf("%s: unexpected engine %T", kind, e)

@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/automaton"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/grammar"
 	"repro/internal/ir"
@@ -38,9 +39,9 @@ func writeBlob(t *testing.T, m *repro.Machine, path string) {
 
 // TestOfflineRoundTrip pins the one table path: for every machine's
 // fixed-cost subset, KindStatic built from each table source — the
-// closure computed in-process and a PreloadPath blob — is one engine:
-// identical NumStates, NumTransitions and MemoryBytes, identical labels
-// and Compile output.
+// closure computed in-process and a PreloadPath blob — is one engine, the
+// seeded *core.Engine: identical NumStates, NumTransitions and
+// MemoryBytes, identical labels and Compile output.
 func TestOfflineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range repro.Machines() {
@@ -60,6 +61,9 @@ func TestOfflineRoundTrip(t *testing.T) {
 				sel, err := fixed.NewSelector(repro.KindStatic, src.opt)
 				if err != nil {
 					t.Fatalf("%s: %v", src.what, err)
+				}
+				if _, ok := sel.Labeler().(*core.Engine); !ok {
+					t.Fatalf("%s: static selector engine is %T, want the seeded *core.Engine", src.what, sel.Labeler())
 				}
 				sels[i] = sel
 			}
@@ -89,10 +93,12 @@ func TestOfflineRoundTrip(t *testing.T) {
 }
 
 // TestOfflineRejectsDynamicAndWrongBlob: the static kind refuses
-// dynamic-cost grammars, and the table-backed kinds refuse, through
+// dynamic-cost grammars, with or without a hybrid blob of their fixed
+// operators, and the table-backed kinds refuse, through
 // Options.PreloadPath, a blob generated for another grammar, a truncated
 // blob, one with a flipped body byte, one whose tables hold a transition
-// past the last state, and one of the retired `.isel` version 1.
+// past the last state, one whose projection puts states in the wrong
+// representer class, and one of the retired `.isel` version 1.
 func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 	m, err := repro.LoadMachine("x86")
 	if err != nil {
@@ -130,6 +136,26 @@ func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// x86.fixed with INDIR position 0's class-0 states moved to class 1:
+	// every id and cell in range, so only the projection check can tell.
+	// Served, such tables select wrong or underivable covers.
+	moved, err := gen.Compile(fixed.Grammar, gen.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indir, _ := fixed.Grammar.OpByName("INDIR")
+	if moved.Tables.NReps[indir][0] < 2 {
+		t.Fatalf("INDIR position 0 has %d classes; the test needs two", moved.Tables.NReps[indir][0])
+	}
+	for s, c := range moved.Tables.Mu[indir][0] {
+		if c == 0 {
+			moved.Tables.Mu[indir][0][s] = 1
+		}
+	}
+	misprojected, err := gen.EncodeBytes(fixed.Grammar, moved.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	path := filepath.Join(t.TempDir(), "bad.isel")
 	for _, c := range []struct {
@@ -138,17 +164,24 @@ func TestOfflineRejectsDynamicAndWrongBlob(t *testing.T) {
 		kind repro.Kind
 		blob []byte
 		want string // in the error
+		is   error  // matched with errors.Is, when set
 	}{
-		{"another grammar's blob", fixed, repro.KindStatic, other.Blob, "fingerprint"},
-		{"truncated blob", fixed, repro.KindStatic, res.Blob[:len(res.Blob)-3], ""},
-		{"flipped body byte", fixed, repro.KindStatic, flipped, ""},
-		{"out-of-range transition", m, repro.KindHybrid, shifted, "transition references state"},
+		{"hybrid blob", m, repro.KindStatic, seed.Blob, "dynamic-cost rules", nil},
+		{"another grammar's blob", fixed, repro.KindStatic, other.Blob, "fingerprint", nil},
+		{"truncated blob", fixed, repro.KindStatic, res.Blob[:len(res.Blob)-3], "", nil},
+		{"flipped body byte", fixed, repro.KindStatic, flipped, "", nil},
+		{"out-of-range transition", m, repro.KindHybrid, shifted, "transition references state", nil},
+		{"wrong projection", fixed, repro.KindStatic, misprojected, "INDIR position 0", core.ErrClassMismatch},
 	} {
 		if err := os.WriteFile(path, c.blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.m.NewSelector(c.kind, repro.Options{PreloadPath: path}); err == nil || !strings.Contains(err.Error(), c.want) {
+		_, err := c.m.NewSelector(c.kind, repro.Options{PreloadPath: path})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: err = %v, want a rejection mentioning %q", c.what, err, c.want)
+		}
+		if c.is != nil && !errors.Is(err, c.is) {
+			t.Fatalf("%s: err = %v, want %v", c.what, err, c.is)
 		}
 	}
 
@@ -345,11 +378,11 @@ func inflate(g *grammar.Grammar, ts *automaton.TableSet, n int) {
 }
 
 // TestCraftedBlobExpansionBounded: a well-formed blob claiming 4,096
-// states — 21 binary operators' worth of 64 MB grids, had expansion no
-// total bound — must load within automaton.ExpandMaxBytes of allocation
-// and footprint, stay within it through a corpus pass, and still select
-// exactly like DP: the static engine through its compressed tables, the
-// hybrid with seeded states only.
+// states — 21 binary operators' worth of 64 MB grids, were tables sized
+// by state id with no total bound — must load within
+// automaton.ExpandMaxBytes of allocation and footprint, stay within it
+// through a corpus pass, and still select exactly like DP, through the
+// static and the hybrid kind alike.
 func TestCraftedBlobExpansionBounded(t *testing.T) {
 	const claimed = 4096
 	x86, err := repro.LoadMachine("x86")
