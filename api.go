@@ -282,12 +282,12 @@ func (m *Machine) NewSelector(kind Kind, opt Options) (*Selector, error) {
 		return nil, err
 	}
 	s := &Selector{kind: kind, machine: m, eng: eng, rd: rd, intern: emit.NewInterner(0)}
-	// All emitters of one selector share its interner, so repeated
-	// compiles of the same functions return the same Asm string without a
-	// per-call copy.
-	g, intern := m.Grammar, s.intern
+	// All emitters of one selector run one compiled program and share its
+	// interner, so repeated compiles of the same functions return the same
+	// Asm string without a per-call copy.
+	prog, intern := emit.Compile(m.Grammar), s.intern
 	s.emitters.New = func() *emit.Emitter {
-		e := emit.New(g)
+		e := prog.NewEmitter()
 		e.SetInterner(intern)
 		return e
 	}

@@ -294,11 +294,12 @@ func benchCompile(b *testing.B, gname string, stripped bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog := emit.Compile(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fs {
-			em := emit.New(g)
+			em := prog.NewEmitter()
 			if _, err := rd.Cover(f, e.Label(f), em.Visit); err != nil {
 				b.Fatal(err)
 			}

@@ -537,6 +537,7 @@ func RunE7(gname string) ([]E7Row, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	prog, progF := emit.Compile(g), emit.Compile(fixed)
 	t := &Table{
 		ID:     "E7",
 		Title:  fmt.Sprintf("code quality with dynamic rules vs fixed costs only, on %s (selected cost and emitted instructions)", gname),
@@ -549,7 +550,7 @@ func RunE7(gname string) ([]E7Row, *Table, error) {
 		var costDyn, costFixed grammar.Cost
 		instrsDyn, instrsFixed := 0, 0
 		for _, f := range u.forests {
-			em := emit.New(g)
+			em := prog.NewEmitter()
 			c, err := rd.Cover(f, dpl.Label(f), em.Visit)
 			if err != nil {
 				return nil, nil, err
@@ -558,7 +559,7 @@ func RunE7(gname string) ([]E7Row, *Table, error) {
 			instrsDyn += em.Instructions()
 		}
 		for _, f := range fixedUnits[i].forests {
-			em := emit.New(fixed)
+			em := progF.NewEmitter()
 			c, err := rdF.Cover(f, dplF.Label(f), em.Visit)
 			if err != nil {
 				return nil, nil, err

@@ -15,7 +15,32 @@
 // the freshly allocated destination register. For multi-node source
 // patterns, dotted paths descend through the helper rules that normal-form
 // conversion introduced: in Store(addr, Plus(Load(addr), reg)) the operand
-// of the inner reg is %1.1 (kid 1 of the Store, kid 1 of the Plus).
+// of the inner reg is %1.1 (kid 1 of the Store, kid 1 of the Plus). A kid's
+// operand is the one its own nonterminal stands for, including one a
+// templated chain rule derives: with a: r "=(%0)", %0 of L(a) is "(v1)".
+//
+// # Programs
+//
+// Templates are parsed once per grammar, not per visit: Compile turns
+// each rule's template into a short op list — literal spans as offsets
+// into the template, kid references, %c, %s and %d — and a Program is
+// read-only from then on. A Selector compiles its grammar once and every
+// emitter its free list makes shares that program (NewEmitter); New
+// compiles a program of its own for one-off callers. Kid references are
+// resolved at compile time: each dotted step crosses a helper nonterminal
+// with exactly one base rule, so a reference is a path of kid indices
+// plus the nonterminal at its end, and a visit descends the node's kids
+// and makes one slot lookup. A helper leaf needs none, because its operand
+// is the leaf's text. Only a step through a nonterminal with other rules,
+// which a user grammar may write and no shipped machine does, reads the
+// derivation at run time, following the chain rules applied at the node;
+// emitters of such a program record each slot's rule for it, and
+// otherwise a helper leaf's own visit records no slot at all.
+//
+// Instruction templates append straight into the assembly buffer. Value
+// templates expand into tmp, a scratch buffer, and are then copied into
+// the operand arena: a kid never visited renders its leaf into the arena
+// mid-expansion, so the arena cannot be the expansion buffer itself.
 //
 // The emitter exists for two reasons: the examples and CLI produce real
 // output, and the experiments need "emitted target instructions" as their
@@ -24,10 +49,11 @@
 //
 // # Allocation discipline
 //
-// A fresh Emitter allocates in proportion to the visits the reducer
-// makes: each visited (node, nonterminal) appends one slot, chained to its
-// node's previous slot from a per-node int32 head, so nothing is sized by
-// nodes × nonterminals. A warm Emitter (Reset after emitting forests at
+// A Program takes three allocations per grammar. A fresh Emitter
+// allocates in proportion to the visits the reducer makes: each visited
+// (node, nonterminal) appends one slot, chained to its node's previous
+// slot from a per-node int32 head, so nothing is sized by nodes ×
+// nonterminals. A warm Emitter (Reset after emitting forests at
 // least as large) allocates nothing: slots, heads, the operand arena,
 // register names and the assembly buffer keep their capacity, and Reset
 // clears only what the last forest used. Operand text lives in the arena
@@ -40,7 +66,6 @@ package emit
 import (
 	"slices"
 	"strconv"
-	"strings"
 	"unsafe"
 
 	"repro/internal/grammar"
@@ -52,18 +77,22 @@ import (
 // Reset recycles it for the next. Emitters are not safe for concurrent
 // use — pool them (see Selector in the root package).
 type Emitter struct {
+	prog *Program
+
 	// slots holds one entry per visited (node, nonterminal), in visit
 	// order. heads[n.Index] is 1 + the index of node n's newest slot (0:
 	// not visited), and each slot's prev continues that node's chain,
-	// newest first, so the latest visit of a pair wins.
-	slots []slot
-	heads []int32
+	// newest first, so the latest visit of a pair wins. slotRules[i] is
+	// the rule reduced at slots[i], recorded only when the program walks
+	// derivations at run time.
+	slots     []slot
+	heads     []int32
+	slotRules []*grammar.Rule
 
 	// arena backs within-call operand text (expanded value templates, leaf
-	// payload renderings) as zero-copy views; tmp is the template-expansion
-	// scratch, separate from arena so nested operand rendering cannot
-	// interleave bytes into an expansion in progress. Both are reused
-	// across Reset.
+	// payload renderings) as zero-copy views; tmp is the value-template
+	// expansion scratch, separate from arena because an operand rendered
+	// mid-expansion appends to the arena. Both are reused across Reset.
 	arena []byte
 	tmp   []byte
 
@@ -82,19 +111,24 @@ type Emitter struct {
 	instrs  int
 }
 
-// slot is one visited (node, nonterminal): the rule reduced there and the
-// operand text its result is referenced by.
+// slot is one visited (node, nonterminal): the operand text its result
+// is referenced by.
 type slot struct {
-	nt      grammar.NT
-	prev    int32 // 1 + index of the node's previous slot; 0 ends the chain
-	rule    *grammar.Rule
 	operand string
+	prev    int32 // 1 + index of the node's previous slot; 0 ends the chain
+	nt      grammar.NT
 }
 
-// New creates an emitter for g's rules. Nothing is sized by g: storage
-// grows with the first forest's visits.
-func New(g *grammar.Grammar) *Emitter {
-	e := &Emitter{}
+// New creates an emitter for g's rules with a program of its own, for
+// one-off callers; an emitter pool shares one Compile(g) through
+// NewEmitter instead. Nothing else is sized by g: storage grows with the
+// first forest's visits.
+func New(g *grammar.Grammar) *Emitter { return Compile(g).NewEmitter() }
+
+// NewEmitter creates an emitter that runs p. Emitters made from one
+// program share it.
+func (p *Program) NewEmitter() *Emitter {
+	e := &Emitter{prog: p}
 	e.visit = e.Visit
 	return e
 }
@@ -121,81 +155,117 @@ func (e *Emitter) Reset() {
 	// Clearing the used slots drops the forest's strings with it.
 	clear(e.slots)
 	e.slots = e.slots[:0]
+	e.slotRules = e.slotRules[:0]
 	e.nextReg = 0
 	e.instrs = 0
 }
 
-// Visit is the reduce.Visitor that drives emission.
+// Visit is the reduce.Visitor that drives emission: it runs r's op list
+// at n. r must be a rule of the grammar the program was compiled from.
 func (e *Emitter) Visit(n *ir.Node, nt grammar.NT, r *grammar.Rule) {
-	var op string
-	switch {
-	case r.Template == "":
-		// Pass-through: chain rules forward the RHS nonterminal's operand;
-		// base rules without templates forward their first kid (or render
-		// the leaf payload).
-		if r.IsChain {
-			op = e.operandOf(n, r.ChainRHS)
-		} else if len(n.Kids) > 0 {
-			op = e.operandOf(n.Kids[0], r.Kids[0])
-		} else {
-			op = e.leafText(n)
-		}
-	case strings.HasPrefix(r.Template, "="):
-		e.expandTmp(r.Template[1:], n, r, "")
-		op = e.internArena(e.tmp)
-	default:
-		op = e.regName(e.nextReg)
+	rp := &e.prog.rules[r.Index]
+	var operand string
+	switch rp.kind {
+	case rulePass:
+		operand = e.refOperand(n, e.prog.ops[rp.lo:rp.hi], rp.tmpl)
+	case ruleValue:
+		e.tmp = e.appendOps(e.tmp[:0], n, rp, "")
+		operand = e.internArena(e.tmp)
+	case ruleInstr:
+		operand = e.regName(e.nextReg)
 		e.nextReg++
-		e.expandTmp(r.Template, n, r, op)
 		e.asm = append(e.asm, '\t')
-		e.asm = append(e.asm, e.tmp...)
+		e.asm = e.appendOps(e.asm, n, rp, operand)
 		e.asm = append(e.asm, '\n')
 		e.instrs++
+	case ruleSkip:
+		return
 	}
 	if n.Index >= len(e.heads) {
 		e.heads = slices.Grow(e.heads, n.Index+1-len(e.heads))[:n.Index+1]
 	}
-	e.slots = append(e.slots, slot{nt: nt, prev: e.heads[n.Index], rule: r, operand: op})
+	e.slots = append(e.slots, slot{operand: operand, prev: e.heads[n.Index], nt: nt})
 	e.heads[n.Index] = int32(len(e.slots))
+	if e.prog.walks {
+		e.slotRules = append(e.slotRules, r)
+	}
 }
 
-// expandTmp substitutes template escapes into e.tmp.
-func (e *Emitter) expandTmp(tmpl string, n *ir.Node, r *grammar.Rule, dst string) {
-	e.tmp = e.tmp[:0]
-	for i := 0; i < len(tmpl); i++ {
-		c := tmpl[i]
-		if c != '%' || i+1 >= len(tmpl) {
-			e.tmp = append(e.tmp, c)
-			continue
-		}
-		i++
-		switch tmpl[i] {
-		case '0', '1':
-			ki := int(tmpl[i] - '0')
-			// Collect a dotted path: %1.1 descends through helper rules.
-			var pbuf [4]int
-			path := append(pbuf[:0], ki)
-			for i+2 < len(tmpl) && tmpl[i+1] == '.' && tmpl[i+2] >= '0' && tmpl[i+2] <= '9' {
-				path = append(path, int(tmpl[i+2]-'0'))
-				i += 2
-			}
-			if r.IsChain {
-				e.tmp = append(e.tmp, e.operandOf(n, r.ChainRHS)...)
-			} else {
-				e.tmp = append(e.tmp, e.pathOperand(n, r, path)...)
-			}
-		case 'c':
-			e.tmp = strconv.AppendInt(e.tmp, n.Val, 10)
-		case 's':
-			e.tmp = append(e.tmp, n.Sym...)
-		case 'd':
-			e.tmp = append(e.tmp, dst...)
-		case '%':
-			e.tmp = append(e.tmp, '%')
-		default:
-			e.tmp = append(e.tmp, '%', tmpl[i])
+// appendOps appends the text of rp's op list run at node n to dst; reg
+// is the destination register.
+func (e *Emitter) appendOps(dst []byte, n *ir.Node, rp *ruleProg, reg string) []byte {
+	m := n // the current node of the reference in progress
+	for _, o := range e.prog.ops[rp.lo:rp.hi] {
+		switch o.kind {
+		case opLit:
+			dst = append(dst, rp.tmpl[o.a:o.b]...)
+		case opVal:
+			dst = strconv.AppendInt(dst, n.Val, 10)
+		case opSym:
+			dst = append(dst, n.Sym...)
+		case opReg:
+			dst = append(dst, reg...)
+		case opBad:
+			dst = append(dst, '?')
+		case opKid:
+			m = m.Kids[o.k]
+		case opSlot:
+			dst = append(dst, e.operandOf(kid(m, o.k), o.nt)...)
+			m = n
+		case opLeaf:
+			dst = appendLeaf(dst, kid(m, o.k))
+			m = n
+		case opWalk:
+			dst = append(dst, e.walk(kid(m, o.k), o.nt, rp.tmpl[o.a:o.b])...)
+			m = n
 		}
 	}
+	return dst
+}
+
+// refOperand returns the operand the reference ops names at node n,
+// sharing the text rather than copying it.
+func (e *Emitter) refOperand(n *ir.Node, ops []op, tmpl string) string {
+	for _, o := range ops {
+		switch o.kind {
+		case opKid:
+			n = n.Kids[o.k]
+		case opSlot:
+			return e.operandOf(kid(n, o.k), o.nt)
+		case opLeaf:
+			return e.leafText(kid(n, o.k))
+		case opWalk:
+			return e.walk(kid(n, o.k), o.nt, tmpl[o.a:o.b])
+		}
+	}
+	return "?"
+}
+
+// kid returns n's kid k, or n itself when k < 0.
+func kid(n *ir.Node, k int8) *ir.Node {
+	if k < 0 {
+		return n
+	}
+	return n.Kids[k]
+}
+
+// walk resolves the rest of a dotted path, the template bytes path
+// ("0", "1.0"), from node n derived as nt, where nt is not a helper with
+// one base rule: each step follows the chain rules the derivation applied
+// at the node down to its base rule, whose kid the step names.
+func (e *Emitter) walk(n *ir.Node, nt grammar.NT, path string) string {
+	for i := 0; i < len(path); i += 2 {
+		s := e.find(n, nt)
+		for s != 0 && e.slotRules[s-1].IsChain {
+			s = e.find(n, e.slotRules[s-1].ChainRHS)
+		}
+		k := int(path[i] - '0')
+		if s == 0 || k >= len(n.Kids) {
+			return "?"
+		}
+		n, nt = n.Kids[k], e.slotRules[s-1].Kids[k]
+	}
+	return e.operandOf(n, nt)
 }
 
 // internArena copies b into the arena and returns a zero-copy view, valid
@@ -220,56 +290,29 @@ func (e *Emitter) regName(i int) string {
 	return e.regs[i]
 }
 
-// pathOperand resolves a dotted kid path starting at base rule r of node n:
-// each step moves to kid path[k] of the current node, using the rule
-// reduced at the current (node, nonterminal) to find the kid nonterminal.
-func (e *Emitter) pathOperand(n *ir.Node, r *grammar.Rule, path []int) string {
-	for step, ki := range path {
-		if r == nil || r.IsChain || ki >= len(n.Kids) {
-			return "?"
-		}
-		nt := r.Kids[ki]
-		n = n.Kids[ki]
-		// Follow chain rules applied at the kid down to a base rule so a
-		// further path step has kids to descend into.
-		s := e.find(n, nt)
-		for s != nil && s.rule.IsChain {
-			nt = s.rule.ChainRHS
-			s = e.find(n, nt)
-		}
-		if step == len(path)-1 {
-			return e.operandOf(n, nt)
-		}
-		r = nil
-		if s != nil {
-			r = s.rule
-		}
-	}
-	return "?"
-}
-
-// find returns node n's newest slot for nt, or nil when (n, nt) has not
-// been visited since the last Reset. A node's chain is one to three slots
-// long on the corpus.
-func (e *Emitter) find(n *ir.Node, nt grammar.NT) *slot {
+// find returns 1 + the index of node n's newest slot for nt, or 0 when
+// (n, nt) has not been visited since the last Reset. A node's chain is
+// one to three slots long on the corpus.
+func (e *Emitter) find(n *ir.Node, nt grammar.NT) int32 {
 	if n.Index >= len(e.heads) {
-		return nil
+		return 0
 	}
 	for i := e.heads[n.Index]; i != 0; {
 		s := &e.slots[i-1]
 		if s.nt == nt {
-			return s
+			return i
 		}
 		i = s.prev
 	}
-	return nil
+	return 0
 }
 
+// operandOf returns the operand recorded for (n, nt); a pair not visited
+// renders as n's leaf text.
 func (e *Emitter) operandOf(n *ir.Node, nt grammar.NT) string {
-	if s := e.find(n, nt); s != nil {
-		return s.operand
+	if i := e.find(n, nt); i != 0 {
+		return e.slots[i-1].operand
 	}
-	// A kid whose reduction carried no template at all: render the leaf.
 	return e.leafText(n)
 }
 
@@ -283,6 +326,14 @@ func (e *Emitter) leafText(n *ir.Node) string {
 	e.arena = strconv.AppendInt(e.arena, n.Val, 10)
 	v := e.arena[start:]
 	return unsafe.String(unsafe.SliceData(v), len(v))
+}
+
+// appendLeaf appends n's leaf text to dst.
+func appendLeaf(dst []byte, n *ir.Node) []byte {
+	if n.Sym != "" {
+		return append(dst, n.Sym...)
+	}
+	return strconv.AppendInt(dst, n.Val, 10)
 }
 
 // Asm returns the emitted assembly text: interned through the shared

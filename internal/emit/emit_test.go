@@ -115,6 +115,29 @@ r: P(k, k) = 2 (1) "lea %0(%1), %d ; 100%% flat %z"
 	}
 }
 
+// TestKidOperandOfTemplatedChain: %0 is the operand of the kid's own
+// nonterminal. Here that is a, derived from r by a chain rule with a
+// value template, so the operand is "(v1)", not r's "v1".
+func TestKidOperandOfTemplatedChain(t *testing.T) {
+	g := grammar.MustParse(`
+%term R(0) L(1)
+%start s
+r: R = 1 (0) "=v%c"
+a: r = 2 (0) "=(%0)"
+s: L(a) = 3 (1) "mov %0, %d"
+`)
+	l, _ := dp.New(g, nil, nil)
+	rd, _ := reduce.New(g, nil, nil)
+	f := ir.MustParseTree(g, "L(R[1])")
+	asm, _, _, err := Emit(rd, f, l.Label(f), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "\tmov (v1), r0\n"; asm != want {
+		t.Errorf("asm = %q, want %q", asm, want)
+	}
+}
+
 func TestSymbolSubstitution(t *testing.T) {
 	g := grammar.MustParse(`
 %term G(0) L(1)

@@ -94,10 +94,15 @@ type Rule struct {
 	// DynCost names the dynamic-cost function, "" for fixed-cost rules.
 	DynCost string
 
-	// Template is the emission template, e.g. "addq %1, %0". %0..%k refer
-	// to the results of the kid nonterminals, %c to the node's leaf value,
-	// %s to its symbol. Empty templates emit nothing (typical for chain
-	// rules and helper rules).
+	// Template is the emission template, e.g. "addq %1, %0". %k is the
+	// operand of kid k's own nonterminal, whatever rule derived it there,
+	// a templated chain rule included: with a: r "=(%0)" and r rendering
+	// "v1", %0 of L(a) is "(v1)". Dotted paths (%1.0) descend through the
+	// helper nonterminals of multi-node patterns; in a chain rule %0 is
+	// the right-hand side's operand. %c is the node's leaf value, %s its
+	// symbol, %d an instruction's result register and %% a percent sign;
+	// a leading '=' makes a value template (see package emit). Empty
+	// templates emit nothing (typical for chain rules and helper rules).
 	Template string
 
 	// Src is the original source production text, for diagnostics.
